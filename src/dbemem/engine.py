@@ -12,8 +12,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import (BLOCK_W, CYCLES_PER_SLOT, PIXELS_PER_WORD, GeometryPlan,
-                       ImageGeometry, Interleave, SliceLayout, build_geometry)
+from .geometry import (BLOCK_W, CYCLES_PER_SLOT, LINE_WORDS, PIXELS_PER_WORD,
+                       GeometryPlan, ImageGeometry, Interleave, SliceLayout,
+                       build_geometry)
 from .membank import Purpose, SramBankModel
 from .oracle import GoldenOracle, ycocg_frame
 from .predwindow import FETCH, RESIDENT, ReconBufferState, SECTIONS, WindowSpec
@@ -37,6 +38,22 @@ def _ycocg_cols(px: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bad_pixels(got: np.ndarray, want: np.ndarray) -> int:
+    """Pixels of `got` that differ from `want` in any component.  Equal bytes,
+    the usual case, settle it without the per-pixel count."""
+    if got.tobytes() == want.tobytes():
+        return 0
+    return int((got != want).any(axis=1).sum())
+
+
+def _require_int(value, name: str, lo: int, hi: int | None = None) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"flip_word needs an integer {name}, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        top = "" if hi is None else f"..{hi}"
+        raise ConfigError(f"flip_word {name} {value} outside {lo}{top}")
+
+
 @dataclass
 class FaultSpec:
     """Deterministic perturbation for negative testing."""
@@ -53,6 +70,13 @@ class FaultSpec:
                  "banks_override", "delay_override", "fetch_budget_override")
         if self.kind not in kinds:
             raise ConfigError(f"unknown fault kind {self.kind!r}")
+        if self.kind == "flip_word":
+            # the buffer name is checked against the preset by the Engine
+            if not isinstance(self.buffer, str):
+                raise ConfigError(
+                    f"flip_word needs a buffer name, got {self.buffer!r}")
+            _require_int(self.word_index, "word_index", 0, LINE_WORDS - 1)
+            _require_int(self.cycle, "cycle", 0)
 
 
 @dataclass
@@ -173,6 +197,9 @@ class Engine:
         for buf in self.preset.buffer_names():
             for bk in range(self.preset.banks_per_buffer):
                 self.banks[(buf, bk)] = SramBankModel(buf, bk)
+        # (buffer, bank) -> (commit order within a cycle, bank)
+        self._bank_at = {key: (i, bank)
+                         for i, (key, bank) in enumerate(self.banks.items())}
         self.cols = [_ColumnState(self.spec, self.preset, self.capacity,
                                   self.plan.words_per_line)
                      for _ in range(cfg.slices.columns)]
@@ -180,9 +207,18 @@ class Engine:
         self.trace_rows = []
         self.violation_rows = []
         self.display_events = []
-        self._flip_faults = sorted(
-            [f for f in cfg.faults if f.kind == "flip_word"],
-            key=lambda f: f.cycle)
+        flips = sorted([f for f in cfg.faults if f.kind == "flip_word"],
+                       key=lambda f: f.cycle)
+        run_cycles = total_frame_cycles(self.preset, self.plan)
+        for f in flips:
+            if f.buffer not in self.preset.buffer_names():
+                raise ConfigError(
+                    f"flip_word buffer {f.buffer!r} is not one of "
+                    f"{self.preset.buffer_names()}")
+            if f.cycle >= run_cycles:
+                raise ConfigError(f"flip_word cycle {f.cycle} is past the "
+                                  f"run's last cycle {run_cycles - 1}")
+        self._flips = deque(flips)   # pending, in cycle order
         self._next_display_k = 0
         # per-section span metadata: each span splits into a left part (the
         # section's route) and, with forwarding, the previously-decoded block
@@ -200,6 +236,12 @@ class Engine:
             else:
                 parts.append((lo, hi, routes[s]))
             self._parts[s] = parts
+        # per section: name, line offset from the blockline's upper row,
+        # span start and parts
+        self._window = [(s, dy, self.spec.span(s)[0], self._parts[s])
+                        for s, dy in zip(SECTIONS, (-1, 0, 1))]
+        self._resident_rows = [(s, row) for s, row in (("row0", 0), ("row1", 1))
+                               if routes[s] == RESIDENT]
         self._stage_words_static = self._stage_words()
 
     def _stage_words(self) -> int:
@@ -214,12 +256,6 @@ class Engine:
 
     # -- bookkeeping helpers -------------------------------------------------
 
-    def _trace(self, rec, granted=True):
-        if self.cfg.collect_trace and granted:
-            self.trace_rows.append(
-                (rec.cycle, rec.slice_col, rec.buffer, rec.bank_id, rec.op,
-                 rec.word_index, rec.purpose.value, rec.block_id))
-
     def _note(self, cls, item):
         self.log.details.setdefault(cls, [])
         if len(self.log.details[cls]) < DETAIL_LIMIT:
@@ -228,6 +264,8 @@ class Engine:
     def _drain_bank_violations(self):
         tracing = self.cfg.collect_trace
         for bank in self.banks.values():
+            if not (bank.conflicts or bank.hazards or bank.underflows):
+                continue
             for v in bank.conflicts:
                 self.log.conflicts += 1
                 self._note("conflicts", v)
@@ -262,71 +300,62 @@ class Engine:
         rgb = self.oracle.golden_frame(w, h)
         yco = ycocg_frame(rgb)
         self._rgb, self._yco = rgb, yco
-        total_slots = plan.total_blocklines * self.sched.slots_per_blockline
         total_cycles = total_frame_cycles(self.preset, plan)
         windows_served = 0
         pixels_served = 0
 
-        for slot in range(total_slots):
-            base = CYCLES_PER_SLOT * slot
-            b = self.sched.block_at_slot(slot)
-            col = self.cols[b.slice_col]
-            sp = self.sched.slot_plan(slot)
-            # book block row-writes (values from the golden decode)
-            y0 = 2 * b.blockline
-            x0 = plan.slice_base_x(b.slice_col) + BLOCK_W * b.block_x
-            write_booked = []
-            for rec in sp.writes:
-                row_y = y0 if rec.buffer == "upper" else y0 + 1
-                vals = rgb[row_y, x0:x0 + BLOCK_W]
-                bank = self.banks[(rec.buffer, rec.bank_id)]
-                if bank.request_access(rec, values=vals, line_y=row_y):
-                    write_booked.append(rec)
-                    self._trace(rec)
-            # book display reads
-            for rec in sp.display_reads:
-                if self.banks[(rec.buffer, rec.bank_id)].request_access(rec):
-                    self._trace(rec)
-            # book prediction fetches
-            fetch_booked = []
-            for rec, demand in sp.fetches:
-                bank = self.banks[(rec.buffer, rec.bank_id)]
-                if bank.request_access(rec):
-                    fetch_booked.append((rec, demand))
-                    self._trace(rec)
-            self._commit_slot(base, write_booked,
-                              [rec for rec, _ in fetch_booked])
-            # route fetched words into the column's word stage
-            for rec, demand in fetch_booked:
-                bank = self.banks[(rec.buffer, rec.bank_id)]
-                vals, written, tag = bank.peek_word(rec.word_index)
-                if written and tag == demand.line_y:
-                    cstate = self.cols[demand.slice_col]
-                    s = demand.line_y & 3
-                    cstate.stage_vals[s, demand.word_local] = vals
-                    cstate.stage_line[s, demand.word_local] = demand.line_y
-            # slide the window and verify availability for this block
-            self._advance_window(b, col)
-            served, misses, mismatches = self._serve_window(b, col)
-            windows_served += 1
-            pixels_served += served
-            self.log.availability_misses += misses
-            self.log.prediction_mismatches += mismatches
-            # record the decoded block for forwarding / admission
-            col.history.append((b.block_x,
-                                rgb[y0:y0 + 2, x0:x0 + BLOCK_W],
-                                yco[y0:y0 + 2, x0:x0 + BLOCK_W]))
-            self._drain_bank_violations()
+        for bl in range(plan.total_blocklines):
+            y0 = 2 * bl
+            for sp in self.sched.blockline_plans(bl):
+                b = sp.block
+                col = self.cols[b.slice_col]
+                booked = []   # (cycle, bank order, bank) of every grant
+                # book block row-writes (values from the golden decode)
+                x0 = plan.slice_base_x(b.slice_col) + BLOCK_W * b.block_x
+                write_booked = []
+                for rec in sp.writes:
+                    row_y = y0 if rec.buffer == "upper" else y0 + 1
+                    if self._book(rec, booked, rgb[row_y, x0:x0 + BLOCK_W],
+                                  row_y):
+                        write_booked.append(rec)
+                # book display reads
+                for rec in sp.display_reads:
+                    self._book(rec, booked)
+                # book prediction fetches
+                fetch_booked = [(rec, demand) for rec, demand in sp.fetches
+                                if self._book(rec, booked)]
+                self._commit_slot(sp.cycle_base, booked, write_booked,
+                                  fetch_booked)
+                # route fetched words into the column's word stage
+                for rec, demand in fetch_booked:
+                    bank = self.banks[(rec.buffer, rec.bank_id)]
+                    vals, written, tag = bank.peek_word(rec.word_index)
+                    if written and tag == demand.line_y:
+                        cstate = self.cols[demand.slice_col]
+                        s = demand.line_y & 3
+                        cstate.stage_vals[s, demand.word_local] = vals
+                        cstate.stage_line[s, demand.word_local] = demand.line_y
+                # slide the window and verify availability for this block
+                self._advance_window(b, col)
+                served, misses, mismatches = self._serve_window(b, col)
+                windows_served += 1
+                pixels_served += served
+                self.log.availability_misses += misses
+                self.log.prediction_mismatches += mismatches
+                # record the decoded block for forwarding / admission
+                col.history.append((b.block_x,
+                                    rgb[y0:y0 + 2, x0:x0 + BLOCK_W],
+                                    yco[y0:y0 + 2, x0:x0 + BLOCK_W]))
+                self._drain_bank_violations()
 
         # display-only tail after the last decode slot
-        slot = total_slots
+        slot = plan.total_blocklines * self.sched.slots_per_blockline
         while self._next_display_k < self.sched.total_display_words:
             base = CYCLES_PER_SLOT * slot
+            booked = []
             for k in self.sched.display_words_in(base, base + CYCLES_PER_SLOT):
-                rec = self.sched.display_record(k)
-                if self.banks[(rec.buffer, rec.bank_id)].request_access(rec):
-                    self._trace(rec)
-            self._commit_slot(base)
+                self._book(self.sched.display_record(k), booked)
+            self._commit_slot(base, booked)
             self._drain_bank_violations()
             slot += 1
 
@@ -348,33 +377,51 @@ class Engine:
             display_events=self.display_events,
         )
 
-    def _commit_slot(self, base, write_recs=(), fetch_recs=()):
-        flips = [f for f in self._flip_faults
-                 if base <= f.cycle < base + CYCLES_PER_SLOT]
-        for cyc in range(base, base + CYCLES_PER_SLOT):
-            for f in flips:
-                if f.cycle == cyc:
-                    self._apply_flip(f)
-            for bank in self.banks.values():
-                if not bank.has_booking(cyc):
-                    continue
-                result = bank.commit_cycle(cyc)
-                if result is None:
-                    continue
-                rec, vals = result
-                if rec.purpose is Purpose.OUTPUT_READ and rec.op == "read":
-                    self._check_display_word(rec, vals)
-            if cyc == base:
-                # new data in place: arm the required-read checks against the
-                # overwrites that follow (display once per word, plus any
-                # prediction fetch scheduled on current contents)
-                for rec in write_recs:
-                    self.banks[(rec.buffer, rec.bank_id)].register_required_reads(
-                        rec.word_index, 1, "output")
-                for rec in fetch_recs:
-                    if rec.cycle > cyc:
-                        self.banks[(rec.buffer, rec.bank_id)] \
-                            .register_required_reads(rec.word_index, 1, "fetch")
+    def _book(self, rec, booked, values=None, line_y=-1) -> bool:
+        """Request one access; a grant joins the slot's commit list and the
+        trace.  Returns whether it was granted."""
+        order, bank = self._bank_at[rec.buffer, rec.bank_id]
+        if not bank.request_access(rec, values=values, line_y=line_y):
+            return False
+        booked.append((rec.cycle, order, bank))
+        if self.cfg.collect_trace:
+            self.trace_rows.append(
+                (rec.cycle, rec.slice_col, rec.buffer, rec.bank_id, rec.op,
+                 rec.word_index, rec.purpose.value, rec.block_id))
+        return True
+
+    def _commit_slot(self, base, booked, write_recs=(), fetch_booked=()):
+        """Commit the slot's granted accesses in cycle order, banks in
+        `self.banks` order within a cycle.  Idle (cycle, bank) pairs are not
+        visited, so a bank's frontier stays at its last booked cycle.  A
+        flip fault lands before the commits of its cycle."""
+        flips = self._flips
+        armed = False
+        for cyc, _, bank in sorted(booked):
+            if not armed and cyc > base:
+                self._arm_required_reads(base, write_recs, fetch_booked)
+                armed = True
+            while flips and flips[0].cycle <= cyc:
+                self._apply_flip(flips.popleft())
+            rec, vals = bank.commit_cycle(cyc)
+            if rec.purpose is Purpose.OUTPUT_READ:
+                self._check_display_word(rec, vals)
+        if not armed:
+            self._arm_required_reads(base, write_recs, fetch_booked)
+        while flips and flips[0].cycle < base + CYCLES_PER_SLOT:
+            self._apply_flip(flips.popleft())
+
+    def _arm_required_reads(self, base, write_recs, fetch_booked):
+        """New data in place after the slot's first cycle: arm the
+        required-read checks against the overwrites that follow (display once
+        per word, plus any prediction fetch scheduled on current contents)."""
+        for rec in write_recs:
+            self.banks[(rec.buffer, rec.bank_id)].register_required_reads(
+                rec.word_index, 1, "output")
+        for rec, _ in fetch_booked:
+            if rec.cycle > base:
+                self.banks[(rec.buffer, rec.bank_id)] \
+                    .register_required_reads(rec.word_index, 1, "fetch")
 
     def _apply_flip(self, f):
         for (buf, bk), bank in self.banks.items():
@@ -393,9 +440,8 @@ class Engine:
         if vals is None:
             return  # underflow already recorded by the bank
         x = i * PIXELS_PER_WORD
-        golden = self._rgb[y, x:x + PIXELS_PER_WORD]
-        if not np.array_equal(vals, golden):
-            bad = int(np.any(vals != golden, axis=1).sum())
+        bad = _bad_pixels(vals, self._rgb[y, x:x + PIXELS_PER_WORD])
+        if bad:
             self.log.output_mismatches += bad
             self._note("output_mismatches", (k, y, x, bad))
         if self.cfg.collect_display:
@@ -406,8 +452,8 @@ class Engine:
 
     def _advance_window(self, b, col):
         plan = self.plan
-        left = plan.slice_base_x(b.slice_col) + BLOCK_W * b.block_x
         base_x = plan.slice_base_x(b.slice_col)
+        left = base_x + BLOCK_W * b.block_x
         if b.block_x == 0:
             col.recon.clear()
             col.history.clear()
@@ -419,23 +465,20 @@ class Engine:
             self._admit_prev(b, col, left, base_x, full=False)
         # rows: without forwarding the previous block becomes resident now; with
         # forwarding it is served from the pipe this slot and stored at the next
-        routes = self.preset.residency.routes
         if self.preset.residency.forwarding_enabled:
             if len(col.history) == 2:
-                bx2, rgb2, yco2 = col.history[0]
-                for section, row in (("row0", 0), ("row1", 1)):
-                    if routes[section] == RESIDENT:
-                        col.recon.admit_run(section, -2 * BLOCK_W, yco2[row])
+                yco2 = col.history[0][2]
+                for section, row in self._resident_rows:
+                    col.recon.admit_run(section, -2 * BLOCK_W, yco2[row])
         elif col.history:
-            bx1, rgb1, yco1 = col.history[-1]
-            for section, row in (("row0", 0), ("row1", 1)):
-                if routes[section] == RESIDENT:
-                    col.recon.admit_run(section, -BLOCK_W, yco1[row])
+            yco1 = col.history[-1][2]
+            for section, row in self._resident_rows:
+                col.recon.admit_run(section, -BLOCK_W, yco1[row])
 
     def _admit_prev(self, b, col, left, base_x, full):
         if self.preset.residency.routes["prev"] != RESIDENT:
             return
-        lo, hi = self.spec.span("prev")
+        lo, hi = self.spec.prev_line_span
         prev_y = 2 * b.blockline - 1
         r0 = max(lo, base_x - left) if full else hi - BLOCK_W + 1
         stage_line = col.stage_line[prev_y & 3]
@@ -461,25 +504,23 @@ class Engine:
         """Serve every unclipped window pixel by exactly one path and compare
         the value against the oracle.  Returns (served, misses, mismatches)."""
         plan = self.plan
-        left = plan.slice_base_x(b.slice_col) + BLOCK_W * b.block_x
         base_x = plan.slice_base_x(b.slice_col)
+        left = base_x + BLOCK_W * b.block_x
         hi_x = base_x + plan.slice_width - 1
         first = plan.is_first_blockline_of_slice(b.blockline)
         served = misses = mismatches = 0
         y0 = 2 * b.blockline
         streaming = self.preset.fetch_kind == STREAMING
-        for section in SECTIONS:
-            if section == "prev":
+        for section, dy, lo_s, parts in self._window:
+            if dy < 0:
                 if first:
                     continue
-                y = y0 - 1
                 golden = self._rgb
             else:
-                y = y0 if section == "row0" else y0 + 1
                 golden = self._yco
-            lo_s = self.spec.span(section)[0]
+            y = y0 + dy
             store = col.recon.sections[section]
-            for (plo, phi, route) in self._parts[section]:
+            for (plo, phi, route) in parts:
                 xa = max(left + plo, base_x)
                 xb = min(left + phi, hi_x)
                 if xb < xa:
@@ -492,19 +533,17 @@ class Engine:
                     vmask = store.valid[i0:i0 + m]
                     vals = store.values[i0:i0 + m]
                     if vmask.all():
-                        n_bad = int((vals != want).any(axis=1).sum())
+                        n_bad = _bad_pixels(vals, want)
                     else:
                         n_miss = int(m - vmask.sum())
-                        n_bad = int((vals[vmask] != want[vmask])
-                                    .any(axis=1).sum())
+                        n_bad = _bad_pixels(vals[vmask], want[vmask])
                 elif route == "forwarded":
                     hist_ok = col.history and \
                         col.history[-1][0] == b.block_x - 1
                     if hist_ok:
-                        yrow = col.history[-1][2][0 if section == "row0" else 1]
+                        yrow = col.history[-1][2][dy]
                         offs = xa - (left - BLOCK_W)
-                        n_bad = int((yrow[offs:offs + m] != want)
-                                    .any(axis=1).sum())
+                        n_bad = _bad_pixels(yrow[offs:offs + m], want)
                     else:
                         n_miss = m
                 elif route == FETCH and streaming and section != "row0":
@@ -534,12 +573,14 @@ class Engine:
         if (tags == y).all():
             flat = col.stage_vals[s, wa:wb + 1].reshape(-1, 3)[p0:p0 + m]
             if section == "prev":
-                got = flat
-            else:
-                if not self.preset.reconvert_on_fetch:
-                    return m, 0
-                got = _ycocg_cols(flat)
-            return 0, int((got != want).any(axis=1).sum())
+                return 0, _bad_pixels(flat, want)
+            if not self.preset.reconvert_on_fetch:
+                return m, 0
+            # `want` is the reconvert of the golden RGB, so a stage holding
+            # the golden RGB serves it exactly and needs no reconvert here
+            if flat.tobytes() == self._rgb[y, xa:xb + 1].tobytes():
+                return 0, 0
+            return 0, _bad_pixels(_ycocg_cols(flat), want)
         # some words missing: serve word by word
         n_miss = n_bad = 0
         reconv = self.preset.reconvert_on_fetch
@@ -553,7 +594,7 @@ class Engine:
             j = x0 - base_x - w * PIXELS_PER_WORD
             px = col.stage_vals[s, w, j:j + cnt]
             got = px if section == "prev" else _ycocg_cols(px)
-            n_bad += int((got != want[x0 - xa:x0 - xa + cnt]).any(axis=1).sum())
+            n_bad += _bad_pixels(got, want[x0 - xa:x0 - xa + cnt])
         return n_miss, n_bad
 
 

@@ -7,6 +7,7 @@ overwrite hazard, and underflow in a broken configuration.
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +21,8 @@ class Purpose(Enum):
     PREDICT_FETCH = "PredictFetch"
 
 
-@dataclass(frozen=True)
-class AccessRecord:
+class AccessRecord(NamedTuple):
+    """One planned bank access; a tuple, so replayed schedules build it cheaply."""
     cycle: int
     buffer: str
     bank_id: int
@@ -69,30 +70,25 @@ class UnderflowViolation:
 class SramBankModel:
     """One single-port bank of a 480-word line buffer.
 
-    Contents are per-word 8x3 component arrays plus writer metadata.  The
-    hazard checker flags writes that land before the registered number of
-    output/fetch reads of the previous contents has completed.
+    Contents are per-word 8x3 component arrays plus the line each word
+    holds.  The hazard checker flags writes that land before the registered
+    number of output/fetch reads of the previous contents has completed.
     """
 
-    def __init__(self, buffer: str, bank_id: int, depth: int = LINE_WORDS,
-                 read_latency: int = 0):
+    def __init__(self, buffer: str, bank_id: int):
         self.buffer = buffer
         self.bank_id = bank_id
-        self.depth = depth
-        self.read_latency = read_latency
         self.values = np.zeros((LINE_WORDS, PIXELS_PER_WORD, 3), dtype=np.int32)
-        self.written = np.zeros(LINE_WORDS, dtype=bool)
-        self.writer_block = np.full(LINE_WORDS, -1, dtype=np.int64)
-        self.write_cycle = np.full(LINE_WORDS, -1, dtype=np.int64)
-        self.line_tag = np.full(LINE_WORDS, -1, dtype=np.int64)
-        self.pending_output = np.zeros(LINE_WORDS, dtype=np.int32)
-        self.pending_fetch = np.zeros(LINE_WORDS, dtype=np.int32)
+        # per-word scalars are Python lists: commit touches them one at a time
+        self.written = [False] * LINE_WORDS
+        self.line_tag = [-1] * LINE_WORDS
+        self.pending_output = [0] * LINE_WORDS
+        self.pending_fetch = [0] * LINE_WORDS
         self._booked: dict[int, tuple] = {}
         self.frontier = 0
         self.conflicts: list[ConflictViolation] = []
         self.hazards: list[HazardViolation] = []
         self.underflows: list[UnderflowViolation] = []
-        self.granted_log: list[AccessRecord] = []
 
     def request_access(self, rec: AccessRecord, values=None, line_y: int = -1) -> bool:
         """Book one access.  Returns False (and records a conflict) when the
@@ -145,39 +141,31 @@ class SramBankModel:
                 self.hazards.append(HazardViolation(
                     cycle=cycle, buffer=self.buffer, bank_id=self.bank_id,
                     word_index=w,
-                    pending_output_reads=int(self.pending_output[w]),
-                    pending_fetch_reads=int(self.pending_fetch[w]),
+                    pending_output_reads=self.pending_output[w],
+                    pending_fetch_reads=self.pending_fetch[w],
                     block_id=rec.block_id))
                 self.pending_output[w] = 0
                 self.pending_fetch[w] = 0
             self.values[w] = values
             self.written[w] = True
-            self.writer_block[w] = rec.block_id
-            self.write_cycle[w] = cycle
             self.line_tag[w] = line_y
-            self.granted_log.append(rec)
             return (rec, None)
         # read path
         if not self.written[w]:
             self.underflows.append(UnderflowViolation(
                 cycle=cycle, buffer=self.buffer, bank_id=self.bank_id,
                 word_index=w, purpose=rec.purpose))
-            self.granted_log.append(rec)
             return (rec, None)
         if rec.purpose is Purpose.OUTPUT_READ and self.pending_output[w] > 0:
             self.pending_output[w] -= 1
         elif rec.purpose is Purpose.PREDICT_FETCH and self.pending_fetch[w] > 0:
             self.pending_fetch[w] -= 1
-        self.granted_log.append(rec)
         return (rec, self.values[w].copy())
-
-    def has_booking(self, cycle: int) -> bool:
-        return cycle in self._booked
 
     def peek_word(self, word_index: int):
         """Direct content inspection (fault injection and tests only)."""
-        return self.values[word_index], bool(self.written[word_index]), \
-            int(self.line_tag[word_index])
+        return (self.values[word_index], self.written[word_index],
+                self.line_tag[word_index])
 
 
 class DffFileModel:

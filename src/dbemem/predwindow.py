@@ -193,6 +193,9 @@ class ReconBufferState:
             for r in resident[s]:
                 mask[store.idx(r)] = True
             self._resident_mask[s] = mask
+        # a section the policy keeps nothing of never holds a valid entry
+        self._sliding = [self.sections[s] for s in SECTIONS
+                         if self._resident_mask[s].any()]
         self.peak_occupancy = 0
         self.rejected = 0
         self._occ = 0
@@ -201,7 +204,7 @@ class ReconBufferState:
         return self._occ
 
     def slide(self) -> None:
-        for st in self.sections.values():
+        for st in self._sliding:
             self._occ -= st.slide()
 
     def clear(self) -> None:

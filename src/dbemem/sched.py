@@ -15,6 +15,7 @@ per slot fits without conflicts, which is exactly what the split buys.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .geometry import (BLOCK_W, CYCLES_PER_SLOT, BlockCoord, GeometryPlan,
@@ -109,8 +110,7 @@ def preset_by_name(name: str) -> ArchPreset:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
 
 
-@dataclass
-class FetchDemand:
+class FetchDemand(NamedTuple):
     """One line-buffer word the prediction path needs this slot."""
     line_y: int
     word_local: int            # word index within the slice column
@@ -160,6 +160,7 @@ class Scheduler:
         self._span = {s: spec.span(s) for s in ("prev", "row0", "row1")}
         # buffer-for-line repeats with period 4 (ping-pong included)
         self._buf_of = [preset.buffer_for_line(y) for y in range(4)]
+        self._templates: dict = {}  # blockline class -> (blockline, plans)
 
     # -- decode order ------------------------------------------------------
 
@@ -331,6 +332,67 @@ class Scheduler:
             occupied.setdefault((rec.buffer, rec.bank_id), set()).add(rec.cycle - base)
         plan.fetches = self.fetch_records(b, base, occupied)
         return plan
+
+    # -- whole-blockline view --------------------------------------------------
+
+    def _blockline_class(self, bl: int):
+        """What a blockline's schedule depends on besides a whole-blockline
+        shift: its parity (the line -> buffer map has period 4 lines), whether
+        it opens a slice (no previous-line fetches), and whether the next
+        blockline's warm-up fetches ride on its tail.  A blockline whose
+        display reads are clipped at either end of the frame is a class of
+        its own."""
+        cycles = CYCLES_PER_SLOT * self.slots_per_blockline
+        c0 = cycles * bl
+        k0 = -(-(c0 + self.read_lead - self.latency) // 2)
+        k1 = -(-(c0 + cycles + self.read_lead - self.latency) // 2)
+        if k0 < 0 or k1 > self.total_display_words:
+            return bl
+        nxt = bl + 1
+        warm = bool(self.warmup_count and nxt < self.plan.total_blocklines
+                    and not self.plan.is_first_blockline_of_slice(nxt))
+        return (bl % 2, self.plan.is_first_blockline_of_slice(bl), warm)
+
+    def blockline_plans(self, bl: int) -> list[BlockSlotPlan]:
+        """The slot plans of blockline `bl`, in decode order.
+
+        The first blockline of each class is planned slot by slot with
+        `slot_plan` and kept as the class's template.  A later blockline of
+        the class, d blocklines on, is the template shifted: cycles by
+        d * 4 * slots_per_blockline, block ids by d * slots_per_blockline and
+        fetched lines by 2 * d.  d is even, so every line keeps its buffer.
+        """
+        spb = self.slots_per_blockline
+        key = self._blockline_class(bl)
+        entry = self._templates.get(key)
+        if entry is None:
+            plans = [self.slot_plan(s) for s in range(bl * spb, (bl + 1) * spb)]
+            self._templates[key] = (bl, plans)
+            return plans
+        bl0, plans = entry
+        if bl == bl0:
+            return plans
+        return [_shift_plan(sp, bl - bl0, spb) for sp in plans]
+
+
+def _shift_plan(sp: BlockSlotPlan, d: int, spb: int) -> BlockSlotPlan:
+    """`sp` moved d blocklines later; display reads carry no block id."""
+    ds = d * spb
+    dc = CYCLES_PER_SLOT * ds
+    dy = 2 * d
+    b = sp.block
+    return BlockSlotPlan(
+        BlockCoord(b.slice_col, b.block_x, b.blockline + d,
+                   b.global_block_index + ds),
+        sp.cycle_base + dc,
+        [AccessRecord(c + dc, buf, bank, op, w, p, blk + ds, col)
+         for c, buf, bank, op, w, p, blk, col in sp.writes],
+        [(AccessRecord(c + dc, buf, bank, op, w, p, blk + ds, col),
+          FetchDemand(line_y + dy, wl, sec, fcol, mo))
+         for (c, buf, bank, op, w, p, blk, col), (line_y, wl, sec, fcol, mo)
+         in sp.fetches],
+        [AccessRecord(c + dc, buf, bank, op, w, p, blk, col)
+         for c, buf, bank, op, w, p, blk, col in sp.display_reads])
 
 
 def plan_baseline(b: BlockCoord, plan: GeometryPlan,

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dbemem.engine import (FaultSpec, SimConfig, inject_fault, run_simulation,
@@ -132,6 +133,35 @@ def test_flip_word_exactly_eight_mismatches():
                                       word_index=0, cycle=flip_cycle))
     assert res.violations.output_mismatches == 8
     assert res.violations.availability_misses == 0
+
+
+@pytest.mark.parametrize("name,cycle,counts", [
+    # type1: lower0 word 5 is written at cycle 180 and fetched at 322 into
+    # the stage that admits the next blockline's resident previous line
+    ("type1", 200, {"output_mismatches": 8, "prediction_mismatches": 41}),
+    # type2: the same word is streamed as row1 at 186 (through reconvert)
+    # and as the previous line at 320
+    ("type2", 182, {"output_mismatches": 8, "prediction_mismatches": 65}),
+])
+def test_flip_word_before_prediction_fetch(name, cycle, counts):
+    res = inject_fault(cfg_for(name, width=320, height=32),
+                       FaultSpec("flip_word", buffer="lower0", word_index=5,
+                                 cycle=cycle))
+    want = dict.fromkeys(res.violations.as_dict(), 0)
+    want.update(counts)
+    assert res.violations.as_dict() == want
+    sections = {s for _, s, _ in res.violations.details["prediction_mismatches"]}
+    assert sections == ({"prev"} if name == "type1" else {"prev", "row1"})
+
+
+def test_reconvert_matches_the_oracle_transform():
+    # the streaming check skips the reconvert when the stage holds golden
+    # RGB, which is exact only while both transforms agree
+    from dbemem.engine import _ycocg_cols
+    from dbemem.oracle import ycocg_frame
+    rgb = GoldenOracle(3, 12).golden_frame(64, 4)
+    assert np.array_equal(_ycocg_cols(rgb.reshape(-1, 3)),
+                          ycocg_frame(rgb).reshape(-1, 3))
 
 
 def test_challenge1_two_line_buffers_hazard():

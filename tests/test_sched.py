@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -12,9 +13,10 @@ from dbemem.sched import (Scheduler, output_timeline, plan_baseline, plan_type1,
                           preset_type1, preset_type2, total_frame_cycles)
 
 
-def make_plan(width=640, height=64, cols=1):
-    return build_geometry(ImageGeometry(width, height), SliceLayout(cols, 1),
-                          Interleave.COLUMN_MAJOR)
+def make_plan(width=640, height=64, cols=1, rows=1,
+              interleave=Interleave.COLUMN_MAJOR):
+    return build_geometry(ImageGeometry(width, height), SliceLayout(cols, rows),
+                          interleave)
 
 
 def slot_records(sp):
@@ -187,3 +189,30 @@ def test_warmup_fills_tail_slots():
             tail_words.append((d.line_y, d.word_local))
     bl = 2
     assert tail_words == [(2 * bl + 1, j) for j in range(sched.warmup_count)]
+
+
+@pytest.mark.parametrize("name", ["baseline", "type1", "type2"])
+@pytest.mark.parametrize("interleave", list(Interleave))
+@pytest.mark.parametrize("read_latency", [0, 1])
+@pytest.mark.parametrize("budget", [None, 2])
+def test_blockline_replay_matches_slot_plan(name, interleave, read_latency,
+                                            budget):
+    """Every slot of a replayed blockline equals slot_plan for that slot:
+    block, cycle base, writes, display reads and fetches with their demands."""
+    preset = preset_by_name(name)
+    if budget is not None:
+        preset = replace(preset, fetch_words_per_slot=budget)
+    for cols in (1, 2, 4):
+        for rows in (1, 2):
+            plan = make_plan(320, 32, cols, rows, interleave)
+            sched = Scheduler(preset, WindowSpec(), plan,
+                              read_latency=read_latency)
+            reference = Scheduler(preset, WindowSpec(), plan,
+                                  read_latency=read_latency)
+            n = sched.slots_per_blockline
+            for bl in range(plan.total_blocklines):
+                plans = sched.blockline_plans(bl)
+                assert plans == [reference.slot_plan(s)
+                                 for s in range(bl * n, (bl + 1) * n)]
+            # replay happened: fewer templates than blocklines
+            assert len(sched._templates) < plan.total_blocklines

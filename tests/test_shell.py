@@ -222,3 +222,21 @@ def test_cli_bad_config_exit_two(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{\"image\": {\"width\": 321, \"height\": 32}}")
     assert cli_main(["simulate", "--config", str(p)]) == 2
+
+
+@pytest.mark.parametrize("fault", [
+    {"kind": "flip_word", "buffer": "lower0", "word_index": 0},
+    {"kind": "flip_word", "buffer": "lower0", "word_index": 0, "cycle": -1},
+    {"kind": "flip_word", "buffer": "lower0", "word_index": 0, "cycle": 10**9},
+    {"kind": "flip_word", "buffer": "nope", "word_index": 0, "cycle": 100},
+    {"kind": "flip_word", "buffer": "lower1", "word_index": 0, "cycle": 100},
+    {"kind": "flip_word", "buffer": "lower0", "word_index": 9999, "cycle": 100},
+    {"kind": "flip_word", "buffer": "lower0", "cycle": 100},
+    {"kind": "flip_word", "buffer": "lower0", "word_index": "0", "cycle": 100},
+    {"kind": "flip_word", "word_index": 0, "cycle": 100},
+])
+def test_cli_malformed_flip_word_exit_two(tmp_path, capsys, fault):
+    """A flip_word fault that could not change the run is rejected."""
+    data = dict(CFG, faults=[fault])
+    assert cli_main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2
+    assert "flip_word" in capsys.readouterr().err
