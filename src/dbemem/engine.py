@@ -11,31 +11,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 from .geometry import (BLOCK_W, CYCLES_PER_SLOT, LINE_WORDS, PIXELS_PER_WORD,
                        GeometryPlan, ImageGeometry, Interleave, SliceLayout,
                        build_geometry)
 from .membank import Purpose, SramBankModel
 from .oracle import GoldenOracle, ycocg_frame
 from .predwindow import FETCH, RESIDENT, ReconBufferState, SECTIONS, WindowSpec
-from .sched import ArchPreset, STREAMING, Scheduler, total_frame_cycles
+from .sched import ArchPreset, REFILL, STREAMING, Scheduler, total_frame_cycles
 
 DETAIL_LIMIT = 16  # violation samples kept per class
-
-
-def _ycocg_cols(px: np.ndarray) -> np.ndarray:
-    """Vectorized lossless RGB -> YCoCg over an (n, 3) array."""
-    r = px[:, 0]
-    g = px[:, 1]
-    b = px[:, 2]
-    out = np.empty_like(px)
-    co = r - b
-    t = b + (co >> 1)
-    cg = g - t
-    out[:, 0] = t + (cg >> 1)
-    out[:, 1] = co
-    out[:, 2] = cg
-    return out
 
 
 def _bad_pixels(got: np.ndarray, want: np.ndarray) -> int:
@@ -44,14 +29,6 @@ def _bad_pixels(got: np.ndarray, want: np.ndarray) -> int:
     if got.tobytes() == want.tobytes():
         return 0
     return int((got != want).any(axis=1).sum())
-
-
-def _require_int(value, name: str, lo: int, hi: int | None = None) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"flip_word needs an integer {name}, got {value!r}")
-    if value < lo or (hi is not None and value > hi):
-        top = "" if hi is None else f"..{hi}"
-        raise ConfigError(f"flip_word {name} {value} outside {lo}{top}")
 
 
 @dataclass
@@ -75,8 +52,9 @@ class FaultSpec:
             if not isinstance(self.buffer, str):
                 raise ConfigError(
                     f"flip_word needs a buffer name, got {self.buffer!r}")
-            _require_int(self.word_index, "word_index", 0, LINE_WORDS - 1)
-            _require_int(self.cycle, "cycle", 0)
+            require_int(self.word_index, "flip_word word_index", 0,
+                        LINE_WORDS - 1)
+            require_int(self.cycle, "flip_word cycle", 0)
 
 
 @dataclass
@@ -91,14 +69,14 @@ class SimConfig:
     interleave: Interleave = Interleave.COLUMN_MAJOR
     sram_read_latency: int = 0   # sensitivity knob: 1 models registered outputs
     collect_trace: bool = False
-    collect_display: bool = False
     faults: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.throughput_ppc * CYCLES_PER_SLOT != 16:
             raise ConfigError("throughput x 4 cycles must equal the 16-px block")
-        if self.clock_hz <= 0:
-            raise ConfigError("clock must be positive")
+        if not 0 < self.clock_hz < float("inf"):   # NaN fails too
+            raise ConfigError(f"clock must be positive and finite, "
+                              f"got {self.clock_hz}")
         if self.sram_read_latency not in (0, 1):
             raise ConfigError("sram_read_latency must be 0 or 1")
 
@@ -144,7 +122,6 @@ class EngineResult:
     config: SimConfig
     trace_rows: list = field(default_factory=list)
     violation_rows: list = field(default_factory=list)
-    display_events: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -169,8 +146,13 @@ class _ColumnState:
 
 
 def apply_faults_to_preset(preset: ArchPreset, faults) -> ArchPreset:
+    """The preset with the override faults applied.  ArchPreset checks the
+    overridden fields; the checks here reject values it would accept but
+    that leave the run unchanged."""
     for f in faults:
         if f.kind == "capacity_override":
+            # None would restore the policy's own count
+            require_int(f.value, "capacity_override value", 0)
             preset = replace(preset, capacity_pixels=f.value)
         elif f.kind == "line_buffers_override":
             preset = replace(preset, line_buffers=f.value)
@@ -179,6 +161,13 @@ def apply_faults_to_preset(preset: ArchPreset, faults) -> ArchPreset:
         elif f.kind == "delay_override":
             preset = replace(preset, line_delay=f.value)
         elif f.kind == "fetch_budget_override":
+            # a budget below 2 changes no schedule, and a slot has four
+            # cycles; streaming presets place their fetches themselves
+            require_int(f.value, "fetch_budget_override value", 2,
+                        CYCLES_PER_SLOT)
+            if preset.fetch_kind != REFILL:
+                raise ConfigError("fetch_budget_override needs a refill preset; "
+                                  f"{preset.name} streams its fetches")
             preset = replace(preset, fetch_words_per_slot=f.value)
     return preset
 
@@ -206,7 +195,6 @@ class Engine:
         self.log = ViolationLog()
         self.trace_rows = []
         self.violation_rows = []
-        self.display_events = []
         flips = sorted([f for f in cfg.faults if f.kind == "flip_word"],
                        key=lambda f: f.cycle)
         run_cycles = total_frame_cycles(self.preset, self.plan)
@@ -326,15 +314,6 @@ class Engine:
                                 if self._book(rec, booked)]
                 self._commit_slot(sp.cycle_base, booked, write_booked,
                                   fetch_booked)
-                # route fetched words into the column's word stage
-                for rec, demand in fetch_booked:
-                    bank = self.banks[(rec.buffer, rec.bank_id)]
-                    vals, written, tag = bank.peek_word(rec.word_index)
-                    if written and tag == demand.line_y:
-                        cstate = self.cols[demand.slice_col]
-                        s = demand.line_y & 3
-                        cstate.stage_vals[s, demand.word_local] = vals
-                        cstate.stage_line[s, demand.word_local] = demand.line_y
                 # slide the window and verify availability for this block
                 self._advance_window(b, col)
                 served, misses, mismatches = self._serve_window(b, col)
@@ -374,7 +353,6 @@ class Engine:
             config=self.cfg,
             trace_rows=self.trace_rows,
             violation_rows=self.violation_rows,
-            display_events=self.display_events,
         )
 
     def _book(self, rec, booked, values=None, line_y=-1) -> bool:
@@ -394,7 +372,9 @@ class Engine:
         """Commit the slot's granted accesses in cycle order, banks in
         `self.banks` order within a cycle.  Idle (cycle, bank) pairs are not
         visited, so a bank's frontier stays at its last booked cycle.  A
-        flip fault lands before the commits of its cycle."""
+        flip fault lands before the commits of its cycle.  A fetched word
+        enters its column's stage as read at its fetch cycle, if the bank
+        then holds the demanded line."""
         flips = self._flips
         armed = False
         for cyc, _, bank in sorted(booked):
@@ -406,6 +386,13 @@ class Engine:
             rec, vals = bank.commit_cycle(cyc)
             if rec.purpose is Purpose.OUTPUT_READ:
                 self._check_display_word(rec, vals)
+            elif rec.purpose is Purpose.PREDICT_FETCH and vals is not None:
+                demand = next(d for r, d in fetch_booked if r is rec)
+                if bank.line_tag[rec.word_index] == demand.line_y:
+                    col = self.cols[demand.slice_col]
+                    s = demand.line_y & 3
+                    col.stage_vals[s, demand.word_local] = vals
+                    col.stage_line[s, demand.word_local] = demand.line_y
         if not armed:
             self._arm_required_reads(base, write_recs, fetch_booked)
         while flips and flips[0].cycle < base + CYCLES_PER_SLOT:
@@ -444,9 +431,6 @@ class Engine:
         if bad:
             self.log.output_mismatches += bad
             self._note("output_mismatches", (k, y, x, bad))
-        if self.cfg.collect_display:
-            self.display_events.append(
-                (rec.cycle + self.sched.read_lead, y, x, vals.copy()))
 
     # -- window service ----------------------------------------------------------
 
@@ -574,16 +558,16 @@ class Engine:
             flat = col.stage_vals[s, wa:wb + 1].reshape(-1, 3)[p0:p0 + m]
             if section == "prev":
                 return 0, _bad_pixels(flat, want)
-            if not self.preset.reconvert_on_fetch:
+            if not self.preset.residency.reconvert_on_fetch:
                 return m, 0
             # `want` is the reconvert of the golden RGB, so a stage holding
             # the golden RGB serves it exactly and needs no reconvert here
             if flat.tobytes() == self._rgb[y, xa:xb + 1].tobytes():
                 return 0, 0
-            return 0, _bad_pixels(_ycocg_cols(flat), want)
+            return 0, _bad_pixels(ycocg_frame(flat), want)
         # some words missing: serve word by word
         n_miss = n_bad = 0
-        reconv = self.preset.reconvert_on_fetch
+        reconv = self.preset.residency.reconvert_on_fetch
         for w in range(wa, wb + 1):
             x0 = max(xa, base_x + w * PIXELS_PER_WORD)
             x1 = min(xb, base_x + (w + 1) * PIXELS_PER_WORD - 1)
@@ -593,7 +577,7 @@ class Engine:
                 continue
             j = x0 - base_x - w * PIXELS_PER_WORD
             px = col.stage_vals[s, w, j:j + cnt]
-            got = px if section == "prev" else _ycocg_cols(px)
+            got = px if section == "prev" else ycocg_frame(px)
             n_bad += _bad_pixels(got, want[x0 - xa:x0 - xa + cnt])
         return n_miss, n_bad
 
@@ -607,50 +591,3 @@ def inject_fault(cfg: SimConfig, fault: FaultSpec) -> EngineResult:
     """Re-run the config with one extra perturbation."""
     cfg2 = replace(cfg, faults=list(cfg.faults) + [fault])
     return run_simulation(cfg2)
-
-
-def verify_prediction(served, oracle: GoldenOracle) -> tuple[int, int]:
-    """Check served window pixels against the oracle in their tagged space.
-
-    `served` holds (x, y, ColorSpace, (c0, c1, c2) or None); None counts as
-    an availability miss.  Returns (misses, mismatches).
-    """
-    from .oracle import ColorSpace, ycocg_from_rgb
-    misses = mismatches = 0
-    for x, y, space, value in served:
-        if value is None:
-            misses += 1
-            continue
-        golden = oracle.golden_rgb(x, y)
-        if space is ColorSpace.YCOCG:
-            golden = ycocg_from_rgb(golden)
-        if tuple(value) != golden.components():
-            mismatches += 1
-    return misses, mismatches
-
-
-def verify_output(events, oracle: GoldenOracle, width: int, height: int,
-                  latency: int) -> int:
-    """Check a display event stream against the golden frame.
-
-    Events are (emission_cycle, y, x, word_values) in word granularity; word
-    k of the raster must start emitting at latency + 2k, which enforces both
-    strict raster order and the constant 4 px/cycle rate.  Returns the
-    mismatched-pixel count; ordering violations raise.
-    """
-    mismatches = 0
-    frame = oracle.golden_frame(width, height)
-    k = 0
-    for cycle, y, x, vals in events:
-        if (y, x) != divmod(k * PIXELS_PER_WORD, width):
-            raise AssertionError(
-                f"display event ({y},{x}) out of raster order (word {k})")
-        if cycle != latency + 2 * k:
-            raise AssertionError(
-                f"word {k} emitted at cycle {cycle}, rate law wants {latency + 2 * k}")
-        golden = frame[y, x:x + vals.shape[0]]
-        mismatches += int(np.any(vals != golden, axis=1).sum())
-        k += 1
-    if k != width * height // PIXELS_PER_WORD:
-        raise AssertionError(f"display stream ended after {k} words")
-    return mismatches

@@ -1,4 +1,5 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and `require_int`, the
+integer check that raises ConfigError."""
 
 
 class ConfigError(ValueError):
@@ -15,3 +16,12 @@ class MissError(LookupError):
 
 class InfeasibleError(RuntimeError):
     """No resident set can satisfy the requested schedule."""
+
+
+def require_int(value, what: str, lo: int, hi: int | None = None) -> None:
+    """Raise ConfigError unless `value` is an integer (not a bool) in lo..hi."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        top = "" if hi is None else f"..{hi}"
+        raise ConfigError(f"{what} {value} outside {lo}{top}")

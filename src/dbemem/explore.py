@@ -99,8 +99,7 @@ def _schedule_feasible(spec: WindowSpec, routes: dict, budget: FetchBudget,
         name="explorer", line_delay=HALF_LINE, line_buffers=2,
         banks_per_buffer=budget.banks_per_buffer,
         fetch_kind=REFILL if budget.kind == REFILL else STREAMING,
-        fetch_words_per_slot=min(budget.words_per_slot, 1),
-        forwarding=forwarding, reconvert_on_fetch=reconvert, residency=policy)
+        fetch_words_per_slot=min(budget.words_per_slot, 1), residency=policy)
     image = ImageGeometry(slice_words * 8, 8)
     plan = build_geometry(image, SliceLayout(1, 1))
     sched = Scheduler(preset, spec, plan)

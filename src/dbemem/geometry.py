@@ -1,14 +1,14 @@
-"""Image/slice/block geometry, decode order, and line-buffer word addressing.
+"""Image/slice/block geometry, decode order and line-buffer partitions.
 
 The image is tiled by 8x2 blocks; decoding works on two lines at a time
 (a blockline).  Line buffers are 480-word x 256-bit SRAMs holding 8 pixels
 per word, partitioned equally among the active slice columns.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConfigError, RangeError
+from .errors import ConfigError
 
 BLOCK_W = 8
 BLOCK_H = 2
@@ -65,39 +65,16 @@ class BlockCoord:
 
 
 @dataclass(frozen=True)
-class WordAddress:
-    buffer_id: str          # "upper" or "lower" role; sched maps to a physical buffer
-    bank_id: int
-    word_index: int         # absolute index into the 480-word line space
-    partition_base: int
-
-
-@dataclass(frozen=True)
-class PixelRect:
-    x0: int
-    x1: int  # inclusive
-    y0: int
-    y1: int  # inclusive
-
-
-@dataclass(frozen=True)
 class GeometryPlan:
     image: ImageGeometry
     slices: SliceLayout
     slice_width: int
     slice_height: int
-    blocks_per_blockline: int   # per slice column
-    words_per_line: int         # per slice column (== blocks_per_blockline)
+    words_per_line: int         # per slice column; one 8-px block per word
     partition_bases: tuple[int, ...]
     total_blocklines: int
     blocklines_per_slice: int
-    cycles_per_slot: int = CYCLES_PER_SLOT
     interleave: Interleave = Interleave.ROUND_ROBIN
-    _slice_bases: tuple[int, ...] = field(default=(), repr=False)
-
-    @property
-    def total_blocks(self) -> int:
-        return self.image.width * self.image.height // (BLOCK_W * BLOCK_H)
 
     def slice_base_x(self, slice_col: int) -> int:
         return slice_col * self.slice_width
@@ -128,70 +105,25 @@ def build_geometry(image: ImageGeometry, slices: SliceLayout,
         slices=slices,
         slice_width=slice_width,
         slice_height=slice_height,
-        blocks_per_blockline=words,
         words_per_line=words,
         partition_bases=bases,
         total_blocklines=image.height // BLOCK_H,
         blocklines_per_slice=slice_height // BLOCK_H,
         interleave=interleave,
-        _slice_bases=tuple(c * slice_width for c in range(slices.columns)),
     )
 
 
-def block_to_pixels(b: BlockCoord, plan: GeometryPlan) -> PixelRect:
-    """Pixel rectangle covered by one 8x2 block."""
-    if not 0 <= b.slice_col < plan.slices.columns:
-        raise RangeError(f"slice column {b.slice_col} out of range")
-    if not 0 <= b.block_x < plan.blocks_per_blockline:
-        raise RangeError(f"block_x {b.block_x} out of range")
-    if not 0 <= b.blockline < plan.total_blocklines:
-        raise RangeError(f"blockline {b.blockline} out of range")
-    x0 = plan.slice_base_x(b.slice_col) + BLOCK_W * b.block_x
-    y0 = BLOCK_H * b.blockline
-    return PixelRect(x0, x0 + BLOCK_W - 1, y0, y0 + BLOCK_H - 1)
+def block_at_slot(plan: GeometryPlan, global_slot: int) -> BlockCoord:
+    """The block decoded in a slot: the decode order.
 
-
-def pixel_to_word(x: int, line_role: str, plan: GeometryPlan, slice_col: int,
-                  banks_per_buffer: int = 1) -> WordAddress:
-    """Map a pixel x to its line-buffer word.
-
-    Words are block-aligned, so with a bank split the bank index is the
-    parity of the local word index (equivalently of the writing block).
+    Blocklines advance in raster order.  Within a blockline, round_robin
+    visits the slice columns one block slot each; column_major finishes one
+    column's blockline before the next.
     """
-    if line_role not in ("upper", "lower"):
-        raise ConfigError(f"line_role must be 'upper' or 'lower', got {line_role!r}")
-    base_x = plan.slice_base_x(slice_col)
-    if not base_x <= x < base_x + plan.slice_width:
-        raise RangeError(f"x={x} outside slice column {slice_col}")
-    local_word = (x - base_x) // PIXELS_PER_WORD
-    bank = local_word % banks_per_buffer if banks_per_buffer > 1 else 0
-    partition_base = plan.partition_bases[slice_col]
-    return WordAddress(
-        buffer_id=line_role,
-        bank_id=bank,
-        word_index=partition_base + local_word,
-        partition_base=partition_base,
-    )
-
-
-def decode_order(plan: GeometryPlan):
-    """Deterministic stream of BlockCoord covering the image exactly once.
-
-    Within a blockline, round_robin visits the slice columns one block slot
-    each; column_major finishes one column's blockline before the next.
-    Blocklines advance in raster order either way.
-    """
-    idx = 0
-    cols = plan.slices.columns
-    nblk = plan.blocks_per_blockline
-    for bl in range(plan.total_blocklines):
-        if plan.interleave is Interleave.ROUND_ROBIN:
-            for bx in range(nblk):
-                for c in range(cols):
-                    yield BlockCoord(c, bx, bl, idx)
-                    idx += 1
-        else:
-            for c in range(cols):
-                for bx in range(nblk):
-                    yield BlockCoord(c, bx, bl, idx)
-                    idx += 1
+    cols, n = plan.slices.columns, plan.words_per_line
+    bl, within = divmod(global_slot, cols * n)
+    if plan.interleave is Interleave.ROUND_ROBIN:
+        bx, c = divmod(within, cols)
+    else:
+        c, bx = divmod(within, n)
+    return BlockCoord(c, bx, bl, global_slot)

@@ -1,4 +1,4 @@
-"""Single-port SRAM bank and D-FF register-file models with access checking.
+"""Single-port SRAM bank model with access checking.
 
 Each bank grants at most one access (read or write) per cycle.  Violations
 are recorded as data, never raised, so one run can tally every conflict,
@@ -125,8 +125,9 @@ class SramBankModel:
         """Apply the booked access for `cycle`, if any.
 
         Returns (record, values) for a granted read, (record, None) for a
-        write, or None when the cycle is idle.  Hazards and underflows are
-        appended to the bank's violation lists.
+        write, or None when the cycle is idle.  `values` is the bank's own
+        row, valid until the word's next write: copy it to keep it.  Hazards
+        and underflows are appended to the bank's violation lists.
         """
         if cycle < self.frontier:
             raise ConfigError(f"commit at {cycle} behind frontier {self.frontier}")
@@ -160,36 +161,4 @@ class SramBankModel:
             self.pending_output[w] -= 1
         elif rec.purpose is Purpose.PREDICT_FETCH and self.pending_fetch[w] > 0:
             self.pending_fetch[w] -= 1
-        return (rec, self.values[w].copy())
-
-    def peek_word(self, word_index: int):
-        """Direct content inspection (fault injection and tests only)."""
-        return (self.values[word_index], self.written[word_index],
-                self.line_tag[word_index])
-
-
-class DffFileModel:
-    """Register-file storage: unlimited same-cycle ports, bounded capacity."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.contents: dict = {}
-        self.peak_occupancy = 0
-
-    @property
-    def occupancy(self) -> int:
-        return len(self.contents)
-
-    def store(self, tag, value) -> bool:
-        """Returns False when the file is full and the entry was rejected."""
-        if tag not in self.contents and len(self.contents) >= self.capacity:
-            return False
-        self.contents[tag] = value
-        self.peak_occupancy = max(self.peak_occupancy, len(self.contents))
-        return True
-
-    def load(self, tag):
-        return self.contents.get(tag)
-
-    def evict(self, tag) -> None:
-        self.contents.pop(tag, None)
+        return (rec, self.values[w])

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, MissError
-from .geometry import BLOCK_W, BlockCoord, GeometryPlan
-from .oracle import ColorSpace
+from .geometry import BLOCK_W
 
 SECTIONS = ("prev", "row0", "row1")
 
@@ -46,9 +45,6 @@ class WindowSpec:
         return {"prev": self.prev_line_span,
                 "row0": self.cur_row0_span,
                 "row1": self.cur_row1_span}[section]
-
-    def space(self, section: str) -> ColorSpace:
-        return ColorSpace.RGB if section == "prev" else ColorSpace.YCOCG
 
     def total_pixels(self) -> int:
         return sum(hi - lo + 1 for lo, hi in
@@ -105,43 +101,6 @@ def policy_streaming() -> ResidencyPolicy:
     line and the lower row are fetched from the line buffer on demand."""
     return ResidencyPolicy(routes={"prev": FETCH, "row0": RESIDENT, "row1": FETCH},
                            forwarding_enabled=True, reconvert_on_fetch=True)
-
-
-def window_pixels(spec: WindowSpec, b: BlockCoord, plan: GeometryPlan):
-    """Absolute tagged coordinates of the window, clipped at slice edges.
-
-    Returns a list of (x, y, section, ColorSpace).  The previous-line span
-    is dropped entirely on the first blockline of a slice.
-    """
-    left = plan.slice_base_x(b.slice_col) + BLOCK_W * b.block_x
-    lo_x = plan.slice_base_x(b.slice_col)
-    hi_x = lo_x + plan.slice_width - 1
-    y0 = 2 * b.blockline
-    first = plan.is_first_blockline_of_slice(b.blockline)
-    out = []
-    for section in SECTIONS:
-        lo, hi = spec.span(section)
-        if section == "prev":
-            if first:
-                continue
-            y = y0 - 1
-        else:
-            y = y0 if section == "row0" else y0 + 1
-        for r in range(lo, hi + 1):
-            x = left + r
-            if lo_x <= x <= hi_x:
-                out.append((x, y, section, spec.space(section)))
-    return out
-
-
-def forwarded_set(b: BlockCoord, plan: GeometryPlan):
-    """Coordinates of the previously decoded block (16 px), empty for the
-    first block of a blockline."""
-    if b.block_x == 0:
-        return []
-    left = plan.slice_base_x(b.slice_col) + BLOCK_W * b.block_x
-    y0 = 2 * b.blockline
-    return [(x, y) for y in (y0, y0 + 1) for x in range(left - BLOCK_W, left)]
 
 
 class SectionStore:
@@ -212,34 +171,6 @@ class ReconBufferState:
             st.valid[:] = False
         self._occ = 0
 
-    def admit(self, section: str, rels, values) -> int:
-        """Store pixels at the given relative offsets; honors the policy's
-        resident mask and the capacity bound.  Entries are admitted in the
-        given order and rejected once the capacity is reached."""
-        st = self.sections[section]
-        mask = self._resident_mask[section]
-        kept = 0
-        occ = self._occ
-        for rel, val in zip(rels, values):
-            i = st.idx(rel)
-            if not 0 <= i < st.valid.shape[0] or not mask[i]:
-                continue
-            if st.valid[i]:
-                st.values[i] = val
-                kept += 1
-                continue
-            if occ >= self.capacity:
-                self.rejected += 1
-                continue
-            st.values[i] = val
-            st.valid[i] = True
-            occ += 1
-            kept += 1
-        self._occ = occ
-        if occ > self.peak_occupancy:
-            self.peak_occupancy = occ
-        return kept
-
     def admit_run(self, section: str, rel0: int, values) -> int:
         """Admit a contiguous run of previously-invalid positions starting at
         rel0.  Positions outside the policy's resident mask are skipped;
@@ -282,7 +213,3 @@ class ReconBufferState:
             raise MissError(f"{section} rel {rel} not resident")
         return st.values[i]
 
-
-def recon_read(state: ReconBufferState, section: str, rel: int) -> np.ndarray:
-    """Window-relative read; MissError feeds the availability counter."""
-    return state.read(section, rel)

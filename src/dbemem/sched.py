@@ -17,9 +17,9 @@ per slot fits without conflicts, which is exactly what the split buys.
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 from .geometry import (BLOCK_W, CYCLES_PER_SLOT, BlockCoord, GeometryPlan,
-                       Interleave, PIXELS_PER_WORD)
+                       PIXELS_PER_WORD, block_at_slot)
 from .membank import AccessRecord, Purpose
 from .predwindow import (FETCH, ResidencyPolicy, WindowSpec, policy_forwarding,
                          policy_full_resident, policy_streaming)
@@ -39,20 +39,27 @@ class ArchPreset:
     banks_per_buffer: int
     fetch_kind: str
     fetch_words_per_slot: int
-    forwarding: bool
-    reconvert_on_fetch: bool
     residency: ResidencyPolicy
     capacity_pixels: int | None = None  # None -> the policy's count under the window spec
 
     def __post_init__(self):
         if self.line_delay not in (ONE_LINE, HALF_LINE):
             raise ConfigError(f"unknown line delay {self.line_delay!r}")
-        if self.line_buffers not in (2, 3):
-            raise ConfigError("line_buffers must be 2 or 3")
-        if self.banks_per_buffer not in (1, 2):
-            raise ConfigError("banks_per_buffer must be 1 or 2")
+        require_int(self.line_buffers, "line_buffers", 2, 3)
+        require_int(self.banks_per_buffer, "banks_per_buffer", 1, 2)
         if self.fetch_kind not in (REFILL, STREAMING):
             raise ConfigError(f"unknown fetch kind {self.fetch_kind!r}")
+        if self.capacity_pixels is not None:
+            require_int(self.capacity_pixels, "capacity_pixels", 0)
+
+    # read-only views of the residency policy's flags, which the engine reads
+    @property
+    def forwarding(self) -> bool:
+        return self.residency.forwarding_enabled
+
+    @property
+    def reconvert_on_fetch(self) -> bool:
+        return self.residency.reconvert_on_fetch
 
     def capacity_for(self, spec: WindowSpec) -> int:
         if self.capacity_pixels is not None:
@@ -78,25 +85,19 @@ class ArchPreset:
             return f"lower{(y // 2) % 2}"
         return "lower0"
 
-    def bank_for_word(self, local_word: int) -> int:
-        return local_word % self.banks_per_buffer if self.banks_per_buffer > 1 else 0
-
 
 def preset_baseline() -> ArchPreset:
     return ArchPreset("baseline", ONE_LINE, 3, 1, REFILL, 1,
-                      forwarding=False, reconvert_on_fetch=False,
                       residency=policy_full_resident())
 
 
 def preset_type1() -> ArchPreset:
     return ArchPreset("type1", HALF_LINE, 2, 1, REFILL, 1,
-                      forwarding=True, reconvert_on_fetch=False,
                       residency=policy_forwarding())
 
 
 def preset_type2() -> ArchPreset:
     return ArchPreset("type2", HALF_LINE, 2, 2, STREAMING, 0,
-                      forwarding=True, reconvert_on_fetch=True,
                       residency=policy_streaming())
 
 
@@ -127,13 +128,6 @@ class BlockSlotPlan:
     fetches: list = field(default_factory=list)     # (AccessRecord, FetchDemand)
     display_reads: list = field(default_factory=list)
 
-    def cycles(self):
-        """Accesses grouped by cycle offset 0..3 (spec-shaped view)."""
-        out = [[] for _ in range(CYCLES_PER_SLOT)]
-        for rec in self.writes + [r for r, _ in self.fetches] + self.display_reads:
-            out[rec.cycle - self.cycle_base].append(rec)
-        return out
-
 
 class Scheduler:
     """Pure per-slot access-plan generator shared by the engine and tests."""
@@ -151,6 +145,11 @@ class Scheduler:
         # registered SRAM outputs cost two extra lead cycles (stays on odd
         # offsets, clear of the write and fetch cycles)
         self.read_lead = 1 + 2 * read_latency
+        if self.latency < self.read_lead:
+            raise ConfigError(
+                f"display word 0 would be read at cycle "
+                f"{self.latency - self.read_lead}, before the frame starts "
+                f"(latency {self.latency}, read lead {self.read_lead})")
         self.words_per_image_line = plan.image.width // PIXELS_PER_WORD
         self.total_display_words = self.words_per_image_line * plan.image.height
         prev_hi = spec.prev_line_span[1]
@@ -162,25 +161,18 @@ class Scheduler:
         self._buf_of = [preset.buffer_for_line(y) for y in range(4)]
         self._templates: dict = {}  # blockline class -> (blockline, plans)
 
-    # -- decode order ------------------------------------------------------
+    # -- addressing ----------------------------------------------------------
 
-    def block_at_slot(self, global_slot: int) -> BlockCoord:
-        bl = global_slot // self.slots_per_blockline
-        within = global_slot % self.slots_per_blockline
-        if self.plan.interleave is Interleave.ROUND_ROBIN:
-            c = within % self.cols
-            bx = within // self.cols
-        else:
-            c = within // self.n_words
-            bx = within % self.n_words
-        return BlockCoord(c, bx, bl, global_slot)
+    def word_address(self, slice_col: int, local_word: int) -> tuple[int, int]:
+        """(word index, bank) of a slice column's local word.  Words are
+        block-aligned, so with a bank split the bank is the word's parity."""
+        return (self.plan.partition_bases[slice_col] + local_word,
+                local_word % self.preset.banks_per_buffer)
 
     # -- writes --------------------------------------------------------------
 
     def write_records(self, b: BlockCoord, cycle_base: int) -> list[AccessRecord]:
-        base = self.plan.partition_bases[b.slice_col]
-        word = base + b.block_x
-        bank = self.preset.bank_for_word(b.block_x)
+        word, bank = self.word_address(b.slice_col, b.block_x)
         y0 = 2 * b.blockline
         recs = []
         for y in (y0, y0 + 1):
@@ -258,8 +250,7 @@ class Scheduler:
             demands = self._overbudget(demands, b)
         for d in demands:
             buf = self._buf_of[d.line_y % 4]
-            bank = self.preset.bank_for_word(d.word_local)
-            word = self.plan.partition_bases[d.slice_col] + d.word_local
+            word, bank = self.word_address(d.slice_col, d.word_local)
             if self.preset.fetch_kind == REFILL:
                 offset = 2
             else:
@@ -307,19 +298,17 @@ class Scheduler:
         y = k // self.words_per_image_line
         i = k % self.words_per_image_line
         col = (i * PIXELS_PER_WORD) // self.plan.slice_width
-        local = i - col * self.n_words
-        word = self.plan.partition_bases[col] + local
-        buf = self._buf_of[y % 4]
-        bank = self.preset.bank_for_word(local)
+        word, bank = self.word_address(col, i - col * self.n_words)
         return AccessRecord(
-            cycle=self.display_read_cycle(k), buffer=buf, bank_id=bank,
+            cycle=self.display_read_cycle(k), buffer=self._buf_of[y % 4],
+            bank_id=bank,
             op="read", word_index=word, purpose=Purpose.OUTPUT_READ,
             block_id=-1, slice_col=col)
 
     # -- whole-slot view ---------------------------------------------------------
 
     def slot_plan(self, global_slot: int) -> BlockSlotPlan:
-        b = self.block_at_slot(global_slot)
+        b = block_at_slot(self.plan, global_slot)
         base = CYCLES_PER_SLOT * global_slot
         plan = BlockSlotPlan(block=b, cycle_base=base)
         plan.writes = self.write_records(b, base)
@@ -393,49 +382,6 @@ def _shift_plan(sp: BlockSlotPlan, d: int, spb: int) -> BlockSlotPlan:
          in sp.fetches],
         [AccessRecord(c + dc, buf, bank, op, w, p, blk, col)
          for c, buf, bank, op, w, p, blk, col in sp.display_reads])
-
-
-def plan_baseline(b: BlockCoord, plan: GeometryPlan,
-                  spec: WindowSpec | None = None) -> BlockSlotPlan:
-    sched = Scheduler(preset_baseline(), spec or WindowSpec(), plan)
-    return sched.slot_plan(_slot_of(sched, b))
-
-
-def plan_type1(b: BlockCoord, plan: GeometryPlan, phase: str | None = None,
-               spec: WindowSpec | None = None) -> BlockSlotPlan:
-    sched = Scheduler(preset_type1(), spec or WindowSpec(), plan)
-    slot = _slot_of(sched, b)
-    expect = "first_half" if b.block_x < plan.blocks_per_blockline // 2 \
-        else "second_half"
-    if phase is not None and phase != expect:
-        raise ConfigError(f"block_x {b.block_x} is in the {expect} of the blockline")
-    return sched.slot_plan(slot)
-
-
-def plan_type2(b: BlockCoord, plan: GeometryPlan,
-               spec: WindowSpec | None = None) -> BlockSlotPlan:
-    sched = Scheduler(preset_type2(), spec or WindowSpec(), plan)
-    return sched.slot_plan(_slot_of(sched, b))
-
-
-def _slot_of(sched: Scheduler, b: BlockCoord) -> int:
-    base = b.blockline * sched.slots_per_blockline
-    if sched.plan.interleave is Interleave.ROUND_ROBIN:
-        return base + b.block_x * sched.cols + b.slice_col
-    return base + b.slice_col * sched.n_words + b.block_x
-
-
-def output_timeline(preset: ArchPreset, plan: GeometryPlan):
-    """Display emission events: (cycle, y, x0) means pixels x0..x0+3 of line y
-    leave the decoder at that cycle.  Starts at the preset's latency and runs
-    at exactly 4 px/cycle."""
-    d = preset.latency_cycles(plan)
-    width, height = plan.image.width, plan.image.height
-    cycle = d
-    for y in range(height):
-        for x0 in range(0, width, 4):
-            yield (cycle, y, x0)
-            cycle += 1
 
 
 def total_frame_cycles(preset: ArchPreset, plan: GeometryPlan) -> int:

@@ -179,7 +179,7 @@ _IMAGE_KEYS = {"width", "height", "chroma", "bit_depth"}
 _SLICE_KEYS = {"columns", "rows"}
 _TOP_KEYS = {"image", "slices", "arch", "clock_mhz", "throughput_ppc", "seed",
              "window_spec", "faults", "interleave", "sram_read_latency",
-             "trace", "collect_display"}
+             "trace"}
 _ARCH_KEYS = {"name", "line_delay", "line_buffers", "banks_per_buffer",
               "fetch_kind", "fetch_words_per_slot", "forwarding",
               "reconvert_on_fetch", "residency", "capacity_pixels"}
@@ -188,9 +188,20 @@ _FAULT_KEYS = {"kind", "buffer", "word_index", "cycle", "value"}
 
 
 def _check_keys(d: dict, allowed: set, where: str):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {d!r}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _as(kind, value, what: str):
+    """`kind(value)` for int, float or an Enum; a failure is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be a valid {kind.__name__}, "
+                          f"got {value!r}")
 
 
 def parse_config(text: str) -> SimConfig:
@@ -202,38 +213,38 @@ def parse_config(text: str) -> SimConfig:
         raise ConfigError("config root must be an object")
     _check_keys(raw, _TOP_KEYS, "config")
     img_raw = raw.get("image")
-    if not isinstance(img_raw, dict):
-        raise ConfigError("config needs an image object")
     _check_keys(img_raw, _IMAGE_KEYS, "image")
     image = ImageGeometry(
-        width=int(img_raw["width"]), height=int(img_raw["height"]),
-        chroma=Chroma(str(img_raw.get("chroma", "444"))),
-        bit_depth=int(img_raw.get("bit_depth", 10)))
+        width=_as(int, img_raw.get("width"), "image.width"),
+        height=_as(int, img_raw.get("height"), "image.height"),
+        chroma=_as(Chroma, str(img_raw.get("chroma", "444")), "image.chroma"),
+        bit_depth=_as(int, img_raw.get("bit_depth", 10), "image.bit_depth"))
     sl_raw = raw.get("slices", {"columns": 1, "rows": 1})
     _check_keys(sl_raw, _SLICE_KEYS, "slices")
-    slices = SliceLayout(columns=int(sl_raw.get("columns", 1)),
-                         rows=int(sl_raw.get("rows", 1)))
+    slices = SliceLayout(
+        columns=_as(int, sl_raw.get("columns", 1), "slices.columns"),
+        rows=_as(int, sl_raw.get("rows", 1), "slices.rows"))
     preset = _parse_arch(raw.get("arch", "baseline"))
     window = _parse_window(raw.get("window_spec"))
-    faults = [_parse_fault(f) for f in raw.get("faults", [])]
-    interleave = Interleave(raw.get("interleave", "column_major"))
+    faults = raw.get("faults", [])
+    if not isinstance(faults, list):
+        raise ConfigError(f"faults must be a list, got {faults!r}")
     return SimConfig(
         image=image, slices=slices, preset=preset, window=window,
-        clock_hz=float(raw.get("clock_mhz", 200.0)) * 1e6,
-        throughput_ppc=int(raw.get("throughput_ppc", 4)),
-        seed=int(raw.get("seed", 0)),
-        interleave=interleave,
-        sram_read_latency=int(raw.get("sram_read_latency", 0)),
+        clock_hz=_as(float, raw.get("clock_mhz", 200.0), "clock_mhz") * 1e6,
+        throughput_ppc=_as(int, raw.get("throughput_ppc", 4), "throughput_ppc"),
+        seed=_as(int, raw.get("seed", 0), "seed"),
+        interleave=_as(Interleave, raw.get("interleave", "column_major"),
+                       "interleave"),
+        sram_read_latency=_as(int, raw.get("sram_read_latency", 0),
+                              "sram_read_latency"),
         collect_trace=bool(raw.get("trace", False)),
-        collect_display=bool(raw.get("collect_display", False)),
-        faults=faults)
+        faults=[_parse_fault(f) for f in faults])
 
 
 def _parse_arch(raw) -> ArchPreset:
     if isinstance(raw, str):
         return preset_by_name(raw)
-    if not isinstance(raw, dict):
-        raise ConfigError("arch must be a preset name or an object")
     _check_keys(raw, _ARCH_KEYS, "arch")
     res_raw = raw.get("residency", {s: RESIDENT for s in SECTIONS})
     _check_keys(res_raw, set(SECTIONS), "arch.residency")
@@ -245,12 +256,12 @@ def _parse_arch(raw) -> ArchPreset:
     return ArchPreset(
         name=str(raw.get("name", "custom")),
         line_delay=str(raw.get("line_delay", ONE_LINE)),
-        line_buffers=int(raw.get("line_buffers", 3)),
-        banks_per_buffer=int(raw.get("banks_per_buffer", 1)),
+        line_buffers=_as(int, raw.get("line_buffers", 3), "arch.line_buffers"),
+        banks_per_buffer=_as(int, raw.get("banks_per_buffer", 1),
+                             "arch.banks_per_buffer"),
         fetch_kind=str(raw.get("fetch_kind", "refill")),
-        fetch_words_per_slot=int(raw.get("fetch_words_per_slot", 1)),
-        forwarding=bool(raw.get("forwarding", False)),
-        reconvert_on_fetch=bool(raw.get("reconvert_on_fetch", False)),
+        fetch_words_per_slot=_as(int, raw.get("fetch_words_per_slot", 1),
+                                 "arch.fetch_words_per_slot"),
         residency=policy,
         capacity_pixels=raw.get("capacity_pixels"))
 
@@ -264,7 +275,7 @@ def _parse_window(raw) -> WindowSpec:
         v = raw.get(key, default)
         if not (isinstance(v, (list, tuple)) and len(v) == 2):
             raise ConfigError(f"{key} must be a [lo, hi] pair")
-        return (int(v[0]), int(v[1]))
+        return (_as(int, v[0], key), _as(int, v[1], key))
 
     return WindowSpec(prev_line_span=span("prev_line_span", (-8, 32)),
                       cur_row0_span=span("cur_row0_span", (-33, -1)),
@@ -272,8 +283,6 @@ def _parse_window(raw) -> WindowSpec:
 
 
 def _parse_fault(raw) -> FaultSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError("each fault must be an object")
     _check_keys(raw, _FAULT_KEYS, "fault")
     return FaultSpec(kind=str(raw.get("kind", "noop")),
                      buffer=raw.get("buffer"),

@@ -10,12 +10,14 @@ import random
 import numpy as np
 import pytest
 
-from dbemem.engine import FaultSpec, SimConfig, inject_fault, run_simulation
+from dbemem.engine import (Engine, FaultSpec, SimConfig, inject_fault,
+                           run_simulation)
 from dbemem.explore import FetchBudget, minimal_resident_set, preset_budget
-from dbemem.geometry import Chroma, ImageGeometry, SliceLayout
+from dbemem.geometry import (Chroma, ImageGeometry, Interleave, SliceLayout,
+                             build_geometry)
 from dbemem.oracle import ycocg_frame
 from dbemem.predwindow import WindowSpec
-from dbemem.sched import preset_by_name, preset_type2
+from dbemem.sched import Scheduler, preset_by_name, preset_type2
 from dbemem.shell import buffer_accounting, throughput_metrics
 
 PEAKS = {"baseline": 106, "type1": 90, "type2": 25}
@@ -174,17 +176,19 @@ def test_criterion_8_property_suites():
     cfg = small_cfg("type2", collect_trace=True)
     assert run_simulation(cfg).trace_rows == run_simulation(cfg).trace_rows
 
-    # rate law: exactly 4 px/cycle from the latency cycle onward
+    # rate law: the engine's OutputRead trace rows put raster word k at
+    # latency + 2k after the read lead, none missing: exactly 4 px/cycle
     cfg = SimConfig(image=ImageGeometry(320, 32), slices=SliceLayout(1, 1),
-                    preset=preset_by_name("type1"), collect_display=True)
-    res = run_simulation(cfg)
-    cycles = [c for c, _, _, _ in res.display_events]
-    assert cycles[0] == res.latency_cycles
-    assert all(b - a == 2 for a, b in zip(cycles, cycles[1:]))  # 8 px words
+                    preset=preset_by_name("type1"), collect_trace=True)
+    eng = Engine(cfg)
+    res = eng.run()
+    emitted = [row[0] + eng.sched.read_lead for row in res.trace_rows
+               if row[6] == "OutputRead"]
+    assert emitted == [res.latency_cycles + 2 * k for k in range(320 * 32 // 8)]
 
-    # tiling and addressing bijections on randomized geometries
-    from dbemem.geometry import (Interleave, block_to_pixels, build_geometry,
-                                 decode_order, pixel_to_word)
+    # tiling and addressing bijections on randomized geometries, through
+    # the schedule the engine runs: every block once, every (line, word)
+    # written once, and every display word read from its block's write
     rng = random.Random(11)
     for _ in range(5):
         cols = rng.choice([1, 2, 4])
@@ -193,17 +197,24 @@ def test_criterion_8_property_suites():
         plan = build_geometry(ImageGeometry(width, height),
                               SliceLayout(cols, 1),
                               rng.choice(list(Interleave)))
+        sched = Scheduler(preset_by_name(rng.choice(list(PEAKS))),
+                          WindowSpec(), plan)
         cover = np.zeros((height, width), dtype=np.int32)
-        for blk in decode_order(plan):
-            rect = block_to_pixels(blk, plan)
-            cover[rect.y0:rect.y1 + 1, rect.x0:rect.x1 + 1] += 1
+        writes = {}
+        for slot in range(sched.slots_per_blockline * plan.total_blocklines):
+            sp = sched.slot_plan(slot)
+            blk = sp.block
+            x0 = plan.slice_base_x(blk.slice_col) + 8 * blk.block_x
+            cover[2 * blk.blockline:2 * blk.blockline + 2, x0:x0 + 8] += 1
+            for rec in sp.writes:
+                y = 2 * blk.blockline + (rec.buffer != "upper")
+                assert (y, rec.word_index) not in writes
+                writes[y, rec.word_index] = (rec.buffer, rec.bank_id, x0)
         assert (cover == 1).all()
-        for c in range(cols):
-            base = plan.slice_base_x(c)
-            for x in range(base, base + plan.slice_width, 3):
-                w = pixel_to_word(x, "lower", plan, c)
-                off = (x - base) % 8
-                assert base + (w.word_index - w.partition_base) * 8 + off == x
+        for k in range(sched.total_display_words):
+            rec = sched.display_record(k)
+            y, i = divmod(k, sched.words_per_image_line)
+            assert writes[y, rec.word_index] == (rec.buffer, rec.bank_id, 8 * i)
     print("ACCEPTANCE 8 PASS: lossless-transform exhaustive at 8 bit, "
           "byte-identical traces, 4 px/cycle rate law, tiling and addressing "
           "bijections hold")

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from dbemem.engine import (FaultSpec, SimConfig, inject_fault, run_simulation,
-                           verify_output, verify_prediction)
+from dbemem.engine import (Engine, FaultSpec, SimConfig, inject_fault,
+                           run_simulation)
 from dbemem.errors import ConfigError
 from dbemem.geometry import Chroma, ImageGeometry, SliceLayout
-from dbemem.oracle import ColorSpace, GoldenOracle, ycocg_from_rgb
+from dbemem.oracle import (ColorSpace, GoldenOracle, PixelValue, ycocg_frame,
+                           ycocg_from_rgb)
 from dbemem.sched import preset_baseline, preset_by_name
 
 PEAKS = {"baseline": 106, "type1": 90, "type2": 25}
@@ -69,41 +70,34 @@ def test_seed_changes_data_not_schedule():
 
 
 def test_display_stream_verifies():
-    cfg = cfg_for("type1", collect_display=True)
-    res = run_simulation(cfg)
-    mm = verify_output(res.display_events, GoldenOracle(0, 10), 320, 32,
-                       res.latency_cycles)
-    assert mm == 0
+    # every raster word is read once and checked against the golden frame
+    eng = Engine(cfg_for("type1"))
+    res = eng.run()
+    assert res.passed
+    assert eng._next_display_k == eng.sched.total_display_words == 320 * 32 // 8
 
 
 def test_display_stream_rate_law_enforced():
-    cfg = cfg_for("baseline", collect_display=True)
-    res = run_simulation(cfg)
-    events = list(res.display_events)
-    events[3] = (events[3][0] + 1, *events[3][1:])
+    # a display read off latency - read_lead + 2k is an engine fault
+    eng = Engine(cfg_for("baseline"))
+    rec = eng.sched.display_record(0)
+    assert rec.cycle == eng.sched.latency - eng.sched.read_lead
     with pytest.raises(AssertionError):
-        verify_output(events, GoldenOracle(0, 10), 320, 32, res.latency_cycles)
+        eng._check_display_word(rec._replace(cycle=rec.cycle + 1), None)
 
 
-def test_verify_prediction_helper():
-    o = GoldenOracle(5, 10)
-    golden = o.golden_rgb(12, 7)
-    tagged = ycocg_from_rgb(golden)
-    served = [
-        (12, 7, ColorSpace.RGB, golden.components()),
-        (12, 7, ColorSpace.YCOCG, tagged.components()),
-        (12, 7, ColorSpace.RGB, None),
-        (12, 7, ColorSpace.RGB, (golden.c0 + 1, golden.c1, golden.c2)),
-    ]
-    misses, mismatches = verify_prediction(served, o)
-    assert misses == 1 and mismatches == 1
+# the clipped-window total: the same for every preset, since each window
+# pixel is served by exactly one route
+PIXELS_SERVED = [((640, 128, 1, 1), 525100), ((640, 32, 1, 1), 128860),
+                 ((320, 64, 2, 1), 119760), ((320, 64, 2, 2), 118240)]
 
 
 def test_windows_served_counts():
-    res = run_simulation(cfg_for("type1", width=640, height=32))
-    assert res.windows_served == 640 * 32 // 16
-    # interior blocks see the full 106-px window; edges are clipped
-    assert res.pixels_served > 0
+    for (width, height, cols, rows), want in PIXELS_SERVED:
+        for name in PEAKS:
+            res = run_simulation(cfg_for(name, width, height, cols, rows))
+            assert res.windows_served == width * height // 16
+            assert res.pixels_served == want, (name, width, height, cols, rows)
 
 
 # -- fault injection -----------------------------------------------------------
@@ -135,6 +129,9 @@ def test_flip_word_exactly_eight_mismatches():
     assert res.violations.availability_misses == 0
 
 
+TYPE2_ROW1_FETCH = 186  # the cycle type2 streams lower0 word 5 as row1
+
+
 @pytest.mark.parametrize("name,cycle,counts", [
     # type1: lower0 word 5 is written at cycle 180 and fetched at 322 into
     # the stage that admits the next blockline's resident previous line
@@ -142,6 +139,10 @@ def test_flip_word_exactly_eight_mismatches():
     # type2: the same word is streamed as row1 at 186 (through reconvert)
     # and as the previous line at 320
     ("type2", 182, {"output_mismatches": 8, "prediction_mismatches": 65}),
+    # one cycle after the row1 fetch: the stage holds the word as read, so
+    # only the previous-line use sees the flip
+    ("type2", 187, {"output_mismatches": 8, "prediction_mismatches": 41}),
+    ("type2", 188, {"output_mismatches": 8, "prediction_mismatches": 41}),
 ])
 def test_flip_word_before_prediction_fetch(name, cycle, counts):
     res = inject_fault(cfg_for(name, width=320, height=32),
@@ -151,17 +152,23 @@ def test_flip_word_before_prediction_fetch(name, cycle, counts):
     want.update(counts)
     assert res.violations.as_dict() == want
     sections = {s for _, s, _ in res.violations.details["prediction_mismatches"]}
-    assert sections == ({"prev"} if name == "type1" else {"prev", "row1"})
+    row1 = name == "type2" and cycle <= TYPE2_ROW1_FETCH
+    assert sections == ({"prev", "row1"} if row1 else {"prev"})
 
 
 def test_reconvert_matches_the_oracle_transform():
-    # the streaming check skips the reconvert when the stage holds golden
-    # RGB, which is exact only while both transforms agree
-    from dbemem.engine import _ycocg_cols
-    from dbemem.oracle import ycocg_frame
-    rgb = GoldenOracle(3, 12).golden_frame(64, 4)
-    assert np.array_equal(_ycocg_cols(rgb.reshape(-1, 3)),
-                          ycocg_frame(rgb).reshape(-1, 3))
+    # the engine's reconvert is the array transform; the scalar one is the
+    # reference, over golden pixels and the corners of the 12-bit cube
+    o = GoldenOracle(3, 12)
+    rgb = o.golden_frame(64, 4)
+    corners = np.array([[r, g, b] for r in (0, 4095) for g in (0, 4095)
+                        for b in (0, 4095)], dtype=np.int32)
+    for px in (rgb.reshape(-1, 3), corners):
+        want = [ycocg_from_rgb(PixelValue(*map(int, p), ColorSpace.RGB))
+                .components() for p in px]
+        assert [tuple(v) for v in ycocg_frame(px).tolist()] == want
+    assert tuple(ycocg_frame(rgb)[2, 17]) == \
+        ycocg_from_rgb(o.golden_rgb(17, 2)).components()
 
 
 def test_challenge1_two_line_buffers_hazard():

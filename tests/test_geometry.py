@@ -3,20 +3,39 @@ import random
 import numpy as np
 import pytest
 
-from dbemem.errors import ConfigError, RangeError
-from dbemem.geometry import (BlockCoord, Chroma, ImageGeometry, Interleave,
-                             SliceLayout, block_to_pixels, build_geometry,
-                             decode_order, pixel_to_word)
+from dbemem.errors import ConfigError
+from dbemem.geometry import (Chroma, ImageGeometry, Interleave, SliceLayout,
+                             block_at_slot, build_geometry)
+from dbemem.predwindow import WindowSpec
+from dbemem.sched import Scheduler, preset_by_name
 
 
 def plan_4k(columns=4):
     return build_geometry(ImageGeometry(3840, 2160), SliceLayout(columns, 1))
 
 
+def sched_for(plan, preset="type1"):
+    return Scheduler(preset_by_name(preset), WindowSpec(), plan)
+
+
+def slot_of(plan, c, bx, bl):
+    """Inverse of the decode order, for picking a block's slot."""
+    cols, n = plan.slices.columns, plan.words_per_line
+    within = bx * cols + c if plan.interleave is Interleave.ROUND_ROBIN \
+        else c * n + bx
+    return bl * cols * n + within
+
+
+def display_addr(sched, x, y):
+    """(buffer, bank, word) the display reads pixel (x, y) from."""
+    rec = sched.display_record(y * sched.words_per_image_line + x // 8)
+    return rec.buffer, rec.bank_id, rec.word_index
+
+
 def test_4k_four_columns():
     plan = plan_4k(4)
     assert plan.slice_width == 960
-    assert plan.blocks_per_blockline == 120
+    assert plan.words_per_line == 120
     assert plan.partition_bases == (0, 120, 240, 360)
 
 
@@ -49,88 +68,115 @@ def test_too_wide_for_buffer():
 
 
 def test_block_to_pixels():
+    """A block's 8x2 pixels are the ones the display reads back from the
+    words that block wrote."""
     plan = plan_4k(4)
-    r = block_to_pixels(BlockCoord(0, 1, 2, 0), plan)
-    assert (r.x0, r.x1, r.y0, r.y1) == (8, 15, 4, 5)
-    r = block_to_pixels(BlockCoord(1, 0, 0, 0), plan)
-    assert (r.x0, r.x1, r.y0, r.y1) == (960, 967, 0, 1)
-    with pytest.raises(RangeError):
-        block_to_pixels(BlockCoord(0, 120, 0, 0), plan)
+    sched = sched_for(plan)
+    for c, bx, bl, x0, y0 in ((0, 1, 2, 8, 4), (1, 0, 0, 960, 0)):
+        sp = sched.slot_plan(slot_of(plan, c, bx, bl))
+        assert (sp.block.slice_col, sp.block.block_x, sp.block.blockline) \
+            == (c, bx, bl)
+        written = [(r.buffer, r.bank_id, r.word_index) for r in sp.writes]
+        for x in (x0, x0 + 7):
+            assert [display_addr(sched, x, y) for y in (y0, y0 + 1)] == written
+        assert display_addr(sched, x0 + 8, y0) != written[0]
 
 
 def test_pixel_to_word():
-    plan1 = plan_4k(1)
-    w = pixel_to_word(17, "upper", plan1, 0)
-    assert w.word_index == 2 and w.bank_id == 0
-    w = pixel_to_word(3839, "lower", plan1, 0)
-    assert w.word_index == 479
-    plan4 = plan_4k(4)
-    w = pixel_to_word(960, "upper", plan4, 1)
-    assert w.word_index == 120 and w.partition_base == 120
-    with pytest.raises(RangeError):
-        pixel_to_word(960, "upper", plan4, 0)
+    sched1 = sched_for(plan_4k(1))
+    assert display_addr(sched1, 17, 0) == ("upper", 0, 2)
+    assert display_addr(sched1, 3839, 1) == ("lower0", 0, 479)
+    sched4 = sched_for(plan_4k(4))
+    assert display_addr(sched4, 959, 0)[2] == 119
+    assert display_addr(sched4, 960, 0)[2] == 120    # column 1's partition
+    assert sched4.display_record(960 // 8).slice_col == 1
+    assert sched4.word_address(1, 0) == (120, 0)
 
 
 def test_pixel_to_word_bank_split():
-    plan = plan_4k(1)
-    assert pixel_to_word(0, "lower", plan, 0, banks_per_buffer=2).bank_id == 0
-    assert pixel_to_word(8, "lower", plan, 0, banks_per_buffer=2).bank_id == 1
-    assert pixel_to_word(16, "lower", plan, 0, banks_per_buffer=2).bank_id == 0
+    sched = sched_for(plan_4k(1), "type2")
+    assert [display_addr(sched, x, 1)[1] for x in (0, 8, 16, 24)] == [0, 1, 0, 1]
+    assert sched.word_address(0, 5) == (5, 1)
+    # the bank follows the local word, not the partition base
+    assert sched_for(plan_4k(4), "type2").word_address(1, 1) == (121, 1)
+
+
+def blocks_in_order(plan):
+    return [block_at_slot(plan, s) for s in
+            range(plan.slices.columns * plan.words_per_line
+                  * plan.total_blocklines)]
 
 
 def test_decode_order_round_robin():
     plan = build_geometry(ImageGeometry(32, 2), SliceLayout(2, 1))
-    order = [(b.slice_col, b.block_x) for b in decode_order(plan)]
+    order = [(b.slice_col, b.block_x) for b in blocks_in_order(plan)]
     assert order == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
 def test_decode_order_column_major():
     plan = build_geometry(ImageGeometry(32, 2), SliceLayout(2, 1),
                           Interleave.COLUMN_MAJOR)
-    order = [(b.slice_col, b.block_x) for b in decode_order(plan)]
+    order = [(b.slice_col, b.block_x) for b in blocks_in_order(plan)]
     assert order == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_decode_order_event_count():
     plan = build_geometry(ImageGeometry(640, 64), SliceLayout(4, 1))
-    events = list(decode_order(plan))
+    events = blocks_in_order(plan)
     assert len(events) == 640 * 64 // 16
     assert [b.global_block_index for b in events] == list(range(len(events)))
+    assert [b.blockline for b in events] == sorted(b.blockline for b in events)
+    sched = sched_for(plan)
+    assert [sched.slot_plan(s).block for s in (0, 5, 79, 80)] \
+        == [events[s] for s in (0, 5, 79, 80)]
+
+
+def random_plans(seed, n, max_blocks, max_blocklines):
+    rng = random.Random(seed)
+    for _ in range(n):
+        cols = rng.choice([1, 2, 4])
+        rows = rng.choice([1, 2])
+        width = cols * 8 * rng.randint(2, max_blocks)
+        height = 2 * rows * rng.randint(1, max_blocklines)
+        yield build_geometry(ImageGeometry(width, height),
+                             SliceLayout(cols, rows), rng.choice(list(Interleave)))
 
 
 def test_tiling_exact_coverage():
-    rng = random.Random(7)
-    for _ in range(8):
-        cols = rng.choice([1, 2, 4])
-        width = cols * 8 * rng.randint(2, 10)
-        height = 2 * rng.randint(1, 8)
-        interleave = rng.choice(list(Interleave))
-        plan = build_geometry(ImageGeometry(width, height), SliceLayout(cols, 1),
-                              interleave)
+    for plan in random_plans(7, 8, 10, 4):
+        height, width = plan.image.height, plan.image.width
         cover = np.zeros((height, width), dtype=np.int32)
-        for b in decode_order(plan):
-            r = block_to_pixels(b, plan)
-            cover[r.y0:r.y1 + 1, r.x0:r.x1 + 1] += 1
+        for b in blocks_in_order(plan):
+            x0 = plan.slice_base_x(b.slice_col) + 8 * b.block_x
+            cover[2 * b.blockline:2 * b.blockline + 2, x0:x0 + 8] += 1
         assert (cover == 1).all()
 
 
+def check_addressing(sched):
+    """Every (line, word) is written exactly once over the frame's slots,
+    and every raster display word is read from the (buffer, bank, word) the
+    block covering it wrote."""
+    plan = sched.plan
+    writes = {}
+    for slot in range(sched.slots_per_blockline * plan.total_blocklines):
+        sp = sched.slot_plan(slot)
+        b = sp.block
+        for rec in sp.writes:
+            y = 2 * b.blockline + (rec.buffer != "upper")
+            assert (y, rec.word_index) not in writes
+            x0 = plan.slice_base_x(b.slice_col) + 8 * b.block_x
+            writes[y, rec.word_index] = (rec.buffer, rec.bank_id, x0)
+    assert len(writes) == plan.image.height * sched.words_per_image_line
+    for k in range(sched.total_display_words):
+        rec = sched.display_record(k)
+        y, i = divmod(k, sched.words_per_image_line)
+        assert writes[y, rec.word_index] == (rec.buffer, rec.bank_id, 8 * i)
+
+
 def test_addressing_bijection():
-    rng = random.Random(8)
-    for _ in range(6):
-        cols = rng.choice([1, 2, 4])
-        width = cols * 8 * rng.randint(2, 12)
-        plan = build_geometry(ImageGeometry(width, 2), SliceLayout(cols, 1))
-        seen = set()
-        for c in range(cols):
-            base = plan.slice_base_x(c)
-            for x in range(base, base + plan.slice_width):
-                w = pixel_to_word(x, "upper", plan, c)
-                # recover x from word index and pixel offset
-                off = (x - base) % 8
-                x_back = base + (w.word_index - w.partition_base) * 8 + off
-                assert x_back == x
-                seen.add((w.word_index, off))
-        assert len(seen) == width  # no two slice columns overlap in words
+    presets = ["baseline", "type1", "type2"]
+    for i, plan in enumerate(random_plans(8, 6, 12, 3)):
+        check_addressing(sched_for(plan, presets[i % 3]))
 
 
 def test_partition_regions_disjoint():

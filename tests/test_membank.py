@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dbemem.errors import ConfigError
-from dbemem.membank import (AccessRecord, DffFileModel, Purpose, SramBankModel)
+from dbemem.membank import AccessRecord, Purpose, SramBankModel
 
 
 def rec(cycle, op, word, purpose=Purpose.OUTPUT_READ, block=0):
@@ -110,14 +110,3 @@ def test_word_bounds_checked():
     with pytest.raises(ConfigError):
         bank.request_access(rec(0, "read", 480))
 
-
-def test_dff_file_capacity():
-    f = DffFileModel(capacity=3)
-    assert f.store("a", 1) and f.store("b", 2) and f.store("c", 3)
-    assert not f.store("d", 4)
-    assert f.occupancy == 3
-    assert f.store("a", 9)  # updating an existing tag is always allowed
-    assert f.load("a") == 9
-    f.evict("b")
-    assert f.store("d", 4)
-    assert f.peak_occupancy == 3

@@ -1,16 +1,39 @@
 import numpy as np
 import pytest
 
+from dbemem.engine import Engine, SimConfig
 from dbemem.errors import ConfigError, MissError
-from dbemem.geometry import BlockCoord, ImageGeometry, SliceLayout, build_geometry
-from dbemem.predwindow import (ReconBufferState, WindowSpec, forwarded_set,
-                               policy_forwarding, policy_full_resident,
-                               policy_streaming, recon_read, window_pixels)
+from dbemem.geometry import ImageGeometry, SliceLayout
+from dbemem.predwindow import (ReconBufferState, WindowSpec, policy_forwarding,
+                               policy_full_resident, policy_streaming)
+from dbemem.sched import preset_by_name
+
+PRESETS = ("baseline", "type1", "type2")
 
 
-@pytest.fixture
-def plan():
-    return build_geometry(ImageGeometry(640, 64), SliceLayout(1, 1))
+def engine_for(name, width=640, height=64):
+    return Engine(SimConfig(ImageGeometry(width, height), SliceLayout(1, 1),
+                            preset_by_name(name)))
+
+
+@pytest.fixture(scope="module")
+def window_px():
+    """Window pixels per block, (preset, block_x, blockline) -> count, as
+    the engine's window service accounts them on clean 640x64 runs: every
+    unclipped window pixel is served, missed or mismatched, exactly once."""
+    out = {}
+    for name in PRESETS:
+        eng = engine_for(name)
+        serve = eng._serve_window
+
+        def record(b, col, name=name, serve=serve):
+            got = serve(b, col)
+            out[name, b.block_x, b.blockline] = sum(got)
+            return got
+
+        eng._serve_window = record
+        assert eng.run().passed
+    return out
 
 
 def test_default_spec_totals():
@@ -28,42 +51,42 @@ def test_spans_validate():
         WindowSpec(prev_line_span=(5, 2))
 
 
-def test_interior_window_is_106(plan):
-    pix = window_pixels(WindowSpec(), BlockCoord(0, 10, 3, 0), plan)
-    assert len(pix) == 106
-    sections = {}
-    for x, y, section, space in pix:
-        sections.setdefault(section, 0)
-        sections[section] += 1
-    assert sections == {"prev": 41, "row0": 33, "row1": 32}
+def test_interior_window_is_106(window_px):
+    assert WindowSpec().total_pixels() == 41 + 33 + 32 == 106
+    for name in PRESETS:
+        assert window_px[name, 10, 3] == 106
 
 
-def test_first_blockline_drops_prev(plan):
-    pix = window_pixels(WindowSpec(), BlockCoord(0, 10, 0, 0), plan)
-    assert len(pix) == 65
+def test_first_blockline_drops_prev(window_px):
+    for name in PRESETS:
+        assert window_px[name, 10, 0] == 106 - 41
 
 
-def test_leftmost_block_clipped(plan):
-    pix = window_pixels(WindowSpec(), BlockCoord(0, 0, 3, 0), plan)
+def test_leftmost_block_clipped(window_px):
     # rows entirely left of the block vanish; prev keeps [0, +32]
-    assert len(pix) == 33
-    assert all(s == "prev" for _, _, s, _ in pix)
+    for name in PRESETS:
+        assert window_px[name, 0, 3] == 33
 
 
-def test_rightmost_block_clipped(plan):
-    last = plan.blocks_per_blockline - 1
-    pix = window_pixels(WindowSpec(), BlockCoord(0, last, 3, 0), plan)
-    prev = [p for p in pix if p[2] == "prev"]
-    assert len(prev) == 16  # [left-8, slice end]
-    assert len(pix) == 16 + 33 + 32
+def test_rightmost_block_clipped(window_px):
+    # prev keeps [left-8, slice end]: 16 px
+    for name in PRESETS:
+        assert window_px[name, 79, 3] == 16 + 33 + 32
 
 
-def test_forwarded_set(plan):
-    fwd = forwarded_set(BlockCoord(0, 5, 2, 0), plan)
-    assert len(fwd) == 16
-    xs = {x for x, _ in fwd}
-    assert xs == set(range(32, 40))
-    assert forwarded_set(BlockCoord(0, 0, 2, 0), plan) == []
+def test_forwarded_set():
+    # with forwarding, the previous block (the 8 px left of the block on
+    # each current row) is served from the pipe and never stored
+    parts = engine_for("type1")._parts
+    assert parts["row0"] == [(-33, -9, "resident"), (-8, -1, "forwarded")]
+    assert parts["row1"] == [(-32, -9, "resident"), (-8, -1, "forwarded")]
+    assert parts["prev"] == [(-8, 32, "resident")]
+    assert engine_for("type2")._parts["row1"] == [(-32, -9, "fetch"),
+                                                 (-8, -1, "forwarded")]
+    assert all(route != "forwarded" for p in engine_for("baseline")
+               ._parts.values() for _, _, route in p)
+    rows = policy_forwarding().resident_positions(WindowSpec())
+    assert max(rows["row0"]) == max(rows["row1"]) == -9
 
 
 def test_policy_resident_counts():
@@ -79,13 +102,13 @@ def test_recon_slide_and_read():
     vals = np.arange(24, dtype=np.int32).reshape(8, 3)
     state.admit_run("row0", -8, vals)
     assert state.occupancy() == 8
-    assert tuple(recon_read(state, "row0", -8)) == (0, 1, 2)
+    assert tuple(state.read("row0", -8)) == (0, 1, 2)
     state.slide()
-    assert tuple(recon_read(state, "row0", -16)) == (0, 1, 2)
+    assert tuple(state.read("row0", -16)) == (0, 1, 2)
     with pytest.raises(MissError):
-        recon_read(state, "row0", -8)       # slid out, nothing admitted yet
+        state.read("row0", -8)       # slid out, nothing admitted yet
     with pytest.raises(MissError):
-        recon_read(state, "row0", -40)      # outside the span
+        state.read("row0", -40)      # outside the span
 
 
 def test_recon_capacity_rejects_newest():

@@ -3,13 +3,12 @@ from dataclasses import replace
 
 import pytest
 
+from dbemem.engine import Engine, SimConfig
 from dbemem.errors import ConfigError
-from dbemem.geometry import (BlockCoord, ImageGeometry, Interleave, SliceLayout,
-                             build_geometry)
+from dbemem.geometry import ImageGeometry, Interleave, SliceLayout, build_geometry
 from dbemem.membank import Purpose
 from dbemem.predwindow import WindowSpec
-from dbemem.sched import (Scheduler, output_timeline, plan_baseline, plan_type1,
-                          plan_type2, preset_baseline, preset_by_name,
+from dbemem.sched import (Scheduler, preset_baseline, preset_by_name,
                           preset_type1, preset_type2, total_frame_cycles)
 
 
@@ -33,6 +32,9 @@ def test_preset_structure():
     t2 = preset_type2()
     assert (t2.line_delay, t2.line_buffers, t2.banks_per_buffer) == ("half_line", 2, 2)
     assert t2.forwarding and t2.reconvert_on_fetch
+    for p in (b, t1, t2):   # the flags are the residency policy's
+        assert p.forwarding == p.residency.forwarding_enabled
+        assert p.reconvert_on_fetch == p.residency.reconvert_on_fetch
     with pytest.raises(ConfigError):
         preset_by_name("type3")
 
@@ -141,33 +143,23 @@ def test_type2_fetches_every_cycle_offsets():
     assert len(offsets) >= 3
 
 
-def test_plan_api_wrappers():
-    plan = make_plan()
-    b = BlockCoord(0, 10, 2, 0)
-    for fn in (plan_baseline, plan_type2):
-        sp = fn(b, plan)
-        assert sp.block.block_x == 10
-        assert len(sp.writes) == 2
-    sp = plan_type1(b, plan, phase="first_half")
-    assert len(sp.fetches) == 1
-    with pytest.raises(ConfigError):
-        plan_type1(b, plan, phase="second_half")
-    cycles = sp.cycles()
-    assert len(cycles) == 4
-    assert any(r.purpose is Purpose.WRITE_BLOCK_ROW for r in cycles[0])
-
-
 def test_output_timeline_rate_law():
-    plan = make_plan(256, 64)
-    preset = preset_baseline()
-    events = list(output_timeline(preset, plan))
-    d = preset.latency_cycles(plan)
-    assert d == 256 * 2 // 4
-    assert events[0] == (d, 0, 0)
-    for i in range(1, len(events)):
-        assert events[i][0] == events[i - 1][0] + 1   # exactly 4 px/cycle
-    assert len(events) == 256 * 64 // 4
-    assert events[-1][0] == total_frame_cycles(preset, plan) - 1
+    """The engine's own OutputRead trace rows: raster word k is read at
+    latency - read_lead + 2k, so it is emitted at latency + 2k (8 px per two
+    cycles, exactly 4 px/cycle), with no word missing."""
+    for name, read_latency in (("baseline", 0), ("type1", 0), ("type2", 0),
+                               ("baseline", 1)):
+        cfg = SimConfig(ImageGeometry(256, 64), SliceLayout(1, 1),
+                        preset_by_name(name), sram_read_latency=read_latency,
+                        collect_trace=True)
+        eng = Engine(cfg)
+        res = eng.run()
+        lead = eng.sched.read_lead
+        assert lead == 1 + 2 * read_latency
+        reads = [row[0] for row in res.trace_rows if row[6] == "OutputRead"]
+        assert reads == [res.latency_cycles - lead + 2 * k
+                         for k in range(256 * 64 // 8)]
+        assert reads[-1] + lead + 2 == total_frame_cycles(eng.preset, eng.plan)
 
 
 def test_total_frame_cycles():

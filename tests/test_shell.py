@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dbemem.cli import cli_main
 from dbemem.engine import run_simulation
 from dbemem.errors import ConfigError
 from dbemem.predwindow import WindowSpec
-from dbemem.sched import preset_baseline, preset_type1, preset_type2
+from dbemem.sched import (preset_baseline, preset_by_name, preset_type1,
+                          preset_type2)
 from dbemem.shell import (build_report, buffer_accounting, emit_report,
                           emit_trace, parse_config, parse_report, parse_trace,
                           report_to_text, throughput_metrics)
@@ -108,7 +112,6 @@ def test_accounting_identities_random_presets():
         preset = ArchPreset(
             name="custom", line_delay="one_line", line_buffers=buffers,
             banks_per_buffer=1, fetch_kind="refill", fetch_words_per_slot=1,
-            forwarding=False, reconvert_on_fetch=False,
             residency=ResidencyPolicy(routes={s: RESIDENT for s in SECTIONS}),
             capacity_pixels=px)
         acct = buffer_accounting(preset, cols)
@@ -240,3 +243,128 @@ def test_cli_malformed_flip_word_exit_two(tmp_path, capsys, fault):
     data = dict(CFG, faults=[fault])
     assert cli_main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2
     assert "flip_word" in capsys.readouterr().err
+
+
+def test_cli_display_slip_exit_two(tmp_path, capsys):
+    """A registered read lead longer than the display latency would read
+    display word 0 before cycle 0: a config error, not a crash."""
+    data = {"image": {"width": 8, "height": 4}, "arch": "type1",
+            "sram_read_latency": 1}
+    assert cli_main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2
+    assert "before the frame starts" in capsys.readouterr().err
+
+
+def _fault_cfg(kind, value, arch="type2"):
+    return dict(CFG, arch=arch, faults=[{"kind": kind, "value": value}])
+
+
+@pytest.mark.parametrize("data", [
+    _fault_cfg("capacity_override", "x"),
+    _fault_cfg("capacity_override", -5),
+    dict(CFG, image=dict(CFG["image"], bit_depth="ten")),
+    dict(CFG, image=dict(CFG["image"], chroma="420")),
+    dict(CFG, interleave="bogus"),
+    dict(CFG, window_spec={"prev_line_span": ["a", 3]}),
+    dict(CFG, arch={"line_buffers": "x"}),
+    dict(CFG, image={"width": 320}),
+    _fault_cfg("fetch_budget_override", 0, arch="baseline"),
+    dict(CFG, clock_mhz=float("nan")),
+], ids=["capacity_str", "capacity_negative", "bit_depth_str", "chroma_420",
+        "interleave_bogus", "window_span_str", "line_buffers_str",
+        "height_missing", "fetch_budget_0", "clock_nan"])
+def test_cli_malformed_config_exit_two(tmp_path, capsys, data):
+    assert cli_main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_override_faults_validated_by_kind():
+    from dbemem.engine import Engine, FaultSpec, SimConfig
+    from dbemem.geometry import ImageGeometry, SliceLayout
+
+    def engine(name, kind, value):
+        return Engine(SimConfig(ImageGeometry(64, 8), SliceLayout(1, 1),
+                                preset_by_name(name),
+                                faults=[FaultSpec(kind, value=value)]))
+
+    for kind, bad in (("capacity_override", (-1, 2.0, True, None)),
+                      ("line_buffers_override", (1, 4, 2.0, "3")),
+                      ("banks_override", (0, 3, True)),
+                      ("delay_override", ("full_line", 1)),
+                      ("fetch_budget_override", (0, 1, 5, 2.0))):
+        for value in bad:
+            with pytest.raises(ConfigError):
+                engine("baseline", kind, value)
+    # streaming presets place their own fetches, so a budget changes nothing
+    with pytest.raises(ConfigError):
+        engine("type2", "fetch_budget_override", 2)
+    assert engine("type1", "fetch_budget_override", 4).preset \
+        .fetch_words_per_slot == 4
+
+
+# -- config fuzzing --------------------------------------------------------------
+
+# wrong types, and numbers small enough to keep every image tiny
+_junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 8),
+                  st.floats(-3, 8), st.text(max_size=4),
+                  st.lists(st.integers(-3, 3), max_size=3))
+
+
+def _maybe(good):
+    """A well-formed value nine times in ten, junk otherwise."""
+    if not isinstance(good, st.SearchStrategy):
+        good = st.sampled_from(good)
+    return st.integers(0, 9).flatmap(lambda i: good if i else _junk)
+
+
+_span = _maybe(st.tuples(st.integers(-48, 40), st.integers(-48, 40)).map(list))
+_fault = st.fixed_dictionaries({"kind": _maybe(
+    ["noop", "flip_word", "capacity_override", "line_buffers_override",
+     "banks_override", "delay_override", "fetch_budget_override"])},
+    optional={"value": _maybe([0, 1, 2, 3, 4, 24, "one_line", "half_line"]),
+              "buffer": _maybe(["upper", "lower0", "lower1"]),
+              "word_index": _maybe([0, 5, 479, 480]),
+              "cycle": _maybe([0, 40, 100, 10**6])})
+_arch_obj = st.fixed_dictionaries({}, optional={
+    "line_delay": _maybe(["one_line", "half_line"]),
+    "line_buffers": _maybe([2, 3]), "banks_per_buffer": _maybe([1, 2]),
+    "fetch_kind": _maybe(["refill", "streaming"]),
+    "fetch_words_per_slot": _maybe([0, 1, 2]),
+    "forwarding": st.booleans(), "reconvert_on_fetch": st.booleans(),
+    "residency": _maybe(st.fixed_dictionaries({}, optional={
+        s: _maybe(["resident", "fetch"]) for s in ("prev", "row0", "row1")})),
+    "capacity_pixels": _maybe([None, 0, 25, 90, 106])})
+_config = st.fixed_dictionaries({
+    "image": _maybe(st.fixed_dictionaries(
+        {"width": _maybe([8, 16, 32, 48, 64]), "height": _maybe([2, 4, 6, 8])},
+        optional={"chroma": _maybe(["444", "422"]),
+                  "bit_depth": _maybe([8, 10, 12])}))},
+    optional={
+        "slices": _maybe(st.fixed_dictionaries({}, optional={
+            "columns": _maybe([1, 2, 4]), "rows": _maybe([1, 2])})),
+        "arch": st.one_of(_maybe(["baseline", "type1", "type2"]), _arch_obj),
+        "interleave": _maybe(["column_major", "round_robin"]),
+        "sram_read_latency": _maybe([0, 1]),
+        "clock_mhz": _maybe([200, 100.5]),
+        "throughput_ppc": _maybe([4, 8]),
+        "seed": _maybe([0, 7]),
+        "trace": st.booleans(),
+        "window_spec": _maybe(st.fixed_dictionaries({}, optional={
+            k: _span for k in ("prev_line_span", "cur_row0_span",
+                               "cur_row1_span")})),
+        "faults": _maybe(st.lists(_fault, max_size=3))})
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(data=_config)
+def test_config_fuzz_never_tracebacks(tmp_path_factory, data):
+    """Any config, well-formed or not, on images of at most 64x8: the CLI
+    answers 0, 1 or 2 and never with a traceback."""
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps(data))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli_main(["simulate", "--config", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
