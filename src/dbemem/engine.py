@@ -1,12 +1,14 @@
-"""The cycle loop: applies schedules to the memory models, serves prediction
+"""The engine: applies the schedule to the line buffers, serves prediction
 windows, and verifies every transaction against the golden oracle.
 
-The outer loop advances in 4-cycle block slots; bank commits happen per
-cycle inside a slot.  Violations never abort a run, so one simulation can
-fully characterize a broken configuration.
+It checks one blockline per numpy pass: the blockline's bookings are its
+class's template shifted by whole blocklines, so the port law, the commit
+order and each word's order of events are worked out once per class.
+Violations never abort a run, so one simulation can fully characterize a
+broken configuration.  `reference.ReferenceEngine` runs the same model
+slot by slot and cycle by cycle; the tests hold the two equal.
 """
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -14,21 +16,18 @@ import numpy as np
 from .errors import ConfigError, require_int
 from .geometry import (BLOCK_W, CYCLES_PER_SLOT, LINE_WORDS, PIXELS_PER_WORD,
                        GeometryPlan, ImageGeometry, Interleave, SliceLayout,
-                       build_geometry)
-from .membank import Purpose, SramBankModel
+                       block_at_slot, build_geometry)
+from .ledger import (ARM_DISPLAY, ARM_FETCH, PURPOSES, READ_DISPLAY,
+                     READ_FETCH, WRITE_EVENT, Pass, owed_reads)
+from .membank import (ConflictViolation, HazardViolation, Purpose,
+                      UnderflowViolation)
 from .oracle import GoldenOracle, ycocg_frame
-from .predwindow import FETCH, RESIDENT, ReconBufferState, SECTIONS, WindowSpec
-from .sched import ArchPreset, REFILL, STREAMING, Scheduler, total_frame_cycles
+from .predwindow import FETCH, RESIDENT, SECTIONS, WindowSpec
+from .sched import (BANK, BLOCK, CYCLE, LINE, PURPOSE, PX, REFILL, SLOT,
+                    STREAMING, WORD, ArchPreset, BlockSlotPlan, Scheduler,
+                    total_frame_cycles)
 
 DETAIL_LIMIT = 16  # violation samples kept per class
-
-
-def _bad_pixels(got: np.ndarray, want: np.ndarray) -> int:
-    """Pixels of `got` that differ from `want` in any component.  Equal bytes,
-    the usual case, settle it without the per-pixel count."""
-    if got.tobytes() == want.tobytes():
-        return 0
-    return int((got != want).any(axis=1).sum())
 
 
 @dataclass
@@ -128,39 +127,27 @@ class EngineResult:
         return self.violations.passed()
 
 
-class _ColumnState:
-    """Per-slice-column runtime state.
-
-    The fetch stage is a small word-wide register file in front of the
-    prediction datapath: slot index is line_y mod 4, and a per-word line tag
-    guards against stale data (lines two blocklines apart share a slot, but
-    their service windows never overlap).
-    """
-
-    def __init__(self, spec, preset, capacity, n_words):
-        self.recon = ReconBufferState(spec, preset.residency, capacity)
-        self.stage_vals = np.zeros((4, n_words, PIXELS_PER_WORD, 3),
-                                   dtype=np.int32)
-        self.stage_line = np.full((4, n_words), -1, dtype=np.int64)
-        self.history = deque(maxlen=2)  # (block_x, rgb_rows, yco_rows)
-
-
-def apply_faults_to_preset(preset: ArchPreset, faults) -> ArchPreset:
+def apply_faults_to_preset(preset: ArchPreset, faults,
+                           spec: WindowSpec) -> ArchPreset:
     """The preset with the override faults applied.  ArchPreset checks the
     overridden fields; the checks here reject values it would accept but
-    that leave the run unchanged."""
+    that leave the run unchanged, among them a value equal to the one in
+    force (the recon capacity's under the window spec)."""
+    fields = {"capacity_override": "capacity_pixels",
+              "line_buffers_override": "line_buffers",
+              "banks_override": "banks_per_buffer",
+              "delay_override": "line_delay",
+              "fetch_budget_override": "fetch_words_per_slot"}
     for f in faults:
+        if f.kind not in fields:
+            continue
         if f.kind == "capacity_override":
             # None would restore the policy's own count
             require_int(f.value, "capacity_override value", 0)
-            preset = replace(preset, capacity_pixels=f.value)
-        elif f.kind == "line_buffers_override":
-            preset = replace(preset, line_buffers=f.value)
-        elif f.kind == "banks_override":
-            preset = replace(preset, banks_per_buffer=f.value)
-        elif f.kind == "delay_override":
-            preset = replace(preset, line_delay=f.value)
-        elif f.kind == "fetch_budget_override":
+            current = preset.capacity_for(spec)
+        else:
+            current = getattr(preset, fields[f.kind])
+        if f.kind == "fetch_budget_override":
             # a budget below 2 changes no schedule, and a slot has four
             # cycles; streaming presets place their fetches themselves
             require_int(f.value, "fetch_budget_override value", 2,
@@ -168,30 +155,110 @@ def apply_faults_to_preset(preset: ArchPreset, faults) -> ArchPreset:
             if preset.fetch_kind != REFILL:
                 raise ConfigError("fetch_budget_override needs a refill preset; "
                                   f"{preset.name} streams its fetches")
-            preset = replace(preset, fetch_words_per_slot=f.value)
+        if f.value == current:
+            raise ConfigError(f"{f.kind} {f.value!r} is the value "
+                              f"{preset.name} already has")
+        preset = replace(preset, **{fields[f.kind]: f.value})
     return preset
 
 
+_PIXEL = np.arange(PIXELS_PER_WORD)
+_BLOCK_BITS = (1 << BLOCK_W) - 1   # a window section's lowest block
+
+
+class _Stage:
+    """Every column's fetch stage during one pass: the fetches staged in
+    the pass, found by (stage key, slot), over the stage carried in.  An
+    entry is one staged word: its line and the source of its value, a
+    written row's first pixel x and the flip parity since that write."""
+
+    def __init__(self, eng, staged):
+        keys, slots, line, src_x, parity = staged
+        carried = eng._stage
+        self._n = len(carried[0])
+        self._spb = eng.sched.slots_per_blockline
+        self._keys = keys
+        self._at = keys * self._spb + slots
+        self.line = np.concatenate([carried[0], line])
+        self._src_x = np.concatenate([carried[1], src_x])
+        self._parity = np.concatenate([carried[2], parity])
+        self._want_x = np.concatenate([eng._key_x, eng._key_x[keys]])
+        self._eng = eng
+        self._bad = {}
+        # carry out the last staged word of each key
+        if len(keys):
+            last = np.ones(len(keys), dtype=bool)
+            last[:-1] = keys[1:] != keys[:-1]
+            for arr, vals in zip(carried, (line, src_x, parity)):
+                arr[keys[last]] = vals[last]
+
+    def at(self, keys, slots):
+        """The entry each stage key holds at the end of each slot (slots
+        counted from the pass start)."""
+        if not len(self._keys):
+            return keys
+        i = np.searchsorted(self._at, keys * self._spb + slots,
+                            side="right") - 1
+        i0 = np.maximum(i, 0)
+        hit = (i >= 0) & (self._keys[i0] == keys)
+        return np.where(hit, self._n + i0, keys)
+
+    def bad(self, reconvert: bool, y: int):
+        """Per entry and pixel, for the entries holding line y: the staged
+        value differs from the golden pixel, in RGB or, after the
+        reconvert, in YCoCg.  Entries of other lines read False."""
+        if (reconvert, y) not in self._bad:
+            eng = self._eng
+            e = np.flatnonzero(self.line == y)
+            got = eng._rgb[y, self._src_x[e][:, None] + _PIXEL] \
+                ^ self._parity[e][:, None, None]
+            want_x = self._want_x[e][:, None] + _PIXEL
+            if reconvert:
+                got, want = ycocg_frame(got), eng._yco[y, want_x]
+            else:
+                want = eng._rgb[y, want_x]
+            bad = np.zeros((len(self.line), PIXELS_PER_WORD), dtype=bool)
+            bad[e] = (got != want).any(axis=-1)
+            self._bad[reconvert, y] = bad
+        return self._bad[reconvert, y]
+
+
+def _lowest_bits(bits: int, k: int) -> int:
+    """The k lowest set bits of `bits`."""
+    out = 0
+    while k > 0 and bits:
+        low = bits & -bits
+        out |= low
+        bits ^= low
+        k -= 1
+    return out
+
+
 class Engine:
+    """Runs a config one blockline at a time.
+
+    A blockline's bookings are its class's template (`ledger.Pass`), shifted.
+    One numpy pass per blockline commits them on the line-buffer ledger
+    (`_commit_slot`), checks the display words (`_check_display_word`),
+    works out the recon-buffer residency (`_advance_window`) and serves
+    every block's prediction window (`_serve_window`).  Each word's
+    contents, owed reads and the fetch stages carry from pass to pass.
+    `reference.ReferenceEngine` is the same model run cycle by cycle.
+    """
+
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        self.preset = apply_faults_to_preset(cfg.preset, cfg.faults)
+        self.preset = apply_faults_to_preset(cfg.preset, cfg.faults, cfg.window)
         self.plan = build_geometry(cfg.image, cfg.slices, cfg.interleave)
         self.spec = cfg.window
         self.sched = Scheduler(self.preset, self.spec, self.plan,
                                read_latency=cfg.sram_read_latency)
         self.oracle = GoldenOracle(cfg.seed, cfg.image.bit_depth)
         self.capacity = self.preset.capacity_for(self.spec)
-        self.banks = {}
-        for buf in self.preset.buffer_names():
-            for bk in range(self.preset.banks_per_buffer):
-                self.banks[(buf, bk)] = SramBankModel(buf, bk)
-        # (buffer, bank) -> (commit order within a cycle, bank)
-        self._bank_at = {key: (i, bank)
-                         for i, (key, bank) in enumerate(self.banks.items())}
-        self.cols = [_ColumnState(self.spec, self.preset, self.capacity,
-                                  self.plan.words_per_line)
-                     for _ in range(cfg.slices.columns)]
+        buffers = self.preset.buffer_names()
+        # (buffer, bank) in commit order within a cycle
+        self.bank_keys = [(buf, bk) for buf in buffers
+                          for bk in range(self.preset.banks_per_buffer)]
         self.log = ViolationLog()
         self.trace_rows = []
         self.violation_rows = []
@@ -199,14 +266,15 @@ class Engine:
                        key=lambda f: f.cycle)
         run_cycles = total_frame_cycles(self.preset, self.plan)
         for f in flips:
-            if f.buffer not in self.preset.buffer_names():
+            if f.buffer not in buffers:
                 raise ConfigError(
-                    f"flip_word buffer {f.buffer!r} is not one of "
-                    f"{self.preset.buffer_names()}")
+                    f"flip_word buffer {f.buffer!r} is not one of {buffers}")
             if f.cycle >= run_cycles:
                 raise ConfigError(f"flip_word cycle {f.cycle} is past the "
                                   f"run's last cycle {run_cycles - 1}")
-        self._flips = deque(flips)   # pending, in cycle order
+        self._flip_faults = flips
+        self._flips = [(buffers.index(f.buffer) * LINE_WORDS + f.word_index,
+                        f.cycle) for f in flips]
         self._next_display_k = 0
         # per-section span metadata: each span splits into a left part (the
         # section's route) and, with forwarding, the previously-decoded block
@@ -228,9 +296,41 @@ class Engine:
         # span start and parts
         self._window = [(s, dy, self.spec.span(s)[0], self._parts[s])
                         for s, dy in zip(SECTIONS, (-1, 0, 1))]
-        self._resident_rows = [(s, row) for s, row in (("row0", 0), ("row1", 1))
-                               if routes[s] == RESIDENT]
         self._stage_words_static = self._stage_words()
+
+    def _setup_passes(self):
+        """The array state a run starts from: the decode order within a
+        blockline, the ledger and stage state carried from pass to pass,
+        and the window and residency tables.  Built in `run`, so set-up
+        stays the config checks."""
+        n, cols = self.plan.words_per_line, self.plan.slices.columns
+        spb = self.sched.slots_per_blockline
+        # decode order within a blockline, the same in every blockline
+        self._slot_of = np.empty((cols, n), dtype=np.int64)
+        for t in range(spb):
+            b = block_at_slot(self.plan, t)
+            self._slot_of[b.slice_col, b.block_x] = t
+        order = np.argsort(self._slot_of, axis=None)
+        self._slot_col, self._slot_bx = np.unravel_index(order, (cols, n))
+        sw = self.plan.slice_width
+        self._key_x = (np.arange(cols * 4 * n) // (4 * n) * sw
+                       + np.arange(cols * 4 * n) % n * PIXELS_PER_WORD)
+        # carried from pass to pass: per (buffer, word) the line it holds
+        # (-1: never written), its first pixel x and last write cycle, and
+        # the display and fetch reads it still owes; per stage key the
+        # staged line, its source x and flip parity
+        n_wk = len(self.preset.buffer_names()) * LINE_WORDS
+        self._word_line = np.full(n_wk, -1, dtype=np.int64)
+        self._word_x = np.zeros(n_wk, dtype=np.int64)
+        self._word_cycle = np.full(n_wk, -1, dtype=np.int64)
+        self._word_owed = np.zeros((2, n_wk), dtype=np.int64)
+        self._stage = [np.full(cols * 4 * n, -1, dtype=np.int64),
+                       np.zeros(cols * 4 * n, dtype=np.int64),
+                       np.zeros(cols * 4 * n, dtype=np.int64)]
+        self._templates = {}   # blockline class -> its first blockline's Pass
+        self._peak = [0] * cols
+        self._setup_residency()
+        self._setup_window()
 
     def _stage_words(self) -> int:
         words = self.sched.warmup_count + 1
@@ -242,6 +342,64 @@ class Engine:
                     words += (hi - lo) // PIXELS_PER_WORD + 2
         return words
 
+    def stage_key(self, col, line, word):
+        """A fetch stage entry's key: slice column, line mod 4, local word."""
+        return (col * 4 + (line & 3)) * self.plan.words_per_line + word
+
+    def _setup_residency(self):
+        """What `_advance_window` needs besides the stage: the sections the
+        policy keeps pixels of, the rows' admission bits, and where each
+        previous-line pixel x enters the window."""
+        resident = self.preset.residency.resident_positions(self.spec)
+        self._row_lag = 2 if self.preset.residency.forwarding_enabled else 1
+        rel0 = -self._row_lag * BLOCK_W
+        self._resident = []   # (section, span start, row admission bits)
+        for s in SECTIONS:
+            if not resident[s]:
+                continue
+            lo = self.spec.span(s)[0]
+            keep = set(resident[s])
+            bits = sum(1 << (r - lo) for r in range(rel0, rel0 + BLOCK_W)
+                       if r in keep and s != "prev")
+            self._resident.append((s, lo, bits))
+        lo, hi = self.spec.prev_line_span
+        n, sw = self.plan.words_per_line, self.plan.slice_width
+        x = np.arange(sw)
+        # a previous-line pixel x enters at block 0 (the whole span from
+        # the slice edge) or as one of the block's 8 entering pixels
+        enter = np.maximum(0, -(-(x - hi) // BLOCK_W))
+        rel = x - BLOCK_W * enter
+        self._enter_ok = (rel >= lo) & (rel <= hi) & (enter < n)
+        self._enter_slot_bx = np.minimum(enter, n - 1)
+        ex = (BLOCK_W * np.arange(n)[:, None] + hi - BLOCK_W + 1
+              + np.arange(BLOCK_W))
+        self._enter_x = np.clip(ex, 0, sw - 1)
+        self._enter_in = (ex >= 0) & (ex < sw)
+        self._full_x = np.arange(max(lo, 0), min(hi, sw - 1) + 1)
+        sh = hi - BLOCK_W + 1 - lo
+        self._enter_bits = [c << sh if sh >= 0 else c >> -sh
+                            for c in range(1 << BLOCK_W)]
+
+    def _setup_window(self):
+        """Per window part, the block x positions its pixels cover: which
+        lie in the slice, their stage words and pixel places."""
+        n, sw = self.plan.words_per_line, self.plan.slice_width
+        bx = np.arange(n)[:, None]
+        self._window_parts = []
+        for s, dy, _, parts in self._window:
+            for plo, phi, route in parts:
+                r = np.arange(plo, phi + 1)
+                x = BLOCK_W * bx + r
+                inside = (x >= 0) & (x < sw)
+                words = np.clip(bx + np.arange(plo // PIXELS_PER_WORD,
+                                               phi // PIXELS_PER_WORD + 1),
+                                0, n - 1)
+                self._window_parts.append(dict(
+                    section=s, dy=dy, route=route, x=np.clip(x, 0, sw - 1),
+                    inside=inside, size=inside.sum(axis=1), words=words,
+                    word_at=r // PIXELS_PER_WORD - plo // PIXELS_PER_WORD,
+                    pixel=r % PIXELS_PER_WORD))
+
     # -- bookkeeping helpers -------------------------------------------------
 
     def _note(self, cls, item):
@@ -249,338 +407,366 @@ class Engine:
         if len(self.log.details[cls]) < DETAIL_LIMIT:
             self.log.details[cls].append(item)
 
-    def _drain_bank_violations(self):
-        tracing = self.cfg.collect_trace
-        for bank in self.banks.values():
-            if not (bank.conflicts or bank.hazards or bank.underflows):
-                continue
-            for v in bank.conflicts:
-                self.log.conflicts += 1
-                self._note("conflicts", v)
-                if tracing:
-                    self.violation_rows.append(
-                        (v.cycle, -1, v.buffer, v.bank_id, "conflict",
-                         v.second_word, v.second_purpose.value, v.block_id))
-            for v in bank.hazards:
-                self.log.hazards += 1
-                self._note("hazards", v)
-                if tracing:
-                    self.violation_rows.append(
-                        (v.cycle, -1, v.buffer, v.bank_id, "hazard",
-                         v.word_index, Purpose.WRITE_BLOCK_ROW.value,
-                         v.block_id))
-            for v in bank.underflows:
-                self.log.underflows += 1
-                self._note("underflows", v)
-                if tracing:
-                    self.violation_rows.append(
-                        (v.cycle, -1, v.buffer, v.bank_id, "underflow",
-                         v.word_index, v.purpose.value, -1))
-            bank.conflicts.clear()
-            bank.hazards.clear()
-            bank.underflows.clear()
+    def _room(self, cls) -> int:
+        return DETAIL_LIMIT - len(self.log.details.get(cls, ()))
 
-    # -- main loop -------------------------------------------------------------
-
-    def run(self) -> EngineResult:
-        plan = self.plan
-        w, h = plan.image.width, plan.image.height
-        rgb = self.oracle.golden_frame(w, h)
-        yco = ycocg_frame(rgb)
-        self._rgb, self._yco = rgb, yco
-        total_cycles = total_frame_cycles(self.preset, plan)
-        windows_served = 0
-        pixels_served = 0
-
-        for bl in range(plan.total_blocklines):
-            y0 = 2 * bl
-            for sp in self.sched.blockline_plans(bl):
-                b = sp.block
-                col = self.cols[b.slice_col]
-                booked = []   # (cycle, bank order, bank) of every grant
-                # book block row-writes (values from the golden decode)
-                x0 = plan.slice_base_x(b.slice_col) + BLOCK_W * b.block_x
-                write_booked = []
-                for rec in sp.writes:
-                    row_y = y0 if rec.buffer == "upper" else y0 + 1
-                    if self._book(rec, booked, rgb[row_y, x0:x0 + BLOCK_W],
-                                  row_y):
-                        write_booked.append(rec)
-                # book display reads
-                for rec in sp.display_reads:
-                    self._book(rec, booked)
-                # book prediction fetches
-                fetch_booked = [(rec, demand) for rec, demand in sp.fetches
-                                if self._book(rec, booked)]
-                self._commit_slot(sp.cycle_base, booked, write_booked,
-                                  fetch_booked)
-                # slide the window and verify availability for this block
-                self._advance_window(b, col)
-                served, misses, mismatches = self._serve_window(b, col)
-                windows_served += 1
-                pixels_served += served
-                self.log.availability_misses += misses
-                self.log.prediction_mismatches += mismatches
-                # record the decoded block for forwarding / admission
-                col.history.append((b.block_x,
-                                    rgb[y0:y0 + 2, x0:x0 + BLOCK_W],
-                                    yco[y0:y0 + 2, x0:x0 + BLOCK_W]))
-                self._drain_bank_violations()
-
-        # display-only tail after the last decode slot
-        slot = plan.total_blocklines * self.sched.slots_per_blockline
-        while self._next_display_k < self.sched.total_display_words:
-            base = CYCLES_PER_SLOT * slot
-            booked = []
-            for k in self.sched.display_words_in(base, base + CYCLES_PER_SLOT):
-                self._book(self.sched.display_record(k), booked)
-            self._commit_slot(base, booked)
-            self._drain_bank_violations()
-            slot += 1
-
-        peak = [c.recon.peak_occupancy for c in self.cols]
+    def _result(self, windows_served, pixels_served, peak) -> EngineResult:
         return EngineResult(
             violations=self.log,
             latency_cycles=self.sched.latency,
-            total_cycles=total_cycles,
-            peak_recon_per_column=peak,
+            total_cycles=total_frame_cycles(self.preset, self.plan),
+            peak_recon_per_column=list(peak),
             recon_capacity=self.capacity,
             windows_served=windows_served,
             pixels_served=pixels_served,
             assembly_peak_pixels=self._stage_words_static * PIXELS_PER_WORD,
             preset=self.preset,
-            plan=plan,
+            plan=self.plan,
             config=self.cfg,
             trace_rows=self.trace_rows,
             violation_rows=self.violation_rows,
         )
 
-    def _book(self, rec, booked, values=None, line_y=-1) -> bool:
-        """Request one access; a grant joins the slot's commit list and the
-        trace.  Returns whether it was granted."""
-        order, bank = self._bank_at[rec.buffer, rec.bank_id]
-        if not bank.request_access(rec, values=values, line_y=line_y):
-            return False
-        booked.append((rec.cycle, order, bank))
+    # -- main loop -------------------------------------------------------------
+
+    def run(self) -> EngineResult:
+        plan = self.plan
+        self._setup_passes()
+        rgb = self.oracle.golden_frame(plan.image.width, plan.image.height)
+        self._rgb, self._yco = rgb, ycocg_frame(rgb)
+        spb = self.sched.slots_per_blockline
+        pixels_served = 0
+        for bl in range(plan.total_blocklines):
+            tm, d = self._template(bl)
+            b = self.sched.shift_bookings(tm.bookings, d) if d else tm.bookings
+            display, staged, found = self._commit_slot(tm, b)
+            self._check_display_word(*display)
+            stage = _Stage(self, staged)
+            resident = self._advance_window(bl, stage)
+            served, misses, mismatches = self._serve_window(bl, stage,
+                                                            resident)
+            pixels_served += served
+            self.log.availability_misses += misses
+            self.log.prediction_mismatches += mismatches
+            self._drain_bank_violations(tm, b, found)
+
+        # display-only tail after the last decode slot
+        total = self.sched.total_display_words
+        if self._next_display_k < total:
+            slot0 = plan.total_blocklines * spb
+            last = self.sched.display_read_cycle(total - 1) // CYCLES_PER_SLOT
+            plans = (BlockSlotPlan(None, CYCLES_PER_SLOT * s, display_reads=[
+                self.sched.display_record(k) for k in self.sched
+                .display_words_in(CYCLES_PER_SLOT * s, CYCLES_PER_SLOT * (s + 1))])
+                for s in range(slot0, last + 1))
+            tm = Pass(self, self.sched.booking_arrays(plans, slot0), None)
+            display, _, found = self._commit_slot(tm, tm.bookings)
+            self._check_display_word(*display)
+            self._drain_bank_violations(tm, tm.bookings, found)
+
+        return self._result(plan.total_blocklines * spb, pixels_served,
+                            self._peak)
+
+    def _template(self, bl):
+        """The pass of blockline bl's class, and how many blocklines bl
+        lies after it."""
+        key = self.sched._blockline_class(bl)
+        tm = self._templates.get(key)
+        if tm is None:
+            spb = self.sched.slots_per_blockline
+            plans = map(self.sched.slot_plan, range(bl * spb, (bl + 1) * spb))
+            tm = Pass(self, self.sched.booking_arrays(plans, bl * spb), bl)
+            self._templates[key] = tm
+        return tm, bl - tm.bl0
+
+    def _commit_slot(self, tm, b):
+        """Commit one pass's granted bookings `b` on the line buffers, word
+        by word in commit order.  A write overwriting a word that still owes
+        display or fetch reads is a hazard; it records both counts and
+        clears them.  A read of a never-written word is an underflow.  A
+        flip fault lands before the commits of its cycle.  Returns the
+        display reads in commit order, the fetches that staged their word
+        (the bank then held the demanded line) and the pass's hazards and
+        underflows."""
         if self.cfg.collect_trace:
-            self.trace_rows.append(
-                (rec.cycle, rec.slice_col, rec.buffer, rec.bank_id, rec.op,
-                 rec.word_index, rec.purpose.value, rec.block_id))
-        return True
+            g = tm.granted
+            self.trace_rows.extend(zip(
+                b[CYCLE][g].tolist(), *tm.trace_static, b[BLOCK][g].tolist()))
+        wk, typ, eb = tm.ev_wk, tm.ev_typ, tm.ev_b
+        held = self._word_line[wk]
+        written = (tm.last_write >= 0) | (held >= 0)
+        first_seg = tm.last_write < 0
+        owed = []
+        for i, (arm, read) in enumerate(((ARM_DISPLAY, READ_DISPLAY),
+                                         (ARM_FETCH, READ_FETCH))):
+            step = (typ == arm).astype(np.int64) - ((typ == read) & written)
+            start = np.where(first_seg, self._word_owed[i][wk], 0)
+            owed.append(owed_reads(step, start, tm.seg, tm.seg_head))
+        # every event's source: the word's last write before it, in this
+        # pass or carried in
+        lw = tm.last_write
+        mine = lw >= 0
+        wb = eb[lw]
+        line = np.where(mine, b[LINE][wb], held)
+        src_x = np.where(mine, b[PX][wb], self._word_x[wk])
+        cycle = b[CYCLE][eb]
+        parity = np.zeros(len(wk), dtype=np.int64)
+        if self._flips:
+            w_cycle = np.where(mine, b[CYCLE][wb], self._word_cycle[wk])
+            for fwk, fc in self._flips:
+                parity ^= (wk == fwk) & (w_cycle < fc) & (fc <= cycle)
 
-    def _commit_slot(self, base, booked, write_recs=(), fetch_booked=()):
-        """Commit the slot's granted accesses in cycle order, banks in
-        `self.banks` order within a cycle.  Idle (cycle, bank) pairs are not
-        visited, so a bank's frontier stays at its last booked cycle.  A
-        flip fault lands before the commits of its cycle.  A fetched word
-        enters its column's stage as read at its fetch cycle, if the bank
-        then holds the demanded line."""
-        flips = self._flips
-        armed = False
-        for cyc, _, bank in sorted(booked):
-            if not armed and cyc > base:
-                self._arm_required_reads(base, write_recs, fetch_booked)
-                armed = True
-            while flips and flips[0].cycle <= cyc:
-                self._apply_flip(flips.popleft())
-            rec, vals = bank.commit_cycle(cyc)
-            if rec.purpose is Purpose.OUTPUT_READ:
-                self._check_display_word(rec, vals)
-            elif rec.purpose is Purpose.PREDICT_FETCH and vals is not None:
-                demand = next(d for r, d in fetch_booked if r is rec)
-                if bank.line_tag[rec.word_index] == demand.line_y:
-                    col = self.cols[demand.slice_col]
-                    s = demand.line_y & 3
-                    col.stage_vals[s, demand.word_local] = vals
-                    col.stage_line[s, demand.word_local] = demand.line_y
-        if not armed:
-            self._arm_required_reads(base, write_recs, fetch_booked)
-        while flips and flips[0].cycle < base + CYCLES_PER_SLOT:
-            self._apply_flip(flips.popleft())
+        w = tm.writes
+        hazards = w[(owed[0][w] > 0) | (owed[1][w] > 0)]
+        found = (hazards, owed[0][hazards], owed[1][hazards],
+                 tm.reads[~written[tm.reads]])
+        o = tm.display
+        display = (cycle[o], written[o], line[o], src_x[o], parity[o])
+        f = tm.fetches
+        ok = written[f] & (line[f] == b[LINE][eb[f]])
+        f = f[ok]
+        staged = (tm.fetch_key[ok], tm.fetch_slot[ok], line[f], src_x[f],
+                  parity[f])
 
-    def _arm_required_reads(self, base, write_recs, fetch_booked):
-        """New data in place after the slot's first cycle: arm the
-        required-read checks against the overwrites that follow (display once
-        per word, plus any prediction fetch scheduled on current contents)."""
-        for rec in write_recs:
-            self.banks[(rec.buffer, rec.bank_id)].register_required_reads(
-                rec.word_index, 1, "output")
-        for rec, _ in fetch_booked:
-            if rec.cycle > base:
-                self.banks[(rec.buffer, rec.bank_id)] \
-                    .register_required_reads(rec.word_index, 1, "fetch")
+        # carry out each word's state after its last event
+        t = tm.tail
+        words = wk[t]
+        after_write = typ[t] == WRITE_EVENT
+        for i in (0, 1):
+            self._word_owed[i][words] = np.where(after_write, 0, owed[i][t])
+        has = tm.tail_write >= 0
+        src = eb[tm.tail_write[has]]
+        self._word_line[words[has]] = b[LINE][src]
+        self._word_x[words[has]] = b[PX][src]
+        self._word_cycle[words[has]] = b[CYCLE][src]
+        return display, staged, found
 
-    def _apply_flip(self, f):
-        for (buf, bk), bank in self.banks.items():
-            if buf == f.buffer:
-                bank.values[f.word_index] ^= 1
+    def _check_display_word(self, cycle, written, line, src_x, parity):
+        """The display reads of one pass in commit order: raster word k must
+        be read at `display_read_cycle(k)`, and a written word must hold the
+        golden pixels of its place."""
+        k0 = self._next_display_k
+        k = np.arange(k0, k0 + len(cycle))
+        self._next_display_k += len(cycle)
+        expected = self.sched.display_read_cycle(k)
+        off = np.flatnonzero(cycle != expected)
+        if off.size:
+            i = off[0]
+            raise AssertionError(f"display word {k[i]} read at {cycle[i]}, "
+                                 f"expected {expected[i]}")
+        r = np.flatnonzero(written)   # an underflow is the bank's to count
+        y, x = np.divmod(k[r], self.sched.words_per_image_line)
+        x *= PIXELS_PER_WORD
+        got = self._rgb[line[r][:, None], src_x[r][:, None] + _PIXEL] \
+            ^ parity[r][:, None, None]
+        want = self._rgb[y[:, None], x[:, None] + _PIXEL]
+        bad = (got != want).any(axis=-1).sum(axis=-1)
+        hit = np.flatnonzero(bad)
+        if hit.size:
+            self.log.output_mismatches += int(bad.sum())
+            for i in hit[:self._room("output_mismatches")].tolist():
+                self._note("output_mismatches", (int(k[r][i]), int(y[i]),
+                                                 int(x[i]), int(bad[i])))
 
-    def _check_display_word(self, rec, vals):
-        k = self._next_display_k
-        self._next_display_k += 1
-        wpl = self.sched.words_per_image_line
-        y, i = divmod(k, wpl)
-        exp_cycle = self.sched.display_read_cycle(k)
-        if rec.cycle != exp_cycle:
-            raise AssertionError(
-                f"display word {k} read at {rec.cycle}, expected {exp_cycle}")
-        if vals is None:
-            return  # underflow already recorded by the bank
-        x = i * PIXELS_PER_WORD
-        bad = _bad_pixels(vals, self._rgb[y, x:x + PIXELS_PER_WORD])
-        if bad:
-            self.log.output_mismatches += bad
-            self._note("output_mismatches", (k, y, x, bad))
+    def _drain_bank_violations(self, tm, b, found):
+        """Count and log the pass's conflicts, hazards and underflows in
+        drain order: per slot and bank, conflicts in booking order, then
+        hazards, then underflows, each in cycle order."""
+        hz, hz_out, hz_fetch, uf = found
+        if not (tm.conflicts or hz.size or uf.size):
+            return
+        cb = np.array([c[0] for c in tm.conflicts], dtype=np.int64)
+        hb, ub = tm.ev_b[hz], tm.ev_b[uf]
+        self.log.conflicts += len(cb)
+        self.log.hazards += len(hb)
+        self.log.underflows += len(ub)
+        at = np.concatenate([cb, hb, ub])
+        cls = np.repeat([0, 1, 2], [len(cb), len(hb), len(ub)])
+        which = np.concatenate([np.arange(len(cb)), np.arange(len(hb)),
+                                np.arange(len(ub))])
+        tie = np.where(cls == 0, at, b[CYCLE][at])
+        order = np.lexsort((tie, cls, b[BANK][at], b[SLOT][at]))
+        tracing = self.cfg.collect_trace
+        names = ("conflicts", "hazards", "underflows")
+        room = [self._room(c) for c in names]
+        if not tracing:   # only the detail samples are built
+            keep = np.zeros(len(order), dtype=bool)
+            for c in range(3):
+                keep[np.flatnonzero(cls[order] == c)[:max(room[c], 0)]] = True
+            order = order[keep]
+        for c, j, i in zip(cls[order].tolist(), which[order].tolist(),
+                           at[order].tolist()):
+            buf, bank = self.bank_keys[int(b[BANK][i])]
+            cyc, word = int(b[CYCLE][i]), int(b[WORD][i])
+            purpose = PURPOSES[b[PURPOSE][i]]
+            if c == 0:
+                _, first_purpose, first_word = tm.conflicts[j]
+                v = ConflictViolation(cyc, buf, bank, first_purpose, purpose,
+                                      first_word, word, int(b[BLOCK][i]))
+                row = (cyc, -1, buf, bank, "conflict", word, purpose.value,
+                       v.block_id)
+            elif c == 1:
+                v = HazardViolation(cyc, buf, bank, word, int(hz_out[j]),
+                                    int(hz_fetch[j]), int(b[BLOCK][i]))
+                row = (cyc, -1, buf, bank, "hazard", word,
+                       Purpose.WRITE_BLOCK_ROW.value, v.block_id)
+            else:
+                v = UnderflowViolation(cyc, buf, bank, word, purpose)
+                row = (cyc, -1, buf, bank, "underflow", word, purpose.value,
+                       -1)
+            if room[c] > 0:
+                self._note(names[c], v)
+                room[c] -= 1
+            if tracing:
+                self.violation_rows.append(row)
 
     # -- window service ----------------------------------------------------------
 
-    def _advance_window(self, b, col):
-        plan = self.plan
-        base_x = plan.slice_base_x(b.slice_col)
-        left = base_x + BLOCK_W * b.block_x
-        if b.block_x == 0:
-            col.recon.clear()
-            col.history.clear()
-            if not plan.is_first_blockline_of_slice(b.blockline):
-                self._admit_prev(b, col, left, base_x, full=True)
-            return
-        col.recon.slide()
-        if not plan.is_first_blockline_of_slice(b.blockline):
-            self._admit_prev(b, col, left, base_x, full=False)
-        # rows: without forwarding the previous block becomes resident now; with
-        # forwarding it is served from the pipe this slot and stored at the next
-        if self.preset.residency.forwarding_enabled:
-            if len(col.history) == 2:
-                yco2 = col.history[0][2]
-                for section, row in self._resident_rows:
-                    col.recon.admit_run(section, -2 * BLOCK_W, yco2[row])
-        elif col.history:
-            yco1 = col.history[-1][2]
-            for section, row in self._resident_rows:
-                col.recon.admit_run(section, -BLOCK_W, yco1[row])
+    def _advance_window(self, bl, stage):
+        """The recon buffers' residency over one blockline, column by
+        column: per block in decode order, clear at block 0 or else slide
+        by one block, admit the previous line's pixels entering the window
+        (if their word is staged with that line), then the resident rows of
+        the block decoded `_row_lag` blocks back; the newest pixels are
+        rejected when the buffer is full.  A section admits each pixel x at
+        most once per blockline, so the admitted x say which window pixels
+        are resident at every block.  Returns, per section, the admitted x
+        and (for the previous line) which of them hold a wrong value."""
+        if not self._resident:
+            return {}
+        n, sw = self.plan.words_per_line, self.plan.slice_width
+        cols = self.plan.slices.columns
+        out = {}
+        codes = None
+        if self._resident[0][0] == "prev" and \
+                not self.plan.is_first_blockline_of_slice(bl):
+            prev_y = 2 * bl - 1
+            x = np.arange(sw)
+            entry = stage.at(
+                self.stage_key(np.arange(cols)[:, None], prev_y,
+                               x // PIXELS_PER_WORD),
+                self._slot_of[:, self._enter_slot_bx])
+            cand = self._enter_ok & (stage.line[entry] == prev_y)
+            out["prev"] = [None, stage.bad(False, prev_y)[
+                entry, x % PIXELS_PER_WORD]]
+            bits = cand[:, self._enter_x] & self._enter_in
+            codes = (bits.astype(np.int64) << np.arange(BLOCK_W)).sum(-1) \
+                .tolist()
+            lo = self._resident[0][1]
+            full = [sum(1 << (p - lo) for p in
+                        self._full_x[cand[c, self._full_x]].tolist())
+                    for c in range(cols)]
+        cap, lag, enter = self.capacity, self._row_lag, self._enter_bits
+        res = self._resident
+        ns = len(res)
+        admitted = [[] for _ in res]
+        for c in range(cols):
+            masks = [0] * ns
+            adm = [0] * ns
+            occ = 0
+            peak = self._peak[c]
+            for bx in range(n):
+                if bx:
+                    for i in range(ns):
+                        if masks[i]:
+                            occ -= (masks[i] & _BLOCK_BITS).bit_count()
+                            masks[i] >>= BLOCK_W
+                for i, (s, lo, row_bits) in enumerate(res):
+                    if s == "prev":
+                        if codes is None:
+                            continue
+                        cand = enter[codes[c][bx]] if bx else full[c]
+                    elif bx >= lag:
+                        cand = row_bits
+                    else:
+                        continue
+                    if not cand:
+                        continue
+                    k = cand.bit_count()
+                    if k > cap - occ:
+                        cand = _lowest_bits(cand, cap - occ)
+                        k = cand.bit_count()
+                    masks[i] |= cand
+                    occ += k
+                    sh = BLOCK_W * bx + lo
+                    adm[i] |= cand << sh if sh >= 0 else cand >> -sh
+                if occ > peak:
+                    peak = occ
+            self._peak[c] = peak
+            for i in range(ns):
+                admitted[i].append(adm[i])
+        nbytes = -(-sw // 8)
+        for (s, _, _), masks in zip(res, admitted):
+            raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+            adm = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                                bitorder="little").reshape(cols, -1)[:, :sw]
+            out.setdefault(s, [None, None])[0] = adm.astype(bool)
+        return out
 
-    def _admit_prev(self, b, col, left, base_x, full):
-        if self.preset.residency.routes["prev"] != RESIDENT:
-            return
-        lo, hi = self.spec.prev_line_span
-        prev_y = 2 * b.blockline - 1
-        r0 = max(lo, base_x - left) if full else hi - BLOCK_W + 1
-        stage_line = col.stage_line[prev_y & 3]
-        stage_vals = col.stage_vals[prev_y & 3]
-        r = r0
-        while r <= hi:
-            x = left + r
-            if x < base_x:
-                r += 1
-                continue
-            if x >= base_x + self.plan.slice_width:
-                break
-            wloc = (x - base_x) // PIXELS_PER_WORD
-            j = (x - base_x) % PIXELS_PER_WORD
-            n = PIXELS_PER_WORD - j
-            if r + n - 1 > hi:
-                n = hi - r + 1
-            if stage_line[wloc] == prev_y:
-                col.recon.admit_run("prev", r, stage_vals[wloc, j:j + n])
-            r += n
-
-    def _serve_window(self, b, col):
-        """Serve every unclipped window pixel by exactly one path and compare
-        the value against the oracle.  Returns (served, misses, mismatches)."""
-        plan = self.plan
-        base_x = plan.slice_base_x(b.slice_col)
-        left = base_x + BLOCK_W * b.block_x
-        hi_x = base_x + plan.slice_width - 1
-        first = plan.is_first_blockline_of_slice(b.blockline)
-        served = misses = mismatches = 0
-        y0 = 2 * b.blockline
+    def _serve_window(self, bl, stage, resident):
+        """Serve every unclipped window pixel of the blockline's blocks by
+        exactly one path and compare the value against the oracle.  Returns
+        (served, misses, mismatches)."""
+        first = self.plan.is_first_blockline_of_slice(bl)
+        cols = self.plan.slices.columns
         streaming = self.preset.fetch_kind == STREAMING
-        for section, dy, lo_s, parts in self._window:
-            if dy < 0:
-                if first:
-                    continue
-                golden = self._rgb
-            else:
-                golden = self._yco
-            y = y0 + dy
-            store = col.recon.sections[section]
-            for (plo, phi, route) in parts:
-                xa = max(left + plo, base_x)
-                xb = min(left + phi, hi_x)
-                if xb < xa:
-                    continue
-                m = xb - xa + 1
-                want = golden[y, xa:xb + 1]
-                n_miss = n_bad = 0
-                if route == RESIDENT:
-                    i0 = xa - left - lo_s
-                    vmask = store.valid[i0:i0 + m]
-                    vals = store.values[i0:i0 + m]
-                    if vmask.all():
-                        n_bad = _bad_pixels(vals, want)
-                    else:
-                        n_miss = int(m - vmask.sum())
-                        n_bad = _bad_pixels(vals[vmask], want[vmask])
-                elif route == "forwarded":
-                    hist_ok = col.history and \
-                        col.history[-1][0] == b.block_x - 1
-                    if hist_ok:
-                        yrow = col.history[-1][2][dy]
-                        offs = xa - (left - BLOCK_W)
-                        n_bad = _bad_pixels(yrow[offs:offs + m], want)
-                    else:
-                        n_miss = m
-                elif route == FETCH and streaming and section != "row0":
-                    n_miss, n_bad = self._serve_fetched(
-                        col, section, y, xa, xb, base_x, want)
-                else:
-                    n_miss = m
-                served += m - n_miss - n_bad
-                misses += n_miss
-                mismatches += n_bad
-                if n_miss:
-                    self._note("availability_misses",
-                               (b.global_block_index, section, n_miss))
-                if n_bad:
-                    self._note("prediction_mismatches",
-                               (b.global_block_index, section, n_bad))
-        return served, misses, mismatches
-
-    def _serve_fetched(self, col, section, y, xa, xb, base_x, want):
-        """Serve a contiguous span from the fetch stage (streaming presets)."""
-        wa = (xa - base_x) // PIXELS_PER_WORD
-        wb = (xb - base_x) // PIXELS_PER_WORD
-        s = y & 3
-        tags = col.stage_line[s, wa:wb + 1]
-        p0 = (xa - base_x) - wa * PIXELS_PER_WORD
-        m = xb - xa + 1
-        if (tags == y).all():
-            flat = col.stage_vals[s, wa:wb + 1].reshape(-1, 3)[p0:p0 + m]
-            if section == "prev":
-                return 0, _bad_pixels(flat, want)
-            if not self.preset.residency.reconvert_on_fetch:
-                return m, 0
-            # `want` is the reconvert of the golden RGB, so a stage holding
-            # the golden RGB serves it exactly and needs no reconvert here
-            if flat.tobytes() == self._rgb[y, xa:xb + 1].tobytes():
-                return 0, 0
-            return 0, _bad_pixels(ycocg_frame(flat), want)
-        # some words missing: serve word by word
-        n_miss = n_bad = 0
-        reconv = self.preset.residency.reconvert_on_fetch
-        for w in range(wa, wb + 1):
-            x0 = max(xa, base_x + w * PIXELS_PER_WORD)
-            x1 = min(xb, base_x + (w + 1) * PIXELS_PER_WORD - 1)
-            cnt = x1 - x0 + 1
-            if col.stage_line[s, w] != y or (section != "prev" and not reconv):
-                n_miss += cnt
+        reconvert = self.preset.residency.reconvert_on_fetch
+        counts = []   # per part: (misses, mismatches), each (cols, blocks)
+        sections = []
+        served = 0
+        for part in self._window_parts:
+            s, dy, route = part["section"], part["dy"], part["route"]
+            if dy < 0 and first:
                 continue
-            j = x0 - base_x - w * PIXELS_PER_WORD
-            px = col.stage_vals[s, w, j:j + cnt]
-            got = px if section == "prev" else ycocg_frame(px)
-            n_bad += _bad_pixels(got, want[x0 - xa:x0 - xa + cnt])
-        return n_miss, n_bad
-
+            y = 2 * bl + dy
+            inside, size = part["inside"], part["size"]
+            n_bad = 0
+            if route == RESIDENT:
+                # only previous-line pixels can hold a wrong value: a current
+                # row's pixels are the decoded block's YCoCg, which the
+                # model takes from the golden frame
+                adm, bad = resident[s]
+                ok = adm[:, part["x"]] & inside
+                if bad is not None:
+                    n_bad = np.count_nonzero(ok & bad[:, part["x"]], axis=-1)
+            elif route == "forwarded":
+                ok = np.broadcast_to(inside, (cols,) + inside.shape)
+            elif route == FETCH and streaming and s != "row0" and \
+                    (s == "prev" or reconvert):
+                entry = stage.at(
+                    self.stage_key(np.arange(cols)[:, None, None], y,
+                                   part["words"]),
+                    self._slot_of[:, :, None])
+                pe = entry[:, :, part["word_at"]]
+                ok = (stage.line[pe] == y) & inside
+                n_bad = np.count_nonzero(
+                    ok & stage.bad(s != "prev", y)[pe, part["pixel"]], axis=-1)
+            else:
+                ok = np.zeros((cols,) + inside.shape, dtype=bool)
+            n_ok = np.count_nonzero(ok, axis=-1)
+            counts.append((size - n_ok, n_bad + np.zeros_like(n_ok)))
+            sections.append(s)
+            served += int(n_ok.sum() - np.sum(n_bad))
+        if not counts:
+            return 0, 0, 0
+        misses = sum(int(m.sum()) for m, _ in counts)
+        mismatches = sum(int(m.sum()) for _, m in counts)
+        spb = self.sched.slots_per_blockline
+        for k, name in ((0, "availability_misses"),
+                        (1, "prediction_mismatches")):
+            room = self._room(name)
+            if room <= 0 or not (misses if k == 0 else mismatches):
+                continue
+            # (slot, part) in decode order
+            per = np.stack([c[k] for c in counts])[
+                :, self._slot_col, self._slot_bx].T
+            for t, p in zip(*np.nonzero(per)):
+                if room <= 0:
+                    break
+                self._note(name, (bl * spb + int(t), sections[p],
+                                  int(per[t, p])))
+                room -= 1
+        return served, misses, mismatches
 
 def run_simulation(cfg: SimConfig) -> EngineResult:
     """Deterministic full run; violations are reported, never raised."""

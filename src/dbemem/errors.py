@@ -10,10 +10,6 @@ class RangeError(IndexError):
     """Coordinate or address outside the valid range."""
 
 
-class MissError(LookupError):
-    """Prediction-window pixel not available in the reconstruction buffer."""
-
-
 class InfeasibleError(RuntimeError):
     """No resident set can satisfy the requested schedule."""
 

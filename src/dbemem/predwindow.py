@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, MissError
+from .errors import ConfigError
 from .geometry import BLOCK_W
 
 SECTIONS = ("prev", "row0", "row1")
@@ -203,13 +203,3 @@ class ReconBufferState:
         if self._occ > self.peak_occupancy:
             self.peak_occupancy = self._occ
         return int(sel.shape[0])
-
-    def read(self, section: str, rel: int) -> np.ndarray:
-        st = self.sections[section]
-        i = st.idx(rel)
-        if not 0 <= i < st.valid.shape[0]:
-            raise MissError(f"{section} rel {rel} outside window span")
-        if not st.valid[i]:
-            raise MissError(f"{section} rel {rel} not resident")
-        return st.values[i]
-

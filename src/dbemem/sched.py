@@ -17,6 +17,8 @@ per slot fits without conflicts, which is exactly what the split buys.
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ConfigError, require_int
 from .geometry import (BLOCK_W, CYCLES_PER_SLOT, BlockCoord, GeometryPlan,
                        PIXELS_PER_WORD, block_at_slot)
@@ -29,6 +31,12 @@ HALF_LINE = "half_line"
 
 REFILL = "refill"          # fixed fetch cycle per slot, feeds the resident window
 STREAMING = "streaming"    # fetch on any free lower-bank cycle, serve on demand
+
+# the rows of `Scheduler.booking_arrays`, and its purpose codes
+BOOKING_FIELDS = ("slot", "cycle", "bank", "purpose", "word", "block", "col",
+                  "line", "px")
+SLOT, CYCLE, BANK, PURPOSE, WORD, BLOCK, COL, LINE, PX = range(9)
+WRITE, DISPLAY, FETCH_READ = range(3)
 
 
 @dataclass(frozen=True)
@@ -159,7 +167,6 @@ class Scheduler:
         self._span = {s: spec.span(s) for s in ("prev", "row0", "row1")}
         # buffer-for-line repeats with period 4 (ping-pong included)
         self._buf_of = [preset.buffer_for_line(y) for y in range(4)]
-        self._templates: dict = {}  # blockline class -> (blockline, plans)
 
     # -- addressing ----------------------------------------------------------
 
@@ -342,46 +349,62 @@ class Scheduler:
                     and not self.plan.is_first_blockline_of_slice(nxt))
         return (bl % 2, self.plan.is_first_blockline_of_slice(bl), warm)
 
-    def blockline_plans(self, bl: int) -> list[BlockSlotPlan]:
-        """The slot plans of blockline `bl`, in decode order.
+    def booking_arrays(self, plans, slot0: int) -> np.ndarray:
+        """The bookings of consecutive slot plans, the first at global slot
+        `slot0`, in booking order (per slot: writes, display reads,
+        fetches), as an int32 array with one row per field of
+        `BOOKING_FIELDS`:
 
-        The first blockline of each class is planned slot by slot with
-        `slot_plan` and kept as the class's template.  A later blockline of
-        the class, d blocklines on, is the template shifted: cycles by
-        d * 4 * slots_per_blockline, block ids by d * slots_per_blockline and
-        fetched lines by 2 * d.  d is even, so every line keeps its buffer.
+          slot     slot index from slot0
+          cycle    the access cycle
+          bank     the bank's place in commit order within a cycle:
+                   buffer index x banks per buffer + bank
+          purpose  WRITE, DISPLAY or FETCH_READ
+          word     word index in the line buffer
+          block    block id; -1 for display reads
+          col      slice column of the record
+          line     the image line written, displayed or demanded
+          px       x of the first of the word's 8 pixels on that line
         """
+        nb = self.preset.banks_per_buffer
+        buf_at = {name: i for i, name in enumerate(self.preset.buffer_names())}
+        rows = []
+        for sp in plans:
+            slot = sp.cycle_base // CYCLES_PER_SLOT - slot0
+            if sp.writes:
+                b = sp.block
+                y0 = 2 * b.blockline
+                x0 = self.plan.slice_base_x(b.slice_col) + BLOCK_W * b.block_x
+            for r in sp.writes:
+                rows.append((slot, r.cycle, buf_at[r.buffer] * nb + r.bank_id,
+                             WRITE, r.word_index, r.block_id, r.slice_col,
+                             y0 if r.buffer == "upper" else y0 + 1, x0))
+            # a slot's display reads are its display words, in order
+            ks = self.display_words_in(sp.cycle_base,
+                                       sp.cycle_base + CYCLES_PER_SLOT)
+            for k, r in zip(ks, sp.display_reads):
+                y, i = divmod(k, self.words_per_image_line)
+                rows.append((slot, r.cycle, buf_at[r.buffer] * nb + r.bank_id,
+                             DISPLAY, r.word_index, r.block_id, r.slice_col,
+                             y, PIXELS_PER_WORD * i))
+            for r, d in sp.fetches:
+                rows.append((slot, r.cycle, buf_at[r.buffer] * nb + r.bank_id,
+                             FETCH_READ, r.word_index, r.block_id, r.slice_col,
+                             d.line_y, self.plan.slice_base_x(d.slice_col)
+                             + PIXELS_PER_WORD * d.word_local))
+        return np.array(rows, dtype=np.int32).reshape(-1, len(BOOKING_FIELDS)).T
+
+    def shift_bookings(self, bookings: np.ndarray, d: int) -> np.ndarray:
+        """A blockline's `booking_arrays` moved d blocklines later, within
+        its class: cycles by d * 4 * slots_per_blockline, block ids by
+        d * slots_per_blockline and lines by 2 * d.  d is even, so every
+        line keeps its buffer."""
         spb = self.slots_per_blockline
-        key = self._blockline_class(bl)
-        entry = self._templates.get(key)
-        if entry is None:
-            plans = [self.slot_plan(s) for s in range(bl * spb, (bl + 1) * spb)]
-            self._templates[key] = (bl, plans)
-            return plans
-        bl0, plans = entry
-        if bl == bl0:
-            return plans
-        return [_shift_plan(sp, bl - bl0, spb) for sp in plans]
-
-
-def _shift_plan(sp: BlockSlotPlan, d: int, spb: int) -> BlockSlotPlan:
-    """`sp` moved d blocklines later; display reads carry no block id."""
-    ds = d * spb
-    dc = CYCLES_PER_SLOT * ds
-    dy = 2 * d
-    b = sp.block
-    return BlockSlotPlan(
-        BlockCoord(b.slice_col, b.block_x, b.blockline + d,
-                   b.global_block_index + ds),
-        sp.cycle_base + dc,
-        [AccessRecord(c + dc, buf, bank, op, w, p, blk + ds, col)
-         for c, buf, bank, op, w, p, blk, col in sp.writes],
-        [(AccessRecord(c + dc, buf, bank, op, w, p, blk + ds, col),
-          FetchDemand(line_y + dy, wl, sec, fcol, mo))
-         for (c, buf, bank, op, w, p, blk, col), (line_y, wl, sec, fcol, mo)
-         in sp.fetches],
-        [AccessRecord(c + dc, buf, bank, op, w, p, blk, col)
-         for c, buf, bank, op, w, p, blk, col in sp.display_reads])
+        out = bookings.copy()
+        out[CYCLE] += CYCLES_PER_SLOT * spb * d
+        out[BLOCK][out[BLOCK] >= 0] += spb * d
+        out[LINE] += 2 * d
+        return out
 
 
 def total_frame_cycles(preset: ArchPreset, plan: GeometryPlan) -> int:

@@ -92,8 +92,11 @@ def buffer_accounting(preset: ArchPreset, columns: int,
 
 def throughput_metrics(clock_hz: float, throughput_ppc: int,
                        width: int, height: int) -> dict:
-    if clock_hz <= 0 or throughput_ppc <= 0 or width <= 0 or height <= 0:
-        raise ConfigError("throughput metrics need positive inputs")
+    # NaN fails the comparison too
+    if not (0 < clock_hz < math.inf and throughput_ppc > 0 and width > 0
+            and height > 0):
+        raise ConfigError("throughput metrics need positive inputs and a "
+                          f"finite clock, got {clock_hz} Hz")
     mpix = clock_hz * throughput_ppc / 1e6
     fps = clock_hz * throughput_ppc / (width * height)
     return {"mpixels_per_sec": round(mpix, 2), "fps": round(fps, 2)}

@@ -7,7 +7,9 @@ from dbemem.errors import ConfigError
 from dbemem.geometry import Chroma, ImageGeometry, SliceLayout
 from dbemem.oracle import (ColorSpace, GoldenOracle, PixelValue, ycocg_frame,
                            ycocg_from_rgb)
+from dbemem.reference import ReferenceEngine
 from dbemem.sched import preset_baseline, preset_by_name
+from dbemem.shell import build_report, report_to_text
 
 PEAKS = {"baseline": 106, "type1": 90, "type2": 25}
 
@@ -78,12 +80,18 @@ def test_display_stream_verifies():
 
 
 def test_display_stream_rate_law_enforced():
-    # a display read off latency - read_lead + 2k is an engine fault
+    # a display read off latency - read_lead + 2k is an engine fault, in the
+    # engine's check of a pass's display reads and in the reference's
     eng = Engine(cfg_for("baseline"))
     rec = eng.sched.display_record(0)
     assert rec.cycle == eng.sched.latency - eng.sched.read_lead
+    one = np.ones(1, dtype=np.int64)
     with pytest.raises(AssertionError):
-        eng._check_display_word(rec._replace(cycle=rec.cycle + 1), None)
+        eng._check_display_word(np.array([rec.cycle + 1]),
+                                np.zeros(1, dtype=bool), one, one, one)
+    with pytest.raises(AssertionError):
+        ReferenceEngine(cfg_for("baseline"))._check_display_word(
+            rec._replace(cycle=rec.cycle + 1), None)
 
 
 # the clipped-window total: the same for every preset, since each window
@@ -109,6 +117,54 @@ def test_noop_fault_identical():
     r2 = inject_fault(cfg, FaultSpec("noop"))
     assert r1.violations.as_dict() == r2.violations.as_dict()
     assert r1.total_cycles == r2.total_cycles
+
+
+# every value each override accepts, and some it does not
+OVERRIDE_VALUES = {
+    "capacity_override": [0, 24, 25, 89, 90, 105, 106, 200],
+    "line_buffers_override": [2, 3],
+    "banks_override": [1, 2],
+    "delay_override": ["one_line", "half_line"],
+    "fetch_budget_override": [2, 3, 4],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PEAKS))
+def test_every_fault_changes_the_run_or_is_rejected(name):
+    """noop leaves the report text and the trace identical; every other
+    fault changes one of them or raises ConfigError."""
+    def outcome(*faults):
+        res = run_simulation(cfg_for(name, collect_trace=True,
+                                     faults=list(faults)))
+        return (report_to_text(build_report(res)), res.trace_rows,
+                res.violation_rows)
+
+    base = outcome()
+    assert outcome(FaultSpec("noop")) == base
+    for kind, values in OVERRIDE_VALUES.items():
+        for value in values:
+            try:
+                got = outcome(FaultSpec(kind, value=value))
+            except ConfigError:
+                continue
+            assert got != base, (kind, value)
+    assert outcome(FaultSpec("flip_word", buffer="lower0", word_index=5,
+                             cycle=182)) != base
+
+
+@pytest.mark.parametrize("name,kind,value", [
+    ("baseline", "line_buffers_override", 3),
+    ("baseline", "banks_override", 1),
+    ("baseline", "delay_override", "one_line"),
+    ("baseline", "capacity_override", 106),
+    ("type1", "capacity_override", 90),
+    ("type2", "capacity_override", 25),
+    ("type2", "banks_override", 2),
+    ("type1", "delay_override", "half_line"),
+])
+def test_override_to_the_current_value_rejected(name, kind, value):
+    with pytest.raises(ConfigError, match="already has"):
+        Engine(cfg_for(name, faults=[FaultSpec(kind, value=value)]))
 
 
 def test_unknown_fault_rejected():

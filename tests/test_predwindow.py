@@ -2,28 +2,30 @@ import numpy as np
 import pytest
 
 from dbemem.engine import Engine, SimConfig
-from dbemem.errors import ConfigError, MissError
+from dbemem.errors import ConfigError
 from dbemem.geometry import ImageGeometry, SliceLayout
 from dbemem.predwindow import (ReconBufferState, WindowSpec, policy_forwarding,
                                policy_full_resident, policy_streaming)
+from dbemem.reference import ReferenceEngine
 from dbemem.sched import preset_by_name
 
 PRESETS = ("baseline", "type1", "type2")
 
 
-def engine_for(name, width=640, height=64):
-    return Engine(SimConfig(ImageGeometry(width, height), SliceLayout(1, 1),
+def engine_for(name, width=640, height=64, engine=Engine):
+    return engine(SimConfig(ImageGeometry(width, height), SliceLayout(1, 1),
                             preset_by_name(name)))
 
 
 @pytest.fixture(scope="module")
 def window_px():
     """Window pixels per block, (preset, block_x, blockline) -> count, as
-    the engine's window service accounts them on clean 640x64 runs: every
-    unclipped window pixel is served, missed or mismatched, exactly once."""
+    the reference engine's per-block window service accounts them on clean
+    640x64 runs: every unclipped window pixel is served, missed or
+    mismatched, exactly once.  The differential tests hold `Engine` to it."""
     out = {}
     for name in PRESETS:
-        eng = engine_for(name)
+        eng = engine_for(name, engine=ReferenceEngine)
         serve = eng._serve_window
 
         def record(b, col, name=name, serve=serve):
@@ -102,13 +104,14 @@ def test_recon_slide_and_read():
     vals = np.arange(24, dtype=np.int32).reshape(8, 3)
     state.admit_run("row0", -8, vals)
     assert state.occupancy() == 8
-    assert tuple(state.read("row0", -8)) == (0, 1, 2)
+    row0 = state.sections["row0"]
+    assert row0.valid[row0.idx(-8)]
+    assert tuple(row0.values[row0.idx(-8)]) == (0, 1, 2)
     state.slide()
-    assert tuple(state.read("row0", -16)) == (0, 1, 2)
-    with pytest.raises(MissError):
-        state.read("row0", -8)       # slid out, nothing admitted yet
-    with pytest.raises(MissError):
-        state.read("row0", -40)      # outside the span
+    assert row0.valid[row0.idx(-16)]
+    assert tuple(row0.values[row0.idx(-16)]) == (0, 1, 2)
+    assert not row0.valid[row0.idx(-8):].any()   # slid out, nothing admitted
+    assert row0.occupancy() == state.occupancy() == 8
 
 
 def test_recon_capacity_rejects_newest():
@@ -120,8 +123,11 @@ def test_recon_capacity_rejects_newest():
     state.admit_run("row0", -9, np.ones((1, 3), dtype=np.int32))
     assert state.occupancy() == 24
     assert state.rejected == 1
-    with pytest.raises(MissError):
-        state.read("row0", -9)
+    row0 = state.sections["row0"]
+    assert not row0.valid[row0.idx(-9)]
+    assert row0.valid[row0.idx(-33):row0.idx(-9)].all()
+    state.slide()                    # the rejected pixel stays invalid
+    assert not row0.valid[row0.idx(-17)]
 
 
 def test_streaming_policy_ignores_fetch_sections():

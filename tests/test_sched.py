@@ -1,6 +1,7 @@
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from dbemem.engine import Engine, SimConfig
@@ -189,8 +190,10 @@ def test_warmup_fills_tail_slots():
 @pytest.mark.parametrize("budget", [None, 2])
 def test_blockline_replay_matches_slot_plan(name, interleave, read_latency,
                                             budget):
-    """Every slot of a replayed blockline equals slot_plan for that slot:
-    block, cycle base, writes, display reads and fetches with their demands."""
+    """Every blockline's bookings equal those of the first blockline of its
+    class, shifted by whole blocklines: the replay the engine runs is
+    slot_plan, field by field (cycle, bank, purpose, word, block, column,
+    line and pixel x)."""
     preset = preset_by_name(name)
     if budget is not None:
         preset = replace(preset, fetch_words_per_slot=budget)
@@ -199,12 +202,14 @@ def test_blockline_replay_matches_slot_plan(name, interleave, read_latency,
             plan = make_plan(320, 32, cols, rows, interleave)
             sched = Scheduler(preset, WindowSpec(), plan,
                               read_latency=read_latency)
-            reference = Scheduler(preset, WindowSpec(), plan,
-                                  read_latency=read_latency)
             n = sched.slots_per_blockline
+            templates = {}
             for bl in range(plan.total_blocklines):
-                plans = sched.blockline_plans(bl)
-                assert plans == [reference.slot_plan(s)
-                                 for s in range(bl * n, (bl + 1) * n)]
-            # replay happened: fewer templates than blocklines
-            assert len(sched._templates) < plan.total_blocklines
+                direct = sched.booking_arrays(
+                    map(sched.slot_plan, range(bl * n, (bl + 1) * n)), bl * n)
+                bl0, template = templates.setdefault(
+                    sched._blockline_class(bl), (bl, direct))
+                assert np.array_equal(
+                    sched.shift_bookings(template, bl - bl0), direct)
+            # replay happens: fewer classes than blocklines
+            assert len(templates) < plan.total_blocklines

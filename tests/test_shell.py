@@ -176,6 +176,15 @@ def test_cli_fps(capsys):
     assert "96.45 fps" in out
 
 
+@pytest.mark.parametrize("mhz", ["nan", "inf", "0"])
+def test_cli_fps_non_finite_clock_exit_two(capsys, mhz):
+    """A clock that is not positive and finite has no throughput."""
+    assert cli_main(["fps", "--width", "3840", "--height", "2160",
+                     "--mhz", mhz]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_cli_simulate_pass(tmp_path, capsys):
     cfg = write_cfg(tmp_path, CFG)
     rep = tmp_path / "r.json"
