@@ -22,7 +22,8 @@ from .ledger import (ARM_DISPLAY, ARM_FETCH, PURPOSES, READ_DISPLAY,
 from .membank import (ConflictViolation, HazardViolation, Purpose,
                       UnderflowViolation)
 from .oracle import GoldenOracle, ycocg_frame
-from .predwindow import FETCH, RESIDENT, SECTIONS, WindowSpec
+from .predwindow import (BLOCK_BITS, FETCH, RESIDENT, SECTIONS,
+                         ReconBufferState, WindowSpec)
 from .sched import (BANK, BLOCK, CYCLE, LINE, PURPOSE, PX, REFILL, SLOT,
                     STREAMING, WORD, ArchPreset, BlockSlotPlan, Scheduler,
                     total_frame_cycles)
@@ -163,7 +164,11 @@ def apply_faults_to_preset(preset: ArchPreset, faults,
 
 
 _PIXEL = np.arange(PIXELS_PER_WORD)
-_BLOCK_BITS = (1 << BLOCK_W) - 1   # a window section's lowest block
+
+
+def _at_x(bits: int, x0: int) -> int:
+    """A section's position bits as pixel-x bits, bit 0 being pixel x0."""
+    return bits << x0 if x0 >= 0 else bits >> -x0
 
 
 class _Stage:
@@ -221,17 +226,6 @@ class _Stage:
             bad[e] = (got != want).any(axis=-1)
             self._bad[reconvert, y] = bad
         return self._bad[reconvert, y]
-
-
-def _lowest_bits(bits: int, k: int) -> int:
-    """The k lowest set bits of `bits`."""
-    out = 0
-    while k > 0 and bits:
-        low = bits & -bits
-        out |= low
-        bits ^= low
-        k -= 1
-    return out
 
 
 class Engine:
@@ -292,9 +286,9 @@ class Engine:
             else:
                 parts.append((lo, hi, routes[s]))
             self._parts[s] = parts
-        # per section: name, line offset from the blockline's upper row,
-        # span start and parts
-        self._window = [(s, dy, self.spec.span(s)[0], self._parts[s])
+        # per section: name, line offset from the blockline's upper row
+        # and parts
+        self._window = [(s, dy, self._parts[s])
                         for s, dy in zip(SECTIONS, (-1, 0, 1))]
         self._stage_words_static = self._stage_words()
 
@@ -315,11 +309,13 @@ class Engine:
         sw = self.plan.slice_width
         self._key_x = (np.arange(cols * 4 * n) // (4 * n) * sw
                        + np.arange(cols * 4 * n) % n * PIXELS_PER_WORD)
-        # carried from pass to pass: per (buffer, word) the line it holds
-        # (-1: never written), its first pixel x and last write cycle, and
-        # the display and fetch reads it still owes; per stage key the
-        # staged line, its source x and flip parity
+        # carried from pass to pass: per bank the cycle after its last
+        # commit; per (buffer, word) the line it holds (-1: never written),
+        # its first pixel x and last write cycle, and the display and fetch
+        # reads it still owes; per stage key the staged line, its source x
+        # and flip parity
         n_wk = len(self.preset.buffer_names()) * LINE_WORDS
+        self._frontier = np.zeros(len(self.bank_keys), dtype=np.int64)
         self._word_line = np.full(n_wk, -1, dtype=np.int64)
         self._word_x = np.zeros(n_wk, dtype=np.int64)
         self._word_cycle = np.full(n_wk, -1, dtype=np.int64)
@@ -328,7 +324,6 @@ class Engine:
                        np.zeros(cols * 4 * n, dtype=np.int64),
                        np.zeros(cols * 4 * n, dtype=np.int64)]
         self._templates = {}   # blockline class -> its first blockline's Pass
-        self._peak = [0] * cols
         self._setup_residency()
         self._setup_window()
 
@@ -347,21 +342,15 @@ class Engine:
         return (col * 4 + (line & 3)) * self.plan.words_per_line + word
 
     def _setup_residency(self):
-        """What `_advance_window` needs besides the stage: the sections the
-        policy keeps pixels of, the rows' admission bits, and where each
-        previous-line pixel x enters the window."""
-        resident = self.preset.residency.resident_positions(self.spec)
+        """What `_advance_window` needs besides the stage: every column's
+        recon buffer, the sections the policy keeps pixels of, and where
+        each previous-line pixel x enters the window."""
+        self._recon = [ReconBufferState(self.spec, self.preset.residency,
+                                        self.capacity)
+                       for _ in range(self.plan.slices.columns)]
+        keep = self._recon[0].keep
+        self._resident = [s for s in SECTIONS if keep[s]]
         self._row_lag = 2 if self.preset.residency.forwarding_enabled else 1
-        rel0 = -self._row_lag * BLOCK_W
-        self._resident = []   # (section, span start, row admission bits)
-        for s in SECTIONS:
-            if not resident[s]:
-                continue
-            lo = self.spec.span(s)[0]
-            keep = set(resident[s])
-            bits = sum(1 << (r - lo) for r in range(rel0, rel0 + BLOCK_W)
-                       if r in keep and s != "prev")
-            self._resident.append((s, lo, bits))
         lo, hi = self.spec.prev_line_span
         n, sw = self.plan.words_per_line, self.plan.slice_width
         x = np.arange(sw)
@@ -376,9 +365,6 @@ class Engine:
         self._enter_x = np.clip(ex, 0, sw - 1)
         self._enter_in = (ex >= 0) & (ex < sw)
         self._full_x = np.arange(max(lo, 0), min(hi, sw - 1) + 1)
-        sh = hi - BLOCK_W + 1 - lo
-        self._enter_bits = [c << sh if sh >= 0 else c >> -sh
-                            for c in range(1 << BLOCK_W)]
 
     def _setup_window(self):
         """Per window part, the block x positions its pixels cover: which
@@ -386,7 +372,7 @@ class Engine:
         n, sw = self.plan.words_per_line, self.plan.slice_width
         bx = np.arange(n)[:, None]
         self._window_parts = []
-        for s, dy, _, parts in self._window:
+        for s, dy, parts in self._window:
             for plo, phi, route in parts:
                 r = np.arange(plo, phi + 1)
                 x = BLOCK_W * bx + r
@@ -465,7 +451,7 @@ class Engine:
             self._drain_bank_violations(tm, tm.bookings, found)
 
         return self._result(plan.total_blocklines * spb, pixels_served,
-                            self._peak)
+                            [r.peak_occupancy for r in self._recon])
 
     def _template(self, bl):
         """The pass of blockline bl's class, and how many blocklines bl
@@ -487,7 +473,17 @@ class Engine:
         flip fault lands before the commits of its cycle.  Returns the
         display reads in commit order, the fetches that staged their word
         (the bank then held the demanded line) and the pass's hazards and
-        underflows."""
+        underflows.  Like a bank model, a pass that books a bank behind a
+        cycle an earlier pass committed on it is a ConfigError (the pass's
+        own slots are held to this by `ledger.Pass`)."""
+        bank, cycles = b[BANK], b[CYCLE]
+        behind = np.flatnonzero(cycles < self._frontier[bank])
+        if behind.size:
+            i = behind[0]
+            raise ConfigError(f"access at cycle {cycles[i]} behind frontier "
+                              f"{self._frontier[bank[i]]}")
+        np.maximum.at(self._frontier, bank[tm.granted],
+                      cycles[tm.granted] + 1)
         if self.cfg.collect_trace:
             g = tm.granted
             self.trace_rows.extend(zip(
@@ -627,18 +623,19 @@ class Engine:
         column: per block in decode order, clear at block 0 or else slide
         by one block, admit the previous line's pixels entering the window
         (if their word is staged with that line), then the resident rows of
-        the block decoded `_row_lag` blocks back; the newest pixels are
-        rejected when the buffer is full.  A section admits each pixel x at
-        most once per blockline, so the admitted x say which window pixels
-        are resident at every block.  Returns, per section, the admitted x
-        and (for the previous line) which of them hold a wrong value."""
+        the block decoded `_row_lag` blocks back.  A section admits each
+        pixel x at most once per blockline, so the admitted x say which
+        window pixels are resident at every block.  Returns, per section,
+        the admitted x and (for the previous line) which of them hold a
+        wrong value."""
         if not self._resident:
             return {}
         n, sw = self.plan.words_per_line, self.plan.slice_width
         cols = self.plan.slices.columns
         out = {}
+        lo, hi = self.spec.prev_line_span
         codes = None
-        if self._resident[0][0] == "prev" and \
+        if self._resident[0] == "prev" and \
                 not self.plan.is_first_blockline_of_slice(bl):
             prev_y = 2 * bl - 1
             x = np.arange(sw)
@@ -649,54 +646,40 @@ class Engine:
             cand = self._enter_ok & (stage.line[entry] == prev_y)
             out["prev"] = [None, stage.bad(False, prev_y)[
                 entry, x % PIXELS_PER_WORD]]
+            # per block, the 8 previous-line pixels entering from hi - 7;
+            # at block 0 the whole span from lo
             bits = cand[:, self._enter_x] & self._enter_in
             codes = (bits.astype(np.int64) << np.arange(BLOCK_W)).sum(-1) \
                 .tolist()
-            lo = self._resident[0][1]
-            full = [sum(1 << (p - lo) for p in
-                        self._full_x[cand[c, self._full_x]].tolist())
-                    for c in range(cols)]
-        cap, lag, enter = self.capacity, self._row_lag, self._enter_bits
-        res = self._resident
-        ns = len(res)
-        admitted = [[] for _ in res]
-        for c in range(cols):
-            masks = [0] * ns
-            adm = [0] * ns
-            occ = 0
-            peak = self._peak[c]
+            for c in range(cols):
+                codes[c][0] = sum(1 << (p - lo) for p in
+                                  self._full_x[cand[c, self._full_x]].tolist())
+        rows = [s for s in self._resident if s != "prev"]
+        lag = self._row_lag
+        row_rel = -lag * BLOCK_W
+        admitted = {s: [] for s in self._resident}
+        for c, recon in enumerate(self._recon):
+            valid, span_lo = recon.valid, recon.lo
+            adm = dict.fromkeys(self._resident, 0)
             for bx in range(n):
                 if bx:
-                    for i in range(ns):
-                        if masks[i]:
-                            occ -= (masks[i] & _BLOCK_BITS).bit_count()
-                            masks[i] >>= BLOCK_W
-                for i, (s, lo, row_bits) in enumerate(res):
-                    if s == "prev":
-                        if codes is None:
-                            continue
-                        cand = enter[codes[c][bx]] if bx else full[c]
-                    elif bx >= lag:
-                        cand = row_bits
-                    else:
-                        continue
-                    if not cand:
-                        continue
-                    k = cand.bit_count()
-                    if k > cap - occ:
-                        cand = _lowest_bits(cand, cap - occ)
-                        k = cand.bit_count()
-                    masks[i] |= cand
-                    occ += k
-                    sh = BLOCK_W * bx + lo
-                    adm[i] |= cand << sh if sh >= 0 else cand >> -sh
-                if occ > peak:
-                    peak = occ
-            self._peak[c] = peak
-            for i in range(ns):
-                admitted[i].append(adm[i])
+                    recon.slide()
+                else:
+                    recon.clear()
+                if codes is not None:
+                    recon.admit_run("prev", hi - BLOCK_W + 1 if bx else lo,
+                                    codes[c][bx])
+                if bx >= lag:
+                    for s in rows:
+                        recon.admit_run(s, row_rel, BLOCK_BITS)
+                # a held position keeps its pixel x while it slides, so the
+                # positions held after each block are the admitted x
+                for s in adm:
+                    adm[s] |= _at_x(valid[s], BLOCK_W * bx + span_lo[s])
+            for s in self._resident:
+                admitted[s].append(adm[s])
         nbytes = -(-sw // 8)
-        for (s, _, _), masks in zip(res, admitted):
+        for s, masks in admitted.items():
             raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
             adm = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                                 bitorder="little").reshape(cols, -1)[:, :sw]

@@ -35,6 +35,13 @@ def owed_reads(step, start, seg, head):
     return q - np.minimum(low, 0)
 
 
+def _commit(banks, grants):
+    """Commit one slot's granted (cycle, bank) pairs on the bank models."""
+    for cyc, bank in sorted(grants):
+        banks[bank].commit_cycle(cyc)
+    grants.clear()
+
+
 class Pass:
     """The bookings of a run of slots (a blockline, or the display tail)
     with what stays fixed when a blockline is replayed d blocklines later:
@@ -45,20 +52,31 @@ class Pass:
         self.bl0 = bl0
         b = bookings
         n = b.shape[1]
-        # the port law, by the bank model: the first booking of a (bank,
-        # cycle) wins, a later one is a conflict and is not granted
+        # the booking protocol on the bank models, slot by slot: book the
+        # slot (the first booking of a (bank, cycle) wins, a later one is a
+        # conflict and is not granted), then commit its grants in cycle
+        # and bank order; a booking behind a cycle its bank has committed
+        # is a ConfigError
         banks = [SramBankModel(buf, bk) for buf, bk in eng.bank_keys]
         granted = np.ones(n, dtype=bool)
         conflicts = []
-        for i, (cyc, bank, p, word, blk, col) in enumerate(zip(
-                *b[[CYCLE, BANK, PURPOSE, WORD, BLOCK, COL]].tolist())):
+        slot_grants = []
+        at = None
+        for i, (slot, cyc, bank, p, word, blk, col) in enumerate(zip(
+                *b[[SLOT, CYCLE, BANK, PURPOSE, WORD, BLOCK, COL]].tolist())):
+            if slot != at:
+                _commit(banks, slot_grants)
+                at = slot
             buf, bk = eng.bank_keys[bank]
             rec = AccessRecord(cyc, buf, bk, OPS[p], word, PURPOSES[p],
                                blk, col)
-            if not banks[bank].request_access(rec):
+            if banks[bank].request_access(rec):
+                slot_grants.append((cyc, bank))
+            else:
                 granted[i] = False
                 v = banks[bank].conflicts[-1]
                 conflicts.append((i, v.first_purpose, v.first_word))
+        _commit(banks, slot_grants)
         self.conflicts = conflicts
         self.granted = g = np.flatnonzero(granted)   # in booking order
         if eng.cfg.collect_trace:

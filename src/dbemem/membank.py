@@ -147,7 +147,8 @@ class SramBankModel:
                     block_id=rec.block_id))
                 self.pending_output[w] = 0
                 self.pending_fetch[w] = 0
-            self.values[w] = values
+            if values is not None:   # a ledger-only booking carries none
+                self.values[w] = values
             self.written[w] = True
             self.line_tag[w] = line_y
             return (rec, None)

@@ -4,7 +4,8 @@ The window around a block has three sections: a span on the previous line
 (kept in RGB) and two spans on the current blockline's rows (kept in YCoCg).
 A ResidencyPolicy routes each section to the reconstruction buffer, the
 block-forwarding path, or per-need line-buffer fetches.  The circular
-reconstruction buffer slides by one block (8 relative positions) per slot.
+reconstruction buffer slides by one block (8 relative positions) per slot;
+both engines keep its residency with `ReconBufferState`.
 """
 
 from dataclasses import dataclass, field
@@ -103,58 +104,40 @@ def policy_streaming() -> ResidencyPolicy:
                            forwarding_enabled=True, reconvert_on_fetch=True)
 
 
-class SectionStore:
-    """One circular window section: values indexed by relative offset."""
+BLOCK_BITS = (1 << BLOCK_W) - 1   # one block of a section's positions
 
-    def __init__(self, lo: int, hi: int):
-        self.lo = lo
-        self.hi = hi
-        n = hi - lo + 1
-        self.values = np.zeros((n, 3), dtype=np.int32)
-        self.valid = np.zeros(n, dtype=bool)
 
-    def idx(self, rel: int) -> int:
-        return rel - self.lo
-
-    def slide(self, by: int = BLOCK_W) -> int:
-        """Shift down by one block; returns how many entries dropped out."""
-        n = self.valid.shape[0]
-        if by >= n:
-            dropped = int(self.valid.sum())
-            self.valid[:] = False
-            return dropped
-        dropped = int(self.valid[:by].sum())
-        self.values[:-by] = self.values[by:]
-        self.valid[:-by] = self.valid[by:]
-        self.valid[-by:] = False
-        return dropped
-
-    def occupancy(self) -> int:
-        return int(self.valid.sum())
+def _lowest_bits(bits: int, k: int) -> int:
+    """The k lowest set bits of `bits`."""
+    out = 0
+    while k > 0 and bits:
+        low = bits & -bits
+        out |= low
+        bits ^= low
+        k -= 1
+    return out
 
 
 class ReconBufferState:
-    """Per-slice-column reconstruction buffer: three circular sections with a
-    shared pixel capacity.  Admission is in ascending relative order; pixels
-    that would exceed the capacity are rejected (they will surface as
-    availability misses when the window needs them)."""
+    """Per-slice-column reconstruction buffer: which relative positions of
+    the three circular sections hold a pixel, under a shared pixel capacity.
+
+    A section's positions are the bits of one integer, `valid[section]`,
+    bit i for relative offset lo + i; a slide moves every section down by
+    one block.  Admission is in ascending relative order; pixels that would
+    exceed the capacity are rejected (they will surface as availability
+    misses when the window needs them).  The buffer keeps residency only:
+    the engines know the values a position holds."""
 
     def __init__(self, spec: WindowSpec, policy: ResidencyPolicy, capacity: int):
-        self.spec = spec
-        self.policy = policy
         self.capacity = capacity
-        self.sections = {s: SectionStore(*spec.span(s)) for s in SECTIONS}
+        self.lo = {s: spec.span(s)[0] for s in SECTIONS}
         resident = policy.resident_positions(spec)
-        self._resident_mask = {}
-        for s in SECTIONS:
-            store = self.sections[s]
-            mask = np.zeros(store.valid.shape[0], dtype=bool)
-            for r in resident[s]:
-                mask[store.idx(r)] = True
-            self._resident_mask[s] = mask
-        # a section the policy keeps nothing of never holds a valid entry
-        self._sliding = [self.sections[s] for s in SECTIONS
-                         if self._resident_mask[s].any()]
+        self.keep = {s: sum(1 << (r - self.lo[s]) for r in resident[s])
+                     for s in SECTIONS}
+        self.valid = dict.fromkeys(SECTIONS, 0)
+        # a section the policy keeps nothing of never holds a pixel
+        self._sliding = [s for s in SECTIONS if self.keep[s]]
         self.peak_occupancy = 0
         self.rejected = 0
         self._occ = 0
@@ -163,43 +146,44 @@ class ReconBufferState:
         return self._occ
 
     def slide(self) -> None:
-        for st in self._sliding:
-            self._occ -= st.slide()
+        valid = self.valid
+        for s in self._sliding:
+            v = valid[s]
+            if v:
+                self._occ -= (v & BLOCK_BITS).bit_count()
+                valid[s] = v >> BLOCK_W
 
     def clear(self) -> None:
-        for st in self.sections.values():
-            st.valid[:] = False
+        for s in SECTIONS:
+            self.valid[s] = 0
         self._occ = 0
 
-    def admit_run(self, section: str, rel0: int, values) -> int:
-        """Admit a contiguous run of previously-invalid positions starting at
-        rel0.  Positions outside the policy's resident mask are skipped;
-        overflow beyond the capacity is rejected from the tail (newest)."""
-        st = self.sections[section]
-        mask = self._resident_mask[section]
-        n = st.valid.shape[0]
-        i0 = st.idx(rel0)
-        count = len(values)
-        v0 = 0
-        if i0 < 0:
-            v0 = -i0
-            i0 = 0
-        i1 = min(i0 + count - v0, n)
-        if i1 <= i0:
+    def admit_run(self, section: str, rel0: int, bits: int) -> int:
+        """Admit the positions rel0 + i for the set bits i of `bits`, none
+        of which may hold a pixel yet.  Positions outside the section or the
+        policy's resident mask are skipped; overflow beyond the capacity is
+        rejected from the tail (newest).  Returns how many were admitted."""
+        sh = rel0 - self.lo[section]
+        cand = (bits << sh if sh >= 0 else bits >> -sh) & self.keep[section]
+        if not cand:
             return 0
-        sel = np.nonzero(mask[i0:i1])[0]
-        if sel.shape[0] == 0:
-            return 0
+        k = cand.bit_count()
         room = self.capacity - self._occ
-        if sel.shape[0] > room:
-            self.rejected += sel.shape[0] - room
-            sel = sel[:room]
-            if sel.shape[0] == 0:
+        if k > room:
+            self.rejected += k - room
+            cand = _lowest_bits(cand, room)
+            k = room
+            if not k:
                 return 0
-        vals = np.asarray(values)[v0:v0 + (i1 - i0)]
-        st.values[i0:i1][sel] = vals[sel]
-        st.valid[i0:i1][sel] = True
-        self._occ += sel.shape[0]
+        self.valid[section] |= cand
+        self._occ += k
         if self._occ > self.peak_occupancy:
             self.peak_occupancy = self._occ
-        return int(sel.shape[0])
+        return k
+
+    def valid_at(self, section: str, rel0: int, n: int) -> np.ndarray:
+        """Which of the n positions from rel0 hold a pixel."""
+        sh = rel0 - self.lo[section]
+        v = self.valid[section]
+        return np.array([i >= 0 and (v >> i) & 1 for i in range(sh, sh + n)],
+                        dtype=bool)

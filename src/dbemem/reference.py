@@ -15,7 +15,7 @@ from .engine import Engine, EngineResult
 from .geometry import BLOCK_W, CYCLES_PER_SLOT, PIXELS_PER_WORD
 from .membank import Purpose, SramBankModel
 from .oracle import ycocg_frame
-from .predwindow import FETCH, RESIDENT, ReconBufferState
+from .predwindow import FETCH, RESIDENT, SECTIONS, ReconBufferState
 from .sched import STREAMING
 
 
@@ -33,11 +33,15 @@ class _ColumnState:
     The fetch stage is a small word-wide register file in front of the
     prediction datapath: slot index is line_y mod 4, and a per-word line tag
     guards against stale data (lines two blocklines apart share a slot, but
-    their service windows never overlap).
+    their service windows never overlap).  `values` holds, per section and
+    pixel x of the slice, the value last admitted to the recon buffer; the
+    buffer says which of them are resident.
     """
 
-    def __init__(self, spec, preset, capacity, n_words):
+    def __init__(self, spec, preset, capacity, n_words, slice_width):
         self.recon = ReconBufferState(spec, preset.residency, capacity)
+        self.values = {s: np.zeros((slice_width, 3), dtype=np.int32)
+                       for s in SECTIONS}
         self.stage_vals = np.zeros((4, n_words, PIXELS_PER_WORD, 3),
                                    dtype=np.int32)
         self.stage_line = np.full((4, n_words), -1, dtype=np.int64)
@@ -58,7 +62,8 @@ class ReferenceEngine(Engine):
         self._bank_at = {key: (i, bank)
                          for i, (key, bank) in enumerate(self.banks.items())}
         self.cols = [_ColumnState(self.spec, self.preset, self.capacity,
-                                  self.plan.words_per_line)
+                                  self.plan.words_per_line,
+                                  self.plan.slice_width)
                      for _ in range(cfg.slices.columns)]
         self._flips = deque(self._flip_faults)   # pending, in cycle order
         routes = self.preset.residency.routes
@@ -253,11 +258,27 @@ class ReferenceEngine(Engine):
             if len(col.history) == 2:
                 yco2 = col.history[0][2]
                 for section, row in self._resident_rows:
-                    col.recon.admit_run(section, -2 * BLOCK_W, yco2[row])
+                    self._admit(col, section, -2 * BLOCK_W, left - base_x,
+                                yco2[row])
         elif col.history:
             yco1 = col.history[-1][2]
             for section, row in self._resident_rows:
-                col.recon.admit_run(section, -BLOCK_W, yco1[row])
+                self._admit(col, section, -BLOCK_W, left - base_x, yco1[row])
+
+    @staticmethod
+    def _admit(col, section, rel0, left, vals):
+        """Admit a run of pixels at relative offsets rel0.. of the block at
+        slice x `left`, and keep the values of those the buffer took."""
+        recon = col.recon
+        before = recon.valid[section]
+        if not recon.admit_run(section, rel0, (1 << len(vals)) - 1):
+            return
+        new = recon.valid[section] ^ before
+        sh = rel0 - recon.lo[section]
+        new = new >> sh if sh >= 0 else new << -sh
+        for i in range(len(vals)):
+            if (new >> i) & 1:
+                col.values[section][left + rel0 + i] = vals[i]
 
     def _admit_prev(self, b, col, left, base_x, full):
         if self.preset.residency.routes["prev"] != RESIDENT:
@@ -281,7 +302,8 @@ class ReferenceEngine(Engine):
             if r + n - 1 > hi:
                 n = hi - r + 1
             if stage_line[wloc] == prev_y:
-                col.recon.admit_run("prev", r, stage_vals[wloc, j:j + n])
+                self._admit(col, "prev", r, left - base_x,
+                            stage_vals[wloc, j:j + n])
             r += n
 
     def _serve_window(self, b, col):
@@ -295,7 +317,7 @@ class ReferenceEngine(Engine):
         served = misses = mismatches = 0
         y0 = 2 * b.blockline
         streaming = self.preset.fetch_kind == STREAMING
-        for section, dy, lo_s, parts in self._window:
+        for section, dy, parts in self._window:
             if dy < 0:
                 if first:
                     continue
@@ -303,7 +325,6 @@ class ReferenceEngine(Engine):
             else:
                 golden = self._yco
             y = y0 + dy
-            store = col.recon.sections[section]
             for (plo, phi, route) in parts:
                 xa = max(left + plo, base_x)
                 xb = min(left + phi, hi_x)
@@ -313,9 +334,8 @@ class ReferenceEngine(Engine):
                 want = golden[y, xa:xb + 1]
                 n_miss = n_bad = 0
                 if route == RESIDENT:
-                    i0 = xa - left - lo_s
-                    vmask = store.valid[i0:i0 + m]
-                    vals = store.values[i0:i0 + m]
+                    vmask = col.recon.valid_at(section, xa - left, m)
+                    vals = col.values[section][xa - base_x:xb - base_x + 1]
                     if vmask.all():
                         n_bad = bad_pixels(vals, want)
                     else:

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from dbemem.engine import Engine, FaultSpec, SimConfig
 from dbemem.errors import ConfigError
-from dbemem.geometry import ImageGeometry, Interleave, SliceLayout
+from dbemem.geometry import (CYCLES_PER_SLOT, ImageGeometry, Interleave,
+                             SliceLayout)
 from dbemem.predwindow import WindowSpec
 from dbemem.reference import ReferenceEngine
-from dbemem.sched import preset_by_name
+from dbemem.sched import Scheduler, preset_by_name
 from dbemem.shell import parse_config
 
 from test_shell import _config
@@ -129,3 +130,31 @@ def test_engine_matches_reference_fuzz(data, height):
     except ConfigError:
         assume(False)
     assert_same_run(cfg)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize("slot", [3, 40])
+def test_booking_behind_a_bank_frontier_rejected(monkeypatch, name, slot):
+    """A schedule that books a bank behind a cycle the bank has already
+    committed is a ConfigError with the same message in both engines:
+    within a blockline (slot 3) and across blocklines (slot 40 opens
+    blockline 1 at 320 pixels wide).  The slot's first write moves two
+    slots back."""
+    plan = Scheduler.slot_plan
+
+    def moved(self, s):
+        sp = plan(self, s)
+        if s == slot:
+            sp.writes[0] = sp.writes[0]._replace(
+                cycle=sp.writes[0].cycle - 2 * CYCLES_PER_SLOT)
+        return sp
+
+    monkeypatch.setattr(Scheduler, "slot_plan", moved)
+    cfg = SimConfig(ImageGeometry(320, 32), SliceLayout(1, 1),
+                    preset_by_name(name))
+    messages = []
+    for engine in (ReferenceEngine, Engine):
+        with pytest.raises(ConfigError, match="behind frontier") as err:
+            engine(cfg).run()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dbemem.engine import (Engine, FaultSpec, SimConfig, inject_fault,
+from dbemem.engine import (Engine, FaultSpec, SimConfig, _Stage, inject_fault,
                            run_simulation)
 from dbemem.errors import ConfigError
 from dbemem.geometry import Chroma, ImageGeometry, SliceLayout
@@ -299,3 +299,27 @@ def test_custom_window_specs_run_clean(spans):
         assert res.passed, (name, spans, res.violations.as_dict())
         want = preset_by_name(name).residency.resident_count(spec)
         assert max(res.peak_recon_per_column) == want
+
+
+def test_stage_lookup_sees_fetches_of_the_serving_slot():
+    """A window at slot t sees a word fetched within slot t; at t - 1 it
+    sees the entry carried in, and other keys are untouched."""
+    eng = Engine(SimConfig(ImageGeometry(320, 32), SliceLayout(1, 1),
+                           preset_by_name("type2")))
+    eng._setup_passes()
+    key, t = 12, 5
+    one = np.array([1])
+    # staged: key 12 at slots 5 and 9, line 3 then line 7
+    stage = _Stage(eng, (np.array([key, key]), np.array([t, 9]),
+                         np.array([3, 7]), np.array([0, 8]),
+                         np.array([0, 1])))
+    n = len(eng._key_x)
+    assert stage.at(key * one, t * one).tolist() == [n]
+    assert stage.line[n] == 3
+    assert stage.at(key * one, (t - 1) * one).tolist() == [key]
+    assert stage.line[key] == -1
+    assert stage.at(key * one, 8 * one).tolist() == [n]
+    assert stage.at(key * one, 9 * one).tolist() == [n + 1]
+    assert stage.at((key + 1) * one, t * one).tolist() == [key + 1]
+    # the last staged entry of each key is carried out of the pass
+    assert eng._stage[0][key] == 7 and eng._stage[2][key] == 1

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from dbemem.engine import Engine, SimConfig
@@ -101,17 +100,17 @@ def test_policy_resident_counts():
 def test_recon_slide_and_read():
     spec = WindowSpec()
     state = ReconBufferState(spec, policy_full_resident(), 106)
-    vals = np.arange(24, dtype=np.int32).reshape(8, 3)
-    state.admit_run("row0", -8, vals)
+    assert state.admit_run("row0", -8, 0xFF) == 8
     assert state.occupancy() == 8
-    row0 = state.sections["row0"]
-    assert row0.valid[row0.idx(-8)]
-    assert tuple(row0.values[row0.idx(-8)]) == (0, 1, 2)
+    assert state.valid_at("row0", -33, 33).tolist() == [False] * 25 + [True] * 8
     state.slide()
-    assert row0.valid[row0.idx(-16)]
-    assert tuple(row0.values[row0.idx(-16)]) == (0, 1, 2)
-    assert not row0.valid[row0.idx(-8):].any()   # slid out, nothing admitted
-    assert row0.occupancy() == state.occupancy() == 8
+    assert state.valid_at("row0", -16, 8).all()
+    assert not state.valid_at("row0", -8, 8).any()   # slid out, nothing admitted
+    assert state.occupancy() == 8
+    # only the set bits are admitted, each at rel0 + its bit index
+    assert state.admit_run("row0", -8, 0b101) == 2
+    assert state.valid_at("row0", -8, 3).tolist() == [True, False, True]
+    assert state.occupancy() == state.peak_occupancy == 10
 
 
 def test_recon_capacity_rejects_newest():
@@ -119,20 +118,27 @@ def test_recon_capacity_rejects_newest():
     state = ReconBufferState(spec, policy_streaming(), 24)
     # row0 resident span holds 25 positions [-33, -9]; cap 24 rejects one
     for start in (-33, -25, -17):
-        state.admit_run("row0", start, np.zeros((8, 3), dtype=np.int32))
-    state.admit_run("row0", -9, np.ones((1, 3), dtype=np.int32))
+        state.admit_run("row0", start, 0xFF)
+    assert state.admit_run("row0", -9, 0b1) == 0
     assert state.occupancy() == 24
     assert state.rejected == 1
-    row0 = state.sections["row0"]
-    assert not row0.valid[row0.idx(-9)]
-    assert row0.valid[row0.idx(-33):row0.idx(-9)].all()
+    assert not state.valid_at("row0", -9, 1).any()
+    assert state.valid_at("row0", -33, 24).all()
     state.slide()                    # the rejected pixel stays invalid
-    assert not row0.valid[row0.idx(-17)]
+    assert not state.valid_at("row0", -17, 1).any()
+    assert state.occupancy() == 16
+    # a run that only partly fits keeps its oldest (lowest) positions
+    state = ReconBufferState(spec, policy_streaming(), 20)
+    state.admit_run("row0", -33, 0xFF)
+    state.admit_run("row0", -25, 0xFF)
+    assert state.admit_run("row0", -17, 0xFF) == 4
+    assert state.valid_at("row0", -17, 8).tolist() == [True] * 4 + [False] * 4
+    assert state.rejected == 4
 
 
 def test_streaming_policy_ignores_fetch_sections():
     spec = WindowSpec()
     state = ReconBufferState(spec, policy_streaming(), 25)
-    kept = state.admit_run("prev", 0, np.zeros((8, 3), dtype=np.int32))
+    kept = state.admit_run("prev", 0, 0xFF)
     assert kept == 0
     assert state.occupancy() == 0
