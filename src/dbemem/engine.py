@@ -17,16 +17,16 @@ from .errors import ConfigError, require_int
 from .geometry import (BLOCK_W, CYCLES_PER_SLOT, LINE_WORDS, PIXELS_PER_WORD,
                        GeometryPlan, ImageGeometry, Interleave, SliceLayout,
                        block_at_slot, build_geometry)
-from .ledger import (ARM_DISPLAY, ARM_FETCH, PURPOSES, READ_DISPLAY,
-                     READ_FETCH, WRITE_EVENT, Pass, owed_reads)
+from .ledger import (ARM_DISPLAY, ARM_FETCH, READ_DISPLAY, READ_FETCH,
+                     WRITE_EVENT, Pass, owed_reads)
 from .membank import (ConflictViolation, HazardViolation, Purpose,
                       UnderflowViolation)
 from .oracle import GoldenOracle, ycocg_frame
-from .predwindow import (BLOCK_BITS, FETCH, RESIDENT, SECTIONS,
+from .predwindow import (BLOCK_BITS, FETCH, FORWARDED, RESIDENT, SECTIONS,
                          ReconBufferState, WindowSpec)
-from .sched import (BANK, BLOCK, CYCLE, LINE, PURPOSE, PX, REFILL, SLOT,
-                    STREAMING, WORD, ArchPreset, BlockSlotPlan, Scheduler,
-                    total_frame_cycles)
+from .sched import (BANK, BLOCK, CYCLE, LINE, PURPOSE, PURPOSES, PX, REFILL,
+                    SLOT, STREAMING, WORD, ArchPreset, BlockSlotPlan,
+                    Scheduler, total_frame_cycles)
 
 DETAIL_LIMIT = 16  # violation samples kept per class
 
@@ -250,15 +250,13 @@ class Engine:
         self.oracle = GoldenOracle(cfg.seed, cfg.image.bit_depth)
         self.capacity = self.preset.capacity_for(self.spec)
         buffers = self.preset.buffer_names()
-        # (buffer, bank) in commit order within a cycle
-        self.bank_keys = [(buf, bk) for buf in buffers
-                          for bk in range(self.preset.banks_per_buffer)]
         self.log = ViolationLog()
         self.trace_rows = []
         self.violation_rows = []
         flips = sorted([f for f in cfg.faults if f.kind == "flip_word"],
                        key=lambda f: f.cycle)
         run_cycles = total_frame_cycles(self.preset, self.plan)
+        n = self.plan.words_per_line
         for f in flips:
             if f.buffer not in buffers:
                 raise ConfigError(
@@ -266,26 +264,17 @@ class Engine:
             if f.cycle >= run_cycles:
                 raise ConfigError(f"flip_word cycle {f.cycle} is past the "
                                   f"run's last cycle {run_cycles - 1}")
+            if not any(0 <= f.word_index - base < n
+                       for base in self.plan.partition_bases):
+                used = ", ".join(f"{base}..{base + n - 1}"
+                                 for base in self.plan.partition_bases)
+                raise ConfigError(f"flip_word word {f.word_index} is used by "
+                                  f"no slice column (they use {used})")
         self._flip_faults = flips
         self._flips = [(buffers.index(f.buffer) * LINE_WORDS + f.word_index,
                         f.cycle) for f in flips]
         self._next_display_k = 0
-        # per-section span metadata: each span splits into a left part (the
-        # section's route) and, with forwarding, the previously-decoded block
-        self._parts = {}
-        routes = self.preset.residency.routes
-        fwd_on = self.preset.residency.forwarding_enabled
-        for s in SECTIONS:
-            lo, hi = self.spec.span(s)
-            parts = []
-            if s != "prev" and fwd_on and hi >= -BLOCK_W:
-                split = max(lo, -BLOCK_W)
-                if split > lo:
-                    parts.append((lo, split - 1, routes[s]))
-                parts.append((split, hi, "forwarded"))
-            else:
-                parts.append((lo, hi, routes[s]))
-            self._parts[s] = parts
+        self._parts = self.preset.residency.parts(self.spec)
         # per section: name, line offset from the blockline's upper row
         # and parts
         self._window = [(s, dy, self._parts[s])
@@ -315,7 +304,7 @@ class Engine:
         # reads it still owes; per stage key the staged line, its source x
         # and flip parity
         n_wk = len(self.preset.buffer_names()) * LINE_WORDS
-        self._frontier = np.zeros(len(self.bank_keys), dtype=np.int64)
+        self._frontier = np.zeros(len(self.sched.bank_keys), dtype=np.int64)
         self._word_line = np.full(n_wk, -1, dtype=np.int64)
         self._word_x = np.zeros(n_wk, dtype=np.int64)
         self._word_cycle = np.full(n_wk, -1, dtype=np.int64)
@@ -445,7 +434,7 @@ class Engine:
                 self.sched.display_record(k) for k in self.sched
                 .display_words_in(CYCLES_PER_SLOT * s, CYCLES_PER_SLOT * (s + 1))])
                 for s in range(slot0, last + 1))
-            tm = Pass(self, self.sched.booking_arrays(plans, slot0), None)
+            tm = Pass(self, plans, slot0, None)
             display, _, found = self._commit_slot(tm, tm.bookings)
             self._check_display_word(*display)
             self._drain_bank_violations(tm, tm.bookings, found)
@@ -461,7 +450,7 @@ class Engine:
         if tm is None:
             spb = self.sched.slots_per_blockline
             plans = map(self.sched.slot_plan, range(bl * spb, (bl + 1) * spb))
-            tm = Pass(self, self.sched.booking_arrays(plans, bl * spb), bl)
+            tm = Pass(self, plans, bl * spb, bl)
             self._templates[key] = tm
         return tm, bl - tm.bl0
 
@@ -592,7 +581,7 @@ class Engine:
             order = order[keep]
         for c, j, i in zip(cls[order].tolist(), which[order].tolist(),
                            at[order].tolist()):
-            buf, bank = self.bank_keys[int(b[BANK][i])]
+            buf, bank = self.sched.bank_keys[int(b[BANK][i])]
             cyc, word = int(b[CYCLE][i]), int(b[WORD][i])
             purpose = PURPOSES[b[PURPOSE][i]]
             if c == 0:
@@ -712,7 +701,7 @@ class Engine:
                 ok = adm[:, part["x"]] & inside
                 if bad is not None:
                     n_bad = np.count_nonzero(ok & bad[:, part["x"]], axis=-1)
-            elif route == "forwarded":
+            elif route == FORWARDED:
                 ok = np.broadcast_to(inside, (cols,) + inside.shape)
             elif route == FETCH and streaming and s != "row0" and \
                     (s == "prev" or reconvert):

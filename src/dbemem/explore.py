@@ -36,10 +36,6 @@ class FetchBudget:
         if self.kind not in (NONE, REFILL, STREAMING):
             raise ConfigError(f"unknown budget kind {self.kind!r}")
 
-    def rank(self) -> tuple:
-        order = {NONE: 0, REFILL: 1, STREAMING: 2}
-        return (order[self.kind], self.words_per_slot, self.banks_per_buffer)
-
 
 @dataclass
 class ExplorerResult:
@@ -48,13 +44,6 @@ class ExplorerResult:
     routes: dict
     forwarding: bool
     reconvert: bool
-
-    def coordinates(self):
-        out = []
-        for section, rels in self.resident_positions.items():
-            row = {"prev": -1, "row0": 0, "row1": 1}[section]
-            out.extend((r, row) for r in rels)
-        return out
 
 
 def _candidate_routes(spec: WindowSpec, budget: FetchBudget, forwarding: bool,
@@ -108,7 +97,7 @@ def _schedule_feasible(spec: WindowSpec, routes: dict, budget: FetchBudget,
     for slot in slots:
         sp = sched.slot_plan(slot)
         seen = {}
-        for rec in sp.writes + sp.display_reads + [r for r, _ in sp.fetches]:
+        for rec in sp.records():
             key = (rec.buffer, rec.bank_id, rec.cycle)
             if key in seen:
                 return False
@@ -128,24 +117,18 @@ def minimal_resident_set(spec: WindowSpec, budget: FetchBudget,
     """
     if slice_words * 8 < spec.prev_line_span[1] + 8:
         slice_words = spec.prev_line_span[1] // 8 + 2
-    best = None
+    # candidates are ordered cheapest-first
     for routes in _candidate_routes(spec, budget, forwarding, reconvert):
-        if not _schedule_feasible(spec, routes, budget, forwarding, reconvert,
-                                  slice_words):
-            continue
-        policy = ResidencyPolicy(routes=dict(routes),
-                                 forwarding_enabled=forwarding,
-                                 reconvert_on_fetch=reconvert)
-        positions = policy.resident_positions(spec)
-        count = sum(len(v) for v in positions.values())
-        if best is None or count < best.resident_count:
-            best = ExplorerResult(count, positions, dict(routes), forwarding,
+        if _schedule_feasible(spec, routes, budget, forwarding, reconvert,
+                              slice_words):
+            positions = ResidencyPolicy(
+                routes=dict(routes), forwarding_enabled=forwarding,
+                reconvert_on_fetch=reconvert).resident_positions(spec)
+            return ExplorerResult(sum(map(len, positions.values())),
+                                  positions, dict(routes), forwarding,
                                   reconvert)
-        break  # candidates are ordered cheapest-first
-    if best is None:
-        # nothing placeable even with everything resident
-        raise InfeasibleError("no routing satisfies the schedule")
-    return best
+    # nothing placeable even with everything resident
+    raise InfeasibleError("no routing satisfies the schedule")
 
 
 def preset_budget(preset: ArchPreset) -> FetchBudget:

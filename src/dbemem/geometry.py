@@ -69,7 +69,6 @@ class GeometryPlan:
     image: ImageGeometry
     slices: SliceLayout
     slice_width: int
-    slice_height: int
     words_per_line: int         # per slice column; one 8-px block per word
     partition_bases: tuple[int, ...]
     total_blocklines: int
@@ -104,7 +103,6 @@ def build_geometry(image: ImageGeometry, slices: SliceLayout,
         image=image,
         slices=slices,
         slice_width=slice_width,
-        slice_height=slice_height,
         words_per_line=words,
         partition_bases=bases,
         total_blocklines=image.height // BLOCK_H,

@@ -10,16 +10,14 @@ its events.
 import numpy as np
 
 from .geometry import CYCLES_PER_SLOT, LINE_WORDS, PIXELS_PER_WORD
-from .membank import AccessRecord, Purpose, SramBankModel
-from .sched import (BANK, BLOCK, COL, CYCLE, FETCH_READ, LINE, PURPOSE, PX,
-                    SLOT, WORD, WRITE)
+from .membank import SramBankModel
+from .sched import (BANK, COL, CYCLE, FETCH_READ, LINE, PURPOSE, PX, SLOT,
+                    WORD, WRITE)
 
 # ledger event types, in a word's event list: the commit of a granted
 # booking, or a required read armed after its slot's first cycle
 WRITE_EVENT, ARM_DISPLAY, ARM_FETCH, READ_DISPLAY, READ_FETCH = range(5)
 _COMMIT_EVENT = np.array([WRITE_EVENT, READ_DISPLAY, READ_FETCH])  # by purpose code
-PURPOSES = (Purpose.WRITE_BLOCK_ROW, Purpose.OUTPUT_READ, Purpose.PREDICT_FETCH)
-OPS = ("write", "read", "read")
 # larger than any count of reads owed within a pass: offsetting each
 # segment by a multiple keeps one running minimum from reaching the next
 _SEGMENT_GAP = 1 << 32
@@ -35,59 +33,54 @@ def owed_reads(step, start, seg, head):
     return q - np.minimum(low, 0)
 
 
-def _commit(banks, grants):
-    """Commit one slot's granted (cycle, bank) pairs on the bank models."""
-    for cyc, bank in sorted(grants):
-        banks[bank].commit_cycle(cyc)
-    grants.clear()
-
-
 class Pass:
     """The bookings of a run of slots (a blockline, or the display tail)
     with what stays fixed when a blockline is replayed d blocklines later:
     the port law, the commit order and each word's order of events."""
 
-    def __init__(self, eng, bookings, bl0):
-        self.bookings = bookings
+    def __init__(self, eng, plans, slot0, bl0):
+        """Book the records of the slot plans `plans`, the first at global
+        slot `slot0`; `bookings` is their `Scheduler.booking_arrays`."""
         self.bl0 = bl0
-        b = bookings
-        n = b.shape[1]
-        # the booking protocol on the bank models, slot by slot: book the
-        # slot (the first booking of a (bank, cycle) wins, a later one is a
-        # conflict and is not granted), then commit its grants in cycle
-        # and bank order; a booking behind a cycle its bank has committed
-        # is a ConfigError
-        banks = [SramBankModel(buf, bk) for buf, bk in eng.bank_keys]
-        granted = np.ones(n, dtype=bool)
-        conflicts = []
-        slot_grants = []
-        at = None
-        for i, (slot, cyc, bank, p, word, blk, col) in enumerate(zip(
-                *b[[SLOT, CYCLE, BANK, PURPOSE, WORD, BLOCK, COL]].tolist())):
-            if slot != at:
-                _commit(banks, slot_grants)
-                at = slot
-            buf, bk = eng.bank_keys[bank]
-            rec = AccessRecord(cyc, buf, bk, OPS[p], word, PURPOSES[p],
-                               blk, col)
-            if banks[bank].request_access(rec):
-                slot_grants.append((cyc, bank))
-            else:
-                granted[i] = False
-                v = banks[bank].conflicts[-1]
-                conflicts.append((i, v.first_purpose, v.first_word))
-        _commit(banks, slot_grants)
+        sched = eng.sched
+        banks = [SramBankModel(buf, bk) for buf, bk in sched.bank_keys]
+        conflicts = []   # (booking index, first purpose, first word)
+        static = []      # the trace-row fields of each grant that a shift
+                         # leaves alone
+        tracing = eng.cfg.collect_trace
+
+        def booked(plans):
+            # each plan is booked as `booking_arrays` takes it, so the plans
+            # are walked once and never held.  The booking protocol on the
+            # bank models, slot by slot: book the slot (the first booking of
+            # a (bank, cycle) wins, a later one is a conflict and is not
+            # granted), then commit its grants in cycle and bank order; a
+            # booking behind a cycle its bank has committed is a ConfigError
+            i = 0
+            for sp in plans:
+                grants = []
+                for rec in sp.records():
+                    bank = sched.bank_order[rec.buffer, rec.bank_id]
+                    if banks[bank].request_access(rec):
+                        grants.append((rec.cycle, bank))
+                        if tracing:
+                            static.append((rec.slice_col, rec.buffer,
+                                           rec.bank_id, rec.op,
+                                           rec.word_index, rec.purpose.value))
+                    else:
+                        v = banks[bank].conflicts[-1]
+                        conflicts.append((i, v.first_purpose, v.first_word))
+                    i += 1
+                for cyc, bank in sorted(grants):
+                    banks[bank].commit_cycle(cyc)
+                yield sp
+
+        self.bookings = b = sched.booking_arrays(booked(plans), slot0)
         self.conflicts = conflicts
+        granted = np.ones(b.shape[1], dtype=bool)
+        granted[[c[0] for c in conflicts]] = False
         self.granted = g = np.flatnonzero(granted)   # in booking order
-        if eng.cfg.collect_trace:
-            # the trace-row fields of the grants that a shift leaves alone
-            self.trace_static = (
-                b[COL][g].tolist(),
-                [eng.bank_keys[k][0] for k in b[BANK][g].tolist()],
-                [eng.bank_keys[k][1] for k in b[BANK][g].tolist()],
-                [OPS[p] for p in b[PURPOSE][g].tolist()],
-                b[WORD][g].tolist(),
-                [PURPOSES[p].value for p in b[PURPOSE][g].tolist()])
+        self.trace_static = list(zip(*static)) or [()] * 6
 
         # commit order: per slot the commits on its first cycle, then the
         # required reads armed by its granted writes and later fetches, then

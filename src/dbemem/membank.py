@@ -22,15 +22,21 @@ class Purpose(Enum):
 
 
 class AccessRecord(NamedTuple):
-    """One planned bank access; a tuple, so replayed schedules build it cheaply."""
+    """One planned bank access, from the schedule to the checks; a tuple, so
+    replayed schedules build it cheaply."""
     cycle: int
     buffer: str
     bank_id: int
-    op: str                  # "read" | "write"
     word_index: int
     purpose: Purpose
-    block_id: int
-    slice_col: int = 0
+    block_id: int            # -1 for display reads
+    slice_col: int
+    line: int                # the image line written, displayed or demanded
+    px: int                  # x of the word's first pixel on that line
+
+    @property
+    def op(self) -> str:
+        return "write" if self.purpose is Purpose.WRITE_BLOCK_ROW else "read"
 
 
 @dataclass(frozen=True)
@@ -90,9 +96,10 @@ class SramBankModel:
         self.hazards: list[HazardViolation] = []
         self.underflows: list[UnderflowViolation] = []
 
-    def request_access(self, rec: AccessRecord, values=None, line_y: int = -1) -> bool:
+    def request_access(self, rec: AccessRecord, values=None) -> bool:
         """Book one access.  Returns False (and records a conflict) when the
-        cycle already carries an access on this bank."""
+        cycle already carries an access on this bank.  A write tags its word
+        with `rec.line`."""
         if rec.cycle < self.frontier:
             raise ConfigError(
                 f"access at cycle {rec.cycle} behind frontier {self.frontier}")
@@ -107,7 +114,7 @@ class SramBankModel:
                 first_word=first.word_index, second_word=rec.word_index,
                 block_id=rec.block_id))
             return False
-        self._booked[rec.cycle] = (rec, values, line_y)
+        self._booked[rec.cycle] = (rec, values)
         return True
 
     def register_required_reads(self, word_index: int, count: int,
@@ -135,9 +142,9 @@ class SramBankModel:
         entry = self._booked.pop(cycle, None)
         if entry is None:
             return None
-        rec, values, line_y = entry
+        rec, values = entry
         w = rec.word_index
-        if rec.op == "write":
+        if rec.purpose is Purpose.WRITE_BLOCK_ROW:
             if self.pending_output[w] > 0 or self.pending_fetch[w] > 0:
                 self.hazards.append(HazardViolation(
                     cycle=cycle, buffer=self.buffer, bank_id=self.bank_id,
@@ -150,7 +157,7 @@ class SramBankModel:
             if values is not None:   # a ledger-only booking carries none
                 self.values[w] = values
             self.written[w] = True
-            self.line_tag[w] = line_y
+            self.line_tag[w] = rec.line
             return (rec, None)
         # read path
         if not self.written[w]:

@@ -19,6 +19,7 @@ SECTIONS = ("prev", "row0", "row1")
 
 RESIDENT = "resident"
 FETCH = "fetch"
+FORWARDED = "forwarded"    # served from the decode pipe, never stored
 
 
 @dataclass(frozen=True)
@@ -69,19 +70,26 @@ class ResidencyPolicy:
             if self.routes.get(s) not in (RESIDENT, FETCH):
                 raise ConfigError(f"section {s!r} must be routed resident or fetch")
 
-    def resident_positions(self, spec: WindowSpec) -> dict:
-        """Per-section list of relative offsets the policy keeps resident."""
+    def parts(self, spec: WindowSpec) -> dict:
+        """Per section, its span as parts (lo, hi, route): with forwarding,
+        the rightmost block of a current-row span is FORWARDED and the rest
+        keeps the section's route."""
         out = {}
         for s in SECTIONS:
             lo, hi = spec.span(s)
-            if self.routes[s] != RESIDENT:
-                out[s] = []
-                continue
-            rels = list(range(lo, hi + 1))
-            if self.forwarding_enabled and s in ("row0", "row1"):
-                rels = [r for r in rels if r < -BLOCK_W]
-            out[s] = rels
+            split = hi + 1
+            if s != "prev" and self.forwarding_enabled and hi >= -BLOCK_W:
+                split = max(lo, -BLOCK_W)
+            out[s] = [(a, b, route) for a, b, route in (
+                (lo, split - 1, self.routes[s]), (split, hi, FORWARDED))
+                if a <= b]
         return out
+
+    def resident_positions(self, spec: WindowSpec) -> dict:
+        """Per-section list of relative offsets the policy keeps resident."""
+        return {s: [r for lo, hi, route in parts if route == RESIDENT
+                    for r in range(lo, hi + 1)]
+                for s, parts in self.parts(spec).items()}
 
     def resident_count(self, spec: WindowSpec) -> int:
         return sum(len(v) for v in self.resident_positions(spec).values())

@@ -15,7 +15,8 @@ from .engine import Engine, EngineResult
 from .geometry import BLOCK_W, CYCLES_PER_SLOT, PIXELS_PER_WORD
 from .membank import Purpose, SramBankModel
 from .oracle import ycocg_frame
-from .predwindow import FETCH, RESIDENT, SECTIONS, ReconBufferState
+from .predwindow import (FETCH, FORWARDED, RESIDENT, SECTIONS,
+                         ReconBufferState)
 from .sched import STREAMING
 
 
@@ -31,7 +32,7 @@ class _ColumnState:
     """Per-slice-column runtime state.
 
     The fetch stage is a small word-wide register file in front of the
-    prediction datapath: slot index is line_y mod 4, and a per-word line tag
+    prediction datapath: slot index is the line mod 4, and a per-word line tag
     guards against stale data (lines two blocklines apart share a slot, but
     their service windows never overlap).  `values` holds, per section and
     pixel x of the slice, the value last admitted to the recon buffer; the
@@ -54,13 +55,7 @@ class ReferenceEngine(Engine):
 
     def __init__(self, cfg):
         super().__init__(cfg)
-        self.banks = {}
-        for buf in self.preset.buffer_names():
-            for bk in range(self.preset.banks_per_buffer):
-                self.banks[(buf, bk)] = SramBankModel(buf, bk)
-        # (buffer, bank) -> (commit order within a cycle, bank)
-        self._bank_at = {key: (i, bank)
-                         for i, (key, bank) in enumerate(self.banks.items())}
+        self.banks = [SramBankModel(buf, bk) for buf, bk in self.sched.bank_keys]
         self.cols = [_ColumnState(self.spec, self.preset, self.capacity,
                                   self.plan.words_per_line,
                                   self.plan.slice_width)
@@ -72,7 +67,7 @@ class ReferenceEngine(Engine):
 
     def _drain_bank_violations(self):
         tracing = self.cfg.collect_trace
-        for bank in self.banks.values():
+        for bank in self.banks:
             if not (bank.conflicts or bank.hazards or bank.underflows):
                 continue
             for v in bank.conflicts:
@@ -118,18 +113,14 @@ class ReferenceEngine(Engine):
             col = self.cols[b.slice_col]
             booked = []   # (cycle, bank order, bank) of every grant
             # book block row-writes (values from the golden decode)
-            x0 = plan.slice_base_x(b.slice_col) + BLOCK_W * b.block_x
-            write_booked = []
-            for rec in sp.writes:
-                row_y = y0 if rec.buffer == "upper" else y0 + 1
-                if self._book(rec, booked, rgb[row_y, x0:x0 + BLOCK_W],
-                              row_y):
-                    write_booked.append(rec)
+            write_booked = [
+                rec for rec in sp.writes if self._book(
+                    rec, booked, rgb[rec.line, rec.px:rec.px + BLOCK_W])]
             # book display reads
             for rec in sp.display_reads:
                 self._book(rec, booked)
             # book prediction fetches
-            fetch_booked = [(rec, demand) for rec, demand in sp.fetches
+            fetch_booked = [rec for rec in sp.fetches
                             if self._book(rec, booked)]
             self._commit_slot(sp.cycle_base, booked, write_booked,
                               fetch_booked)
@@ -141,6 +132,7 @@ class ReferenceEngine(Engine):
             self.log.availability_misses += misses
             self.log.prediction_mismatches += mismatches
             # record the decoded block for forwarding / admission
+            x0 = plan.slice_base_x(b.slice_col) + BLOCK_W * b.block_x
             col.history.append((b.block_x,
                                 rgb[y0:y0 + 2, x0:x0 + BLOCK_W],
                                 yco[y0:y0 + 2, x0:x0 + BLOCK_W]))
@@ -160,11 +152,16 @@ class ReferenceEngine(Engine):
         return self._result(windows_served, pixels_served,
                             [c.recon.peak_occupancy for c in self.cols])
 
-    def _book(self, rec, booked, values=None, line_y=-1) -> bool:
+    def _bank(self, rec):
+        """The bank of a record, and its place in commit order."""
+        order = self.sched.bank_order[rec.buffer, rec.bank_id]
+        return order, self.banks[order]
+
+    def _book(self, rec, booked, values=None) -> bool:
         """Request one access; a grant joins the slot's commit list and the
         trace.  Returns whether it was granted."""
-        order, bank = self._bank_at[rec.buffer, rec.bank_id]
-        if not bank.request_access(rec, values=values, line_y=line_y):
+        order, bank = self._bank(rec)
+        if not bank.request_access(rec, values=values):
             return False
         booked.append((rec.cycle, order, bank))
         if self.cfg.collect_trace:
@@ -191,13 +188,14 @@ class ReferenceEngine(Engine):
             rec, vals = bank.commit_cycle(cyc)
             if rec.purpose is Purpose.OUTPUT_READ:
                 self._check_display_word(rec, vals)
-            elif rec.purpose is Purpose.PREDICT_FETCH and vals is not None:
-                demand = next(d for r, d in fetch_booked if r is rec)
-                if bank.line_tag[rec.word_index] == demand.line_y:
-                    col = self.cols[demand.slice_col]
-                    s = demand.line_y & 3
-                    col.stage_vals[s, demand.word_local] = vals
-                    col.stage_line[s, demand.word_local] = demand.line_y
+            elif rec.purpose is Purpose.PREDICT_FETCH and vals is not None \
+                    and bank.line_tag[rec.word_index] == rec.line:
+                col = self.cols[rec.slice_col]
+                s = rec.line & 3
+                w = (rec.px - self.plan.slice_base_x(rec.slice_col)) \
+                    // PIXELS_PER_WORD
+                col.stage_vals[s, w] = vals
+                col.stage_line[s, w] = rec.line
         if not armed:
             self._arm_required_reads(base, write_recs, fetch_booked)
         while flips and flips[0].cycle < base + CYCLES_PER_SLOT:
@@ -208,16 +206,16 @@ class ReferenceEngine(Engine):
         required-read checks against the overwrites that follow (display once
         per word, plus any prediction fetch scheduled on current contents)."""
         for rec in write_recs:
-            self.banks[(rec.buffer, rec.bank_id)].register_required_reads(
-                rec.word_index, 1, "output")
-        for rec, _ in fetch_booked:
+            self._bank(rec)[1].register_required_reads(rec.word_index, 1,
+                                                       "output")
+        for rec in fetch_booked:
             if rec.cycle > base:
-                self.banks[(rec.buffer, rec.bank_id)] \
-                    .register_required_reads(rec.word_index, 1, "fetch")
+                self._bank(rec)[1].register_required_reads(rec.word_index, 1,
+                                                           "fetch")
 
     def _apply_flip(self, f):
-        for (buf, bk), bank in self.banks.items():
-            if buf == f.buffer:
+        for bank in self.banks:
+            if bank.buffer == f.buffer:
                 bank.values[f.word_index] ^= 1
 
     def _check_display_word(self, rec, vals):
@@ -341,7 +339,7 @@ class ReferenceEngine(Engine):
                     else:
                         n_miss = int(m - vmask.sum())
                         n_bad = bad_pixels(vals[vmask], want[vmask])
-                elif route == "forwarded":
+                elif route == FORWARDED:
                     hist_ok = col.history and \
                         col.history[-1][0] == b.block_x - 1
                     if hist_ok:

@@ -23,8 +23,9 @@ from .errors import ConfigError, require_int
 from .geometry import (BLOCK_W, CYCLES_PER_SLOT, BlockCoord, GeometryPlan,
                        PIXELS_PER_WORD, block_at_slot)
 from .membank import AccessRecord, Purpose
-from .predwindow import (FETCH, ResidencyPolicy, WindowSpec, policy_forwarding,
-                         policy_full_resident, policy_streaming)
+from .predwindow import (FETCH, FORWARDED, ResidencyPolicy, WindowSpec,
+                         policy_forwarding, policy_full_resident,
+                         policy_streaming)
 
 ONE_LINE = "one_line"
 HALF_LINE = "half_line"
@@ -32,11 +33,14 @@ HALF_LINE = "half_line"
 REFILL = "refill"          # fixed fetch cycle per slot, feeds the resident window
 STREAMING = "streaming"    # fetch on any free lower-bank cycle, serve on demand
 
-# the rows of `Scheduler.booking_arrays`, and its purpose codes
+# the rows of `Scheduler.booking_arrays`, and its purpose codes: a purpose's
+# code is its place in PURPOSES
 BOOKING_FIELDS = ("slot", "cycle", "bank", "purpose", "word", "block", "col",
                   "line", "px")
 SLOT, CYCLE, BANK, PURPOSE, WORD, BLOCK, COL, LINE, PX = range(9)
+PURPOSES = (Purpose.WRITE_BLOCK_ROW, Purpose.OUTPUT_READ, Purpose.PREDICT_FETCH)
 WRITE, DISPLAY, FETCH_READ = range(3)
+_CODE = {p: i for i, p in enumerate(PURPOSES)}
 
 
 @dataclass(frozen=True)
@@ -123,18 +127,23 @@ class FetchDemand(NamedTuple):
     """One line-buffer word the prediction path needs this slot."""
     line_y: int
     word_local: int            # word index within the slice column
-    section: str               # which window section it feeds
     slice_col: int
     min_offset: int = 0        # 1 when the word is written at this slot's offset 0
 
 
 @dataclass
 class BlockSlotPlan:
+    """One slot's bank accesses, each an AccessRecord."""
     block: BlockCoord
     cycle_base: int
-    writes: list = field(default_factory=list)      # AccessRecord
-    fetches: list = field(default_factory=list)     # (AccessRecord, FetchDemand)
+    writes: list = field(default_factory=list)
+    fetches: list = field(default_factory=list)
     display_reads: list = field(default_factory=list)
+
+    def records(self) -> list:
+        """The slot's records in booking order: writes, display reads,
+        fetches."""
+        return self.writes + self.display_reads + self.fetches
 
 
 class Scheduler:
@@ -164,9 +173,17 @@ class Scheduler:
         self.prev_hi_words = prev_hi // PIXELS_PER_WORD  # floor
         self.warmup_count = min(self.prev_hi_words + 1, self.n_words) \
             if prev_hi >= 0 else 0
-        self._span = {s: spec.span(s) for s in ("prev", "row0", "row1")}
+        # per section, the part of its span that is not forwarded (a
+        # section forwarded whole has none)
+        self._fetched_span = {
+            s: (lo, hi) for s, parts in preset.residency.parts(spec).items()
+            for lo, hi, route in parts if route != FORWARDED}
         # buffer-for-line repeats with period 4 (ping-pong included)
         self._buf_of = [preset.buffer_for_line(y) for y in range(4)]
+        # (buffer, bank) in commit order within a cycle, and each one's place
+        self.bank_keys = [(buf, bk) for buf in preset.buffer_names()
+                          for bk in range(preset.banks_per_buffer)]
+        self.bank_order = {key: i for i, key in enumerate(self.bank_keys)}
 
     # -- addressing ----------------------------------------------------------
 
@@ -180,15 +197,12 @@ class Scheduler:
 
     def write_records(self, b: BlockCoord, cycle_base: int) -> list[AccessRecord]:
         word, bank = self.word_address(b.slice_col, b.block_x)
-        y0 = 2 * b.blockline
-        recs = []
-        for y in (y0, y0 + 1):
-            recs.append(AccessRecord(
-                cycle=cycle_base, buffer=self._buf_of[y % 4],
-                bank_id=bank, op="write", word_index=word,
-                purpose=Purpose.WRITE_BLOCK_ROW,
-                block_id=b.global_block_index, slice_col=b.slice_col))
-        return recs
+        x0 = self.plan.slice_base_x(b.slice_col) + BLOCK_W * b.block_x
+        return [AccessRecord(
+            cycle=cycle_base, buffer=self._buf_of[y % 4], bank_id=bank,
+            word_index=word, purpose=Purpose.WRITE_BLOCK_ROW,
+            block_id=b.global_block_index, slice_col=b.slice_col,
+            line=y, px=x0) for y in (2 * b.blockline, 2 * b.blockline + 1)]
 
     # -- prediction fetches ----------------------------------------------------
 
@@ -206,30 +220,25 @@ class Scheduler:
         first = self.plan.is_first_blockline_of_slice(bl)
 
         def entering_word(section: str) -> int | None:
-            # one new word slides into the next block's span per slot
-            if bx + 1 >= self.n_words:
+            # one new word slides into the next block's span per slot; the
+            # forwarded block needs no fetch
+            if bx + 1 >= self.n_words or section not in self._fetched_span:
                 return None
-            lo, hi = self._span[section]
-            if section != "prev" and self.preset.residency.forwarding_enabled:
-                # the forwarded block needs no fetch, so the fetched sub-span
-                # ends one block earlier
-                hi = min(hi, -BLOCK_W - 1)
-                if hi < lo:
-                    return None
+            hi = self._fetched_span[section][1]
             w = (PIXELS_PER_WORD * (bx + 1) + hi) // PIXELS_PER_WORD
             return w if 0 <= w < self.n_words else None
 
         if not first:
             w = entering_word("prev")
             if w is not None:
-                demands.append(FetchDemand(2 * bl - 1, w, "prev", col))
+                demands.append(FetchDemand(2 * bl - 1, w, col))
         if self.preset.fetch_kind == STREAMING:
             # the streaming fetch datapath (with its reconvert unit) hangs off
             # the lower buffer pair, so only the lower row can stream
             if self.preset.residency.routes["row1"] == FETCH:
                 w = entering_word("row1")
                 if w is not None and w <= bx:
-                    demands.append(FetchDemand(2 * bl + 1, w, "row1", col,
+                    demands.append(FetchDemand(2 * bl + 1, w, col,
                                                min_offset=1 if w == bx else 0))
         # tail warmup for the next blockline's previous line: the right-edge
         # clip frees exactly enough fetch cycles at the end of each blockline
@@ -238,11 +247,12 @@ class Scheduler:
                 and not self.plan.is_first_blockline_of_slice(nxt)):
             j = bx - (self.n_words - self.warmup_count)
             if 0 <= j < self.warmup_count:
-                demands.append(FetchDemand(2 * bl + 1, j, "prev", col,
+                demands.append(FetchDemand(2 * bl + 1, j, col,
                                            min_offset=1 if j == bx else 0))
         return demands
 
-    def fetch_records(self, b: BlockCoord, cycle_base: int, occupied) -> list:
+    def fetch_records(self, b: BlockCoord, cycle_base: int,
+                      occupied) -> list[AccessRecord]:
         """Place this slot's fetch demands.
 
         `occupied` maps (buffer, bank) -> set of taken offsets.  Refill
@@ -266,11 +276,12 @@ class Scheduler:
                         if o not in taken]
                 offset = free[0] if free else CYCLES_PER_SLOT - 1
             occupied.setdefault((buf, bank), set()).add(offset)
-            rec = AccessRecord(
-                cycle=cycle_base + offset, buffer=buf, bank_id=bank, op="read",
+            out.append(AccessRecord(
+                cycle=cycle_base + offset, buffer=buf, bank_id=bank,
                 word_index=word, purpose=Purpose.PREDICT_FETCH,
-                block_id=b.global_block_index, slice_col=d.slice_col)
-            out.append((rec, d))
+                block_id=b.global_block_index, slice_col=d.slice_col,
+                line=d.line_y, px=self.plan.slice_base_x(d.slice_col)
+                + PIXELS_PER_WORD * d.word_local))
         return out
 
     def _overbudget(self, demands, b):
@@ -284,7 +295,7 @@ class Scheduler:
         w = base.word_local
         while len(demands) + len(extra) < want:
             w = (w + 1) % self.n_words
-            extra.append(FetchDemand(base.line_y, w, base.section, base.slice_col))
+            extra.append(FetchDemand(base.line_y, w, base.slice_col))
         return demands + extra
 
     # -- display output reads --------------------------------------------------
@@ -302,15 +313,13 @@ class Scheduler:
         return range(k0, max(k0, k1))
 
     def display_record(self, k: int) -> AccessRecord:
-        y = k // self.words_per_image_line
-        i = k % self.words_per_image_line
+        y, i = divmod(k, self.words_per_image_line)
         col = (i * PIXELS_PER_WORD) // self.plan.slice_width
         word, bank = self.word_address(col, i - col * self.n_words)
         return AccessRecord(
             cycle=self.display_read_cycle(k), buffer=self._buf_of[y % 4],
-            bank_id=bank,
-            op="read", word_index=word, purpose=Purpose.OUTPUT_READ,
-            block_id=-1, slice_col=col)
+            bank_id=bank, word_index=word, purpose=Purpose.OUTPUT_READ,
+            block_id=-1, slice_col=col, line=y, px=PIXELS_PER_WORD * i)
 
     # -- whole-slot view ---------------------------------------------------------
 
@@ -350,48 +359,16 @@ class Scheduler:
         return (bl % 2, self.plan.is_first_blockline_of_slice(bl), warm)
 
     def booking_arrays(self, plans, slot0: int) -> np.ndarray:
-        """The bookings of consecutive slot plans, the first at global slot
-        `slot0`, in booking order (per slot: writes, display reads,
-        fetches), as an int32 array with one row per field of
-        `BOOKING_FIELDS`:
-
-          slot     slot index from slot0
-          cycle    the access cycle
-          bank     the bank's place in commit order within a cycle:
-                   buffer index x banks per buffer + bank
-          purpose  WRITE, DISPLAY or FETCH_READ
-          word     word index in the line buffer
-          block    block id; -1 for display reads
-          col      slice column of the record
-          line     the image line written, displayed or demanded
-          px       x of the first of the word's 8 pixels on that line
-        """
-        nb = self.preset.banks_per_buffer
-        buf_at = {name: i for i, name in enumerate(self.preset.buffer_names())}
-        rows = []
-        for sp in plans:
-            slot = sp.cycle_base // CYCLES_PER_SLOT - slot0
-            if sp.writes:
-                b = sp.block
-                y0 = 2 * b.blockline
-                x0 = self.plan.slice_base_x(b.slice_col) + BLOCK_W * b.block_x
-            for r in sp.writes:
-                rows.append((slot, r.cycle, buf_at[r.buffer] * nb + r.bank_id,
-                             WRITE, r.word_index, r.block_id, r.slice_col,
-                             y0 if r.buffer == "upper" else y0 + 1, x0))
-            # a slot's display reads are its display words, in order
-            ks = self.display_words_in(sp.cycle_base,
-                                       sp.cycle_base + CYCLES_PER_SLOT)
-            for k, r in zip(ks, sp.display_reads):
-                y, i = divmod(k, self.words_per_image_line)
-                rows.append((slot, r.cycle, buf_at[r.buffer] * nb + r.bank_id,
-                             DISPLAY, r.word_index, r.block_id, r.slice_col,
-                             y, PIXELS_PER_WORD * i))
-            for r, d in sp.fetches:
-                rows.append((slot, r.cycle, buf_at[r.buffer] * nb + r.bank_id,
-                             FETCH_READ, r.word_index, r.block_id, r.slice_col,
-                             d.line_y, self.plan.slice_base_x(d.slice_col)
-                             + PIXELS_PER_WORD * d.word_local))
+        """The records of consecutive slot plans, the first at global slot
+        `slot0`, in booking order (`BlockSlotPlan.records`), as an int32
+        array with one row per field of `BOOKING_FIELDS`: the slot index
+        from slot0, the bank's place in `bank_keys` and the purpose's code;
+        the other fields are the record's."""
+        at = self.bank_order
+        rows = [(sp.cycle_base // CYCLES_PER_SLOT - slot0, r.cycle,
+                 at[r.buffer, r.bank_id], _CODE[r.purpose], r.word_index,
+                 r.block_id, r.slice_col, r.line, r.px)
+                for sp in plans for r in sp.records()]
         return np.array(rows, dtype=np.int32).reshape(-1, len(BOOKING_FIELDS)).T
 
     def shift_bookings(self, bookings: np.ndarray, d: int) -> np.ndarray:

@@ -149,10 +149,6 @@ def report_to_text(report: SimReport) -> str:
     return json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def parse_report(text: str) -> dict:
-    return json.loads(text)
-
-
 def emit_trace(result: EngineResult, path) -> None:
     """One row per granted access plus one row per violation, cycle-ordered,
     so replaying the file reproduces the run's violation tallies."""

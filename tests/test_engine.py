@@ -148,8 +148,14 @@ def test_every_fault_changes_the_run_or_is_rejected(name):
             except ConfigError:
                 continue
             assert got != base, (kind, value)
-    assert outcome(FaultSpec("flip_word", buffer="lower0", word_index=5,
-                             cycle=182)) != base
+    # word 479 is used by no slice column of a 320-wide image
+    for word, cycle in ((5, 182), (479, 100)):
+        try:
+            got = outcome(FaultSpec("flip_word", buffer="lower0",
+                                    word_index=word, cycle=cycle))
+        except ConfigError:
+            continue
+        assert got != base, (word, cycle)
 
 
 @pytest.mark.parametrize("name,kind,value", [

@@ -6,6 +6,7 @@ import pytest
 from dbemem.errors import ConfigError
 from dbemem.geometry import (Chroma, ImageGeometry, Interleave, SliceLayout,
                              block_at_slot, build_geometry)
+from dbemem.membank import Purpose
 from dbemem.predwindow import WindowSpec
 from dbemem.sched import Scheduler, preset_by_name
 
@@ -155,9 +156,12 @@ def test_tiling_exact_coverage():
 def check_addressing(sched):
     """Every (line, word) is written exactly once over the frame's slots,
     and every raster display word is read from the (buffer, bank, word) the
-    block covering it wrote."""
+    block covering it wrote.  Each write and display record carries that
+    line and pixel x, and each fetch record reads the word its line was
+    written to from its pixel x.  Only writes are write records."""
     plan = sched.plan
     writes = {}
+    fetches = []
     for slot in range(sched.slots_per_blockline * plan.total_blocklines):
         sp = sched.slot_plan(slot)
         b = sp.block
@@ -165,12 +169,23 @@ def check_addressing(sched):
             y = 2 * b.blockline + (rec.buffer != "upper")
             assert (y, rec.word_index) not in writes
             x0 = plan.slice_base_x(b.slice_col) + 8 * b.block_x
+            assert (rec.line, rec.px) == (y, x0)
             writes[y, rec.word_index] = (rec.buffer, rec.bank_id, x0)
+        fetches += sp.fetches
+        for rec in sp.records():
+            assert (rec.op == "write") == (rec.purpose is
+                                           Purpose.WRITE_BLOCK_ROW)
     assert len(writes) == plan.image.height * sched.words_per_image_line
     for k in range(sched.total_display_words):
         rec = sched.display_record(k)
         y, i = divmod(k, sched.words_per_image_line)
+        assert (rec.line, rec.px) == (y, 8 * i)
         assert writes[y, rec.word_index] == (rec.buffer, rec.bank_id, 8 * i)
+    written_at = {(y, x0): (buf, bank, word)
+                  for (y, word), (buf, bank, x0) in writes.items()}
+    for rec in fetches:
+        assert written_at[rec.line, rec.px] == (rec.buffer, rec.bank_id,
+                                                rec.word_index)
 
 
 def test_addressing_bijection():

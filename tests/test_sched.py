@@ -19,10 +19,6 @@ def make_plan(width=640, height=64, cols=1, rows=1,
                           interleave)
 
 
-def slot_records(sp):
-    return sp.writes + sp.display_reads + [r for r, _ in sp.fetches]
-
-
 def test_preset_structure():
     b = preset_baseline()
     assert (b.line_delay, b.line_buffers, b.banks_per_buffer) == ("one_line", 3, 1)
@@ -88,7 +84,7 @@ def test_type1_slot_shape_first_half():
     for slot in range(2 * n + 5, 2 * n + 30):
         sp = sched.slot_plan(slot)
         lower = sorted((r.cycle - sp.cycle_base, r.purpose)
-                       for r in slot_records(sp) if r.buffer == "lower0")
+                       for r in sp.records() if r.buffer == "lower0")
         assert lower == [(0, Purpose.WRITE_BLOCK_ROW), (1, Purpose.OUTPUT_READ),
                          (2, Purpose.PREDICT_FETCH), (3, Purpose.OUTPUT_READ)]
 
@@ -100,7 +96,7 @@ def test_type1_single_fetch_per_slot():
     for slot in range(2 * n, 3 * n):
         sp = sched.slot_plan(slot)
         assert len(sp.fetches) <= 1
-        for rec, _ in sp.fetches:
+        for rec in sp.fetches:
             assert rec.cycle - sp.cycle_base == 2
 
 
@@ -117,7 +113,7 @@ def test_type2_bank_loads():
         sp = sched.slot_plan(slot)
         per_bank = Counter()
         per_cycle = Counter()
-        for r in slot_records(sp):
+        for r in sp.records():
             per_bank[(r.buffer, r.bank_id)] += 1
             per_cycle[(r.buffer, r.bank_id, r.cycle)] += 1
         assert all(v == 1 for v in per_cycle.values())   # port law
@@ -139,7 +135,7 @@ def test_type2_fetches_every_cycle_offsets():
     offsets = set()
     for slot in range(2 * n, 3 * n):
         sp = sched.slot_plan(slot)
-        for rec, _ in sp.fetches:
+        for rec in sp.fetches:
             offsets.add(rec.cycle - sp.cycle_base)
     assert len(offsets) >= 3
 
@@ -178,8 +174,8 @@ def test_warmup_fills_tail_slots():
     tail_words = []
     for slot in range(3 * n - sched.warmup_count, 3 * n):
         sp = sched.slot_plan(slot)
-        for rec, d in sp.fetches:
-            tail_words.append((d.line_y, d.word_local))
+        for rec in sp.fetches:   # one slice column: px / 8 is its word
+            tail_words.append((rec.line, rec.px // 8))
     bl = 2
     assert tail_words == [(2 * bl + 1, j) for j in range(sched.warmup_count)]
 

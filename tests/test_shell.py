@@ -12,7 +12,7 @@ from dbemem.predwindow import WindowSpec
 from dbemem.sched import (preset_baseline, preset_by_name, preset_type1,
                           preset_type2)
 from dbemem.shell import (build_report, buffer_accounting, emit_report,
-                          emit_trace, parse_config, parse_report, parse_trace,
+                          emit_trace, parse_config, parse_trace,
                           report_to_text, throughput_metrics)
 
 CFG = {
@@ -64,12 +64,12 @@ def test_report_roundtrip_and_determinism(tmp_path):
     rep2 = build_report(run_simulation(cfg))
     t1, t2 = report_to_text(rep1), report_to_text(rep2)
     assert t1 == t2
-    parsed = parse_report(t1)
+    parsed = json.loads(t1)
     assert parsed["recon_pixels_per_slice"] == 25
     assert parsed["passed"] is True
     p = tmp_path / "rep.json"
     emit_report(rep1, p)
-    assert parse_report(p.read_text()) == parsed
+    assert json.loads(p.read_text()) == parsed
 
 
 def test_trace_emit_parse_replay(tmp_path):
@@ -278,9 +278,12 @@ def _fault_cfg(kind, value, arch="type2"):
     dict(CFG, image={"width": 320}),
     _fault_cfg("fetch_budget_override", 0, arch="baseline"),
     dict(CFG, clock_mhz=float("nan")),
+    # a 320-wide slice uses words 0..39: flipping word 479 changes nothing
+    dict(CFG, faults=[{"kind": "flip_word", "buffer": "lower0",
+                       "word_index": 479, "cycle": 100}]),
 ], ids=["capacity_str", "capacity_negative", "bit_depth_str", "chroma_420",
         "interleave_bogus", "window_span_str", "line_buffers_str",
-        "height_missing", "fetch_budget_0", "clock_nan"])
+        "height_missing", "fetch_budget_0", "clock_nan", "flip_unused_word"])
 def test_cli_malformed_config_exit_two(tmp_path, capsys, data):
     assert cli_main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2
     err = capsys.readouterr().err
