@@ -19,7 +19,7 @@ from .geometry import (BLOCK_W, CYCLES_PER_SLOT, LINE_WORDS, PIXELS_PER_WORD,
                        block_at_slot, build_geometry)
 from .ledger import (ARM_DISPLAY, ARM_FETCH, READ_DISPLAY, READ_FETCH,
                      WRITE_EVENT, Pass, owed_reads)
-from .membank import (ConflictViolation, HazardViolation, Purpose,
+from .membank import (VIOLATION_CLASSES, ConflictViolation, HazardViolation,
                       UnderflowViolation)
 from .oracle import GoldenOracle, ycocg_frame
 from .predwindow import (BLOCK_BITS, FETCH, FORWARDED, RESIDENT, SECTIONS,
@@ -572,8 +572,7 @@ class Engine:
         tie = np.where(cls == 0, at, b[CYCLE][at])
         order = np.lexsort((tie, cls, b[BANK][at], b[SLOT][at]))
         tracing = self.cfg.collect_trace
-        names = ("conflicts", "hazards", "underflows")
-        room = [self._room(c) for c in names]
+        room = [self._room(c) for c in VIOLATION_CLASSES]
         if not tracing:   # only the detail samples are built
             keep = np.zeros(len(order), dtype=bool)
             for c in range(3):
@@ -588,22 +587,16 @@ class Engine:
                 _, first_purpose, first_word = tm.conflicts[j]
                 v = ConflictViolation(cyc, buf, bank, first_purpose, purpose,
                                       first_word, word, int(b[BLOCK][i]))
-                row = (cyc, -1, buf, bank, "conflict", word, purpose.value,
-                       v.block_id)
             elif c == 1:
                 v = HazardViolation(cyc, buf, bank, word, int(hz_out[j]),
                                     int(hz_fetch[j]), int(b[BLOCK][i]))
-                row = (cyc, -1, buf, bank, "hazard", word,
-                       Purpose.WRITE_BLOCK_ROW.value, v.block_id)
             else:
                 v = UnderflowViolation(cyc, buf, bank, word, purpose)
-                row = (cyc, -1, buf, bank, "underflow", word, purpose.value,
-                       -1)
             if room[c] > 0:
-                self._note(names[c], v)
+                self._note(VIOLATION_CLASSES[c], v)
                 room[c] -= 1
             if tracing:
-                self.violation_rows.append(row)
+                self.violation_rows.append(v.trace_row())
 
     # -- window service ----------------------------------------------------------
 

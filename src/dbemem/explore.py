@@ -121,11 +121,12 @@ def minimal_resident_set(spec: WindowSpec, budget: FetchBudget,
     for routes in _candidate_routes(spec, budget, forwarding, reconvert):
         if _schedule_feasible(spec, routes, budget, forwarding, reconvert,
                               slice_words):
-            positions = ResidencyPolicy(
-                routes=dict(routes), forwarding_enabled=forwarding,
-                reconvert_on_fetch=reconvert).resident_positions(spec)
-            return ExplorerResult(sum(map(len, positions.values())),
-                                  positions, dict(routes), forwarding,
+            policy = ResidencyPolicy(routes=dict(routes),
+                                     forwarding_enabled=forwarding,
+                                     reconvert_on_fetch=reconvert)
+            positions = policy.resident_positions(spec)
+            count = sum(len(v) for v in positions.values())
+            return ExplorerResult(count, positions, dict(routes), forwarding,
                                   reconvert)
     # nothing placeable even with everything resident
     raise InfeasibleError("no routing satisfies the schedule")

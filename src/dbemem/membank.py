@@ -50,6 +50,10 @@ class ConflictViolation:
     second_word: int
     block_id: int
 
+    def trace_row(self) -> tuple:
+        return (self.cycle, -1, self.buffer, self.bank_id, "conflict",
+                self.second_word, self.second_purpose.value, self.block_id)
+
 
 @dataclass(frozen=True)
 class HazardViolation:
@@ -62,6 +66,10 @@ class HazardViolation:
     pending_fetch_reads: int
     block_id: int
 
+    def trace_row(self) -> tuple:
+        return (self.cycle, -1, self.buffer, self.bank_id, "hazard",
+                self.word_index, Purpose.WRITE_BLOCK_ROW.value, self.block_id)
+
 
 @dataclass(frozen=True)
 class UnderflowViolation:
@@ -71,6 +79,15 @@ class UnderflowViolation:
     bank_id: int
     word_index: int
     purpose: Purpose
+
+    def trace_row(self) -> tuple:
+        return (self.cycle, -1, self.buffer, self.bank_id, "underflow",
+                self.word_index, self.purpose.value, -1)
+
+
+# what a bank records, in drain order: its lists of violations, and the
+# ViolationLog counts and detail classes they go to
+VIOLATION_CLASSES = ("conflicts", "hazards", "underflows")
 
 
 class SramBankModel:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .engine import Engine, EngineResult
 from .geometry import BLOCK_W, CYCLES_PER_SLOT, PIXELS_PER_WORD
-from .membank import Purpose, SramBankModel
+from .membank import VIOLATION_CLASSES, Purpose, SramBankModel
 from .oracle import ycocg_frame
 from .predwindow import (FETCH, FORWARDED, RESIDENT, SECTIONS,
                          ReconBufferState)
@@ -66,35 +66,15 @@ class ReferenceEngine(Engine):
                                if routes[s] == RESIDENT]
 
     def _drain_bank_violations(self):
-        tracing = self.cfg.collect_trace
         for bank in self.banks:
-            if not (bank.conflicts or bank.hazards or bank.underflows):
-                continue
-            for v in bank.conflicts:
-                self.log.conflicts += 1
-                self._note("conflicts", v)
-                if tracing:
-                    self.violation_rows.append(
-                        (v.cycle, -1, v.buffer, v.bank_id, "conflict",
-                         v.second_word, v.second_purpose.value, v.block_id))
-            for v in bank.hazards:
-                self.log.hazards += 1
-                self._note("hazards", v)
-                if tracing:
-                    self.violation_rows.append(
-                        (v.cycle, -1, v.buffer, v.bank_id, "hazard",
-                         v.word_index, Purpose.WRITE_BLOCK_ROW.value,
-                         v.block_id))
-            for v in bank.underflows:
-                self.log.underflows += 1
-                self._note("underflows", v)
-                if tracing:
-                    self.violation_rows.append(
-                        (v.cycle, -1, v.buffer, v.bank_id, "underflow",
-                         v.word_index, v.purpose.value, -1))
-            bank.conflicts.clear()
-            bank.hazards.clear()
-            bank.underflows.clear()
+            for name in VIOLATION_CLASSES:
+                found = getattr(bank, name)
+                setattr(self.log, name, getattr(self.log, name) + len(found))
+                for v in found:
+                    self._note(name, v)
+                    if self.cfg.collect_trace:
+                        self.violation_rows.append(v.trace_row())
+                found.clear()
 
     def run(self) -> EngineResult:
         plan = self.plan
@@ -113,9 +93,11 @@ class ReferenceEngine(Engine):
             col = self.cols[b.slice_col]
             booked = []   # (cycle, bank order, bank) of every grant
             # book block row-writes (values from the golden decode)
-            write_booked = [
-                rec for rec in sp.writes if self._book(
-                    rec, booked, rgb[rec.line, rec.px:rec.px + BLOCK_W])]
+            write_booked = []
+            for rec in sp.writes:
+                if self._book(rec, booked,
+                              rgb[rec.line, rec.px:rec.px + BLOCK_W]):
+                    write_booked.append(rec)
             # book display reads
             for rec in sp.display_reads:
                 self._book(rec, booked)

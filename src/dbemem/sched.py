@@ -198,11 +198,16 @@ class Scheduler:
     def write_records(self, b: BlockCoord, cycle_base: int) -> list[AccessRecord]:
         word, bank = self.word_address(b.slice_col, b.block_x)
         x0 = self.plan.slice_base_x(b.slice_col) + BLOCK_W * b.block_x
-        return [AccessRecord(
-            cycle=cycle_base, buffer=self._buf_of[y % 4], bank_id=bank,
-            word_index=word, purpose=Purpose.WRITE_BLOCK_ROW,
-            block_id=b.global_block_index, slice_col=b.slice_col,
-            line=y, px=x0) for y in (2 * b.blockline, 2 * b.blockline + 1)]
+        y0 = 2 * b.blockline
+        recs = []
+        for y in (y0, y0 + 1):
+            recs.append(AccessRecord(
+                cycle=cycle_base, buffer=self._buf_of[y % 4],
+                bank_id=bank, word_index=word,
+                purpose=Purpose.WRITE_BLOCK_ROW,
+                block_id=b.global_block_index, slice_col=b.slice_col,
+                line=y, px=x0))
+        return recs
 
     # -- prediction fetches ----------------------------------------------------
 
@@ -287,11 +292,11 @@ class Scheduler:
     def _overbudget(self, demands, b):
         """Pad the demand list up to fetch_words_per_slot with extra
         previous-line words (the "second fetch per slot" experiment)."""
+        if not demands:
+            return demands
         extra = []
         want = self.preset.fetch_words_per_slot
-        base = demands[0] if demands else None
-        if base is None:
-            return demands
+        base = demands[0]
         w = base.word_local
         while len(demands) + len(extra) < want:
             w = (w + 1) % self.n_words
@@ -313,7 +318,8 @@ class Scheduler:
         return range(k0, max(k0, k1))
 
     def display_record(self, k: int) -> AccessRecord:
-        y, i = divmod(k, self.words_per_image_line)
+        y = k // self.words_per_image_line
+        i = k % self.words_per_image_line
         col = (i * PIXELS_PER_WORD) // self.plan.slice_width
         word, bank = self.word_address(col, i - col * self.n_words)
         return AccessRecord(
@@ -328,12 +334,10 @@ class Scheduler:
         base = CYCLES_PER_SLOT * global_slot
         plan = BlockSlotPlan(block=b, cycle_base=base)
         plan.writes = self.write_records(b, base)
+        plan.display_reads = [self.display_record(k) for k in
+                              self.display_words_in(base, base + CYCLES_PER_SLOT)]
         occupied: dict = {}
-        for rec in plan.writes:
-            occupied.setdefault((rec.buffer, rec.bank_id), set()).add(0)
-        for k in self.display_words_in(base, base + CYCLES_PER_SLOT):
-            rec = self.display_record(k)
-            plan.display_reads.append(rec)
+        for rec in plan.records():
             occupied.setdefault((rec.buffer, rec.bank_id), set()).add(rec.cycle - base)
         plan.fetches = self.fetch_records(b, base, occupied)
         return plan
@@ -360,10 +364,21 @@ class Scheduler:
 
     def booking_arrays(self, plans, slot0: int) -> np.ndarray:
         """The records of consecutive slot plans, the first at global slot
-        `slot0`, in booking order (`BlockSlotPlan.records`), as an int32
-        array with one row per field of `BOOKING_FIELDS`: the slot index
-        from slot0, the bank's place in `bank_keys` and the purpose's code;
-        the other fields are the record's."""
+        `slot0`, in booking order (`BlockSlotPlan.records`: per slot,
+        writes, display reads, fetches), as an int32 array with one row per
+        field of `BOOKING_FIELDS`:
+
+          slot     slot index from slot0
+          cycle    the access cycle
+          bank     the bank's place in commit order within a cycle, its
+                   index in `bank_keys`
+          purpose  WRITE, DISPLAY or FETCH_READ, its index in PURPOSES
+          word     word index in the line buffer
+          block    block id; -1 for display reads
+          col      slice column of the record
+          line     the image line written, displayed or demanded
+          px       x of the first of the word's 8 pixels on that line
+        """
         at = self.bank_order
         rows = [(sp.cycle_base // CYCLES_PER_SLOT - slot0, r.cycle,
                  at[r.buffer, r.bank_id], _CODE[r.purpose], r.word_index,

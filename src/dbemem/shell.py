@@ -7,7 +7,7 @@ Config files are strict: unknown keys are errors.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .engine import EngineResult, FaultSpec, SimConfig
 from .errors import ConfigError
@@ -39,27 +39,6 @@ class SimReport:
     reductions_vs_baseline: dict
     passed: bool
     footnotes: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "image": self.image,
-            "slice_columns": self.slice_columns,
-            "line_buffer_bits_total": self.line_buffer_bits_total,
-            "recon_pixels_per_slice": self.recon_pixels_per_slice,
-            "recon_bits_per_slice": self.recon_bits_per_slice,
-            "recon_bits_total": self.recon_bits_total,
-            "recon_bytes_total": self.recon_bytes_total,
-            "recon_bytes_per_slice_rounded": self.recon_bytes_per_slice_rounded,
-            "violations": dict(self.violations),
-            "latency_cycles": self.latency_cycles,
-            "total_cycles": self.total_cycles,
-            "mpixels_per_sec": self.mpixels_per_sec,
-            "fps": self.fps,
-            "reductions_vs_baseline": dict(self.reductions_vs_baseline),
-            "passed": self.passed,
-            "footnotes": dict(self.footnotes),
-        }
 
 
 def line_buffer_bits(preset: ArchPreset) -> int:
@@ -119,24 +98,17 @@ def build_report(result: EngineResult) -> SimReport:
         "fetch_stage_peak_pixels": result.assembly_peak_pixels,
         "chroma": plan.image.chroma.value,
     }
+    # the accounting and throughput keys are SimReport fields
     return SimReport(
         preset=result.preset.name,
         image=f"{plan.image.width}x{plan.image.height}",
         slice_columns=cols,
-        line_buffer_bits_total=acct["line_buffer_bits_total"],
-        recon_pixels_per_slice=px,
-        recon_bits_per_slice=acct["recon_bits_per_slice"],
-        recon_bits_total=acct["recon_bits_total"],
-        recon_bytes_total=acct["recon_bytes_total"],
-        recon_bytes_per_slice_rounded=acct["recon_bytes_per_slice_rounded"],
         violations=result.violations.as_dict(),
         latency_cycles=result.latency_cycles,
         total_cycles=result.total_cycles,
-        mpixels_per_sec=thr["mpixels_per_sec"],
-        fps=thr["fps"],
-        reductions_vs_baseline=acct["reductions_vs_baseline"],
         passed=result.passed,
         footnotes=footnotes,
+        **acct, **thr,
     )
 
 
@@ -146,7 +118,7 @@ def emit_report(report: SimReport, path) -> None:
 
 
 def report_to_text(report: SimReport) -> str:
-    return json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
 
 
 def emit_trace(result: EngineResult, path) -> None:
