@@ -9,8 +9,8 @@ golden pixel generator, so scheduling bugs surface as counted violations
 instead of silent corruption.
 """
 
-from .errors import ConfigError, InfeasibleError, RangeError
+from .errors import ConfigError, InfeasibleError
 
-__all__ = ["ConfigError", "InfeasibleError", "RangeError"]
+__all__ = ["ConfigError", "InfeasibleError"]
 
 __version__ = "0.1.0"

@@ -210,20 +210,14 @@ class _Stage:
 
     def bad(self, reconvert: bool, y: int):
         """Per entry and pixel, for the entries holding line y: the staged
-        value differs from the golden pixel, in RGB or, after the
-        reconvert, in YCoCg.  Entries of other lines read False."""
+        value differs from the golden pixel (`Engine._mismatch`).  Entries
+        of other lines read False."""
         if (reconvert, y) not in self._bad:
-            eng = self._eng
             e = np.flatnonzero(self.line == y)
-            got = eng._rgb[y, self._src_x[e][:, None] + _PIXEL] \
-                ^ self._parity[e][:, None, None]
-            want_x = self._want_x[e][:, None] + _PIXEL
-            if reconvert:
-                got, want = ycocg_frame(got), eng._yco[y, want_x]
-            else:
-                want = eng._rgb[y, want_x]
+            line = self.line[e]
             bad = np.zeros((len(self.line), PIXELS_PER_WORD), dtype=bool)
-            bad[e] = (got != want).any(axis=-1)
+            bad[e] = self._eng._mismatch(line, self._src_x[e], self._parity[e],
+                                         line, self._want_x[e], reconvert)
             self._bad[reconvert, y] = bad
         return self._bad[reconvert, y]
 
@@ -542,16 +536,26 @@ class Engine:
         r = np.flatnonzero(written)   # an underflow is the bank's to count
         y, x = np.divmod(k[r], self.sched.words_per_image_line)
         x *= PIXELS_PER_WORD
-        got = self._rgb[line[r][:, None], src_x[r][:, None] + _PIXEL] \
-            ^ parity[r][:, None, None]
-        want = self._rgb[y[:, None], x[:, None] + _PIXEL]
-        bad = (got != want).any(axis=-1).sum(axis=-1)
+        bad = self._mismatch(line[r], src_x[r], parity[r], y, x).sum(axis=-1)
         hit = np.flatnonzero(bad)
         if hit.size:
             self.log.output_mismatches += int(bad.sum())
             for i in hit[:self._room("output_mismatches")].tolist():
                 self._note("output_mismatches", (int(k[r][i]), int(y[i]),
                                                  int(x[i]), int(bad[i])))
+
+    def _mismatch(self, line, src_x, parity, y, x, reconvert=False):
+        """Per word and pixel: the golden pixels at the word's source (line,
+        first pixel x src_x) with the flip parity XORed in differ from the
+        golden pixels of its place (line y, first pixel x x), in RGB or,
+        after the reconvert, in YCoCg.  Every argument but reconvert has
+        one entry per word."""
+        got = self._rgb[line[:, None], src_x[:, None] + _PIXEL] \
+            ^ parity[:, None, None]
+        if reconvert:
+            got = ycocg_frame(got)
+        golden = self._yco if reconvert else self._rgb
+        return (got != golden[y[:, None], x[:, None] + _PIXEL]).any(axis=-1)
 
     def _drain_bank_violations(self, tm, b, found):
         """Count and log the pass's conflicts, hazards and underflows in

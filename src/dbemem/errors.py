@@ -6,10 +6,6 @@ class ConfigError(ValueError):
     """Invalid geometry, preset, or config-file contents."""
 
 
-class RangeError(IndexError):
-    """Coordinate or address outside the valid range."""
-
-
 class InfeasibleError(RuntimeError):
     """No resident set can satisfy the requested schedule."""
 

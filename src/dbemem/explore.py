@@ -22,14 +22,13 @@ NONE = "none"
 class FetchBudget:
     """Fetch opportunities per block slot.
 
-    kind "refill": a fixed number of designated fetch cycles that top up the
-    resident window (they provide no per-need service).  kind "streaming":
+    kind "refill": one designated fetch cycle per slot that tops up the
+    resident window (it provides no per-need service).  kind "streaming":
     fetches may take any free cycle on the lower-buffer banks and serve
     window needs directly.  Budgets are ordered none < refill < streaming
     for the monotonicity properties.
     """
     kind: str = REFILL
-    words_per_slot: int = 1
     banks_per_buffer: int = 1
 
     def __post_init__(self):
@@ -88,7 +87,7 @@ def _schedule_feasible(spec: WindowSpec, routes: dict, budget: FetchBudget,
         name="explorer", line_delay=HALF_LINE, line_buffers=2,
         banks_per_buffer=budget.banks_per_buffer,
         fetch_kind=REFILL if budget.kind == REFILL else STREAMING,
-        fetch_words_per_slot=min(budget.words_per_slot, 1), residency=policy)
+        fetch_words_per_slot=1, residency=policy)
     image = ImageGeometry(slice_words * 8, 8)
     plan = build_geometry(image, SliceLayout(1, 1))
     sched = Scheduler(preset, spec, plan)
@@ -134,6 +133,4 @@ def minimal_resident_set(spec: WindowSpec, budget: FetchBudget,
 
 def preset_budget(preset: ArchPreset) -> FetchBudget:
     kind = STREAMING if preset.fetch_kind == STREAMING else REFILL
-    return FetchBudget(kind=kind,
-                       words_per_slot=max(preset.fetch_words_per_slot, 1),
-                       banks_per_buffer=preset.banks_per_buffer)
+    return FetchBudget(kind=kind, banks_per_buffer=preset.banks_per_buffer)

@@ -7,12 +7,7 @@ is the reversible (lossless) YCoCg variant, which makes the
 "fetch RGB from the line buffer and re-convert" path exactly checkable.
 """
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
-
-from .errors import RangeError
 
 _MASK64 = (1 << 64) - 1
 _KX = 0x9E3779B97F4A7C15
@@ -22,55 +17,19 @@ _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
 
-class ColorSpace(Enum):
-    RGB = "rgb"
-    YCOCG = "ycocg"
-
-
-@dataclass(frozen=True)
-class PixelValue:
-    c0: int
-    c1: int
-    c2: int
-    space: ColorSpace
-
-    def components(self) -> tuple[int, int, int]:
-        return (self.c0, self.c1, self.c2)
-
-
-def _mix(h: int) -> int:
-    h ^= h >> 30
-    h = (h * _M1) & _MASK64
-    h ^= h >> 27
-    h = (h * _M2) & _MASK64
-    h ^= h >> 31
-    return h
-
-
 class GoldenOracle:
     """Stateless pixel generator: same (seed, x, y) always yields the same RGB."""
 
     def __init__(self, seed: int = 0, bit_depth: int = 10):
         self.seed = seed & _MASK64
-        self.bit_depth = bit_depth
         self.max_value = (1 << bit_depth) - 1
-
-    def golden_rgb(self, x: int, y: int) -> PixelValue:
-        if x < 0 or y < 0:
-            raise RangeError(f"negative pixel coordinate ({x}, {y})")
-        comps = []
-        for c in range(3):
-            h = self.seed ^ ((x * _KX) & _MASK64) ^ ((y * _KY) & _MASK64) \
-                ^ ((c * _KC) & _MASK64)
-            comps.append(_mix(h & _MASK64) % (1 << self.bit_depth))
-        return PixelValue(comps[0], comps[1], comps[2], ColorSpace.RGB)
 
     def golden_frame(self, width: int, height: int) -> np.ndarray:
         """Whole frame as an int32 array of shape (height, width, 3).
 
-        Vectorized equivalent of golden_rgb over the full raster; used by the
-        engine so per-block window checks are numpy gathers instead of
-        per-pixel Python calls.
+        Component c of pixel (x, y) is the low bit_depth bits of a 64-bit
+        mix of seed ^ x*KX ^ y*KY ^ c*KC.  The engines gather from the frame
+        with numpy instead of hashing per pixel.
         """
         xs = np.arange(width, dtype=np.uint64) * np.uint64(_KX)
         ys = np.arange(height, dtype=np.uint64) * np.uint64(_KY)
@@ -89,36 +48,9 @@ class GoldenOracle:
         return frame
 
 
-def ycocg_from_rgb(p: PixelValue) -> PixelValue:
-    """Forward lossless transform: RGB -> YCoCg (integer, exactly invertible)."""
-    r, g, b = p.components()
-    co = r - b
-    t = b + (co >> 1)
-    cg = g - t
-    y = t + (cg >> 1)
-    return PixelValue(y, co, cg, ColorSpace.YCOCG)
-
-
-def rgb_from_ycocg(p: PixelValue, bit_depth: int = 10) -> PixelValue:
-    """Exact inverse of ycocg_from_rgb.
-
-    Raises RangeError when the result falls outside the RGB cube, which
-    signals a tuple that no in-range RGB value could have produced.
-    """
-    y, co, cg = p.components()
-    t = y - (cg >> 1)
-    g = cg + t
-    b = t - (co >> 1)
-    r = b + co
-    top = (1 << bit_depth) - 1
-    for v in (r, g, b):
-        if v < 0 or v > top:
-            raise RangeError(f"YCoCg {p.components()} maps outside {bit_depth}-bit RGB")
-    return PixelValue(r, g, b, ColorSpace.RGB)
-
-
 def ycocg_frame(rgb_frame: np.ndarray) -> np.ndarray:
-    """Vectorized forward transform over a (..., 3) int array."""
+    """Forward lossless transform RGB -> YCoCg (integer, exactly
+    invertible) over a (..., 3) int array."""
     r = rgb_frame[..., 0].astype(np.int32)
     g = rgb_frame[..., 1].astype(np.int32)
     b = rgb_frame[..., 2].astype(np.int32)

@@ -147,7 +147,6 @@ class ReconBufferState:
         # a section the policy keeps nothing of never holds a pixel
         self._sliding = [s for s in SECTIONS if self.keep[s]]
         self.peak_occupancy = 0
-        self.rejected = 0
         self._occ = 0
 
     def occupancy(self) -> int:
@@ -178,7 +177,6 @@ class ReconBufferState:
         k = cand.bit_count()
         room = self.capacity - self._occ
         if k > room:
-            self.rejected += k - room
             cand = _lowest_bits(cand, room)
             k = room
             if not k:

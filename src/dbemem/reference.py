@@ -21,10 +21,7 @@ from .sched import STREAMING
 
 
 def bad_pixels(got: np.ndarray, want: np.ndarray) -> int:
-    """Pixels of `got` that differ from `want` in any component.  Equal bytes,
-    the usual case, settle it without the per-pixel count."""
-    if got.tobytes() == want.tobytes():
-        return 0
+    """Pixels of `got` that differ from `want` in any component."""
     return int((got != want).any(axis=1).sum())
 
 
@@ -46,7 +43,7 @@ class _ColumnState:
         self.stage_vals = np.zeros((4, n_words, PIXELS_PER_WORD, 3),
                                    dtype=np.int32)
         self.stage_line = np.full((4, n_words), -1, dtype=np.int64)
-        self.history = deque(maxlen=2)  # (block_x, rgb_rows, yco_rows)
+        self.history = deque(maxlen=2)  # (block_x, yco_rows)
 
 
 class ReferenceEngine(Engine):
@@ -115,9 +112,7 @@ class ReferenceEngine(Engine):
             self.log.prediction_mismatches += mismatches
             # record the decoded block for forwarding / admission
             x0 = plan.slice_base_x(b.slice_col) + BLOCK_W * b.block_x
-            col.history.append((b.block_x,
-                                rgb[y0:y0 + 2, x0:x0 + BLOCK_W],
-                                yco[y0:y0 + 2, x0:x0 + BLOCK_W]))
+            col.history.append((b.block_x, yco[y0:y0 + 2, x0:x0 + BLOCK_W]))
             self._drain_bank_violations()
 
         # display-only tail after the last decode slot
@@ -236,12 +231,12 @@ class ReferenceEngine(Engine):
         # forwarding it is served from the pipe this slot and stored at the next
         if self.preset.residency.forwarding_enabled:
             if len(col.history) == 2:
-                yco2 = col.history[0][2]
+                yco2 = col.history[0][1]
                 for section, row in self._resident_rows:
                     self._admit(col, section, -2 * BLOCK_W, left - base_x,
                                 yco2[row])
         elif col.history:
-            yco1 = col.history[-1][2]
+            yco1 = col.history[-1][1]
             for section, row in self._resident_rows:
                 self._admit(col, section, -BLOCK_W, left - base_x, yco1[row])
 
@@ -316,16 +311,13 @@ class ReferenceEngine(Engine):
                 if route == RESIDENT:
                     vmask = col.recon.valid_at(section, xa - left, m)
                     vals = col.values[section][xa - base_x:xb - base_x + 1]
-                    if vmask.all():
-                        n_bad = bad_pixels(vals, want)
-                    else:
-                        n_miss = int(m - vmask.sum())
-                        n_bad = bad_pixels(vals[vmask], want[vmask])
+                    n_miss = int(m - vmask.sum())
+                    n_bad = bad_pixels(vals[vmask], want[vmask])
                 elif route == FORWARDED:
                     hist_ok = col.history and \
                         col.history[-1][0] == b.block_x - 1
                     if hist_ok:
-                        yrow = col.history[-1][2][dy]
+                        yrow = col.history[-1][1][dy]
                         offs = xa - (left - BLOCK_W)
                         n_bad = bad_pixels(yrow[offs:offs + m], want)
                     else:
@@ -347,25 +339,11 @@ class ReferenceEngine(Engine):
         return served, misses, mismatches
 
     def _serve_fetched(self, col, section, y, xa, xb, base_x, want):
-        """Serve a contiguous span from the fetch stage (streaming presets)."""
+        """Serve a contiguous span from the fetch stage (streaming presets),
+        word by word."""
         wa = (xa - base_x) // PIXELS_PER_WORD
         wb = (xb - base_x) // PIXELS_PER_WORD
         s = y & 3
-        tags = col.stage_line[s, wa:wb + 1]
-        p0 = (xa - base_x) - wa * PIXELS_PER_WORD
-        m = xb - xa + 1
-        if (tags == y).all():
-            flat = col.stage_vals[s, wa:wb + 1].reshape(-1, 3)[p0:p0 + m]
-            if section == "prev":
-                return 0, bad_pixels(flat, want)
-            if not self.preset.residency.reconvert_on_fetch:
-                return m, 0
-            # `want` is the reconvert of the golden RGB, so a stage holding
-            # the golden RGB serves it exactly and needs no reconvert here
-            if flat.tobytes() == self._rgb[y, xa:xb + 1].tobytes():
-                return 0, 0
-            return 0, bad_pixels(ycocg_frame(flat), want)
-        # some words missing: serve word by word
         n_miss = n_bad = 0
         reconv = self.preset.residency.reconvert_on_fetch
         for w in range(wa, wb + 1):

@@ -350,12 +350,10 @@ class Scheduler:
         it opens a slice (no previous-line fetches), and whether the next
         blockline's warm-up fetches ride on its tail.  A blockline whose
         display reads are clipped at either end of the frame is a class of
-        its own."""
+        its own: it reads fewer than one word per two cycles."""
         cycles = CYCLES_PER_SLOT * self.slots_per_blockline
         c0 = cycles * bl
-        k0 = -(-(c0 + self.read_lead - self.latency) // 2)
-        k1 = -(-(c0 + cycles + self.read_lead - self.latency) // 2)
-        if k0 < 0 or k1 > self.total_display_words:
+        if len(self.display_words_in(c0, c0 + cycles)) < cycles // 2:
             return bl
         nxt = bl + 1
         warm = bool(self.warmup_count and nxt < self.plan.total_blocklines

@@ -167,8 +167,11 @@ def _check_keys(d: dict, allowed: set, where: str):
 
 
 def _as(kind, value, what: str):
-    """`kind(value)` for int, float or an Enum; a failure is a ConfigError."""
+    """`kind(value)` for int, float or an Enum, and a bool only from a JSON
+    boolean (bool("false") is True); a failure is a ConfigError."""
     try:
+        if kind is bool and not isinstance(value, bool):
+            raise TypeError(value)
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{what} must be a valid {kind.__name__}, "
@@ -209,7 +212,7 @@ def parse_config(text: str) -> SimConfig:
                        "interleave"),
         sram_read_latency=_as(int, raw.get("sram_read_latency", 0),
                               "sram_read_latency"),
-        collect_trace=bool(raw.get("trace", False)),
+        collect_trace=_as(bool, raw.get("trace", False), "trace"),
         faults=[_parse_fault(f) for f in faults])
 
 
@@ -222,8 +225,10 @@ def _parse_arch(raw) -> ArchPreset:
     routes = {s: res_raw.get(s, RESIDENT) for s in SECTIONS}
     policy = ResidencyPolicy(
         routes=routes,
-        forwarding_enabled=bool(raw.get("forwarding", False)),
-        reconvert_on_fetch=bool(raw.get("reconvert_on_fetch", False)))
+        forwarding_enabled=_as(bool, raw.get("forwarding", False),
+                               "arch.forwarding"),
+        reconvert_on_fetch=_as(bool, raw.get("reconvert_on_fetch", False),
+                               "arch.reconvert_on_fetch"))
     return ArchPreset(
         name=str(raw.get("name", "custom")),
         line_delay=str(raw.get("line_delay", ONE_LINE)),
@@ -255,7 +260,9 @@ def _parse_window(raw) -> WindowSpec:
 
 def _parse_fault(raw) -> FaultSpec:
     _check_keys(raw, _FAULT_KEYS, "fault")
-    return FaultSpec(kind=str(raw.get("kind", "noop")),
+    if "kind" not in raw:
+        raise ConfigError(f"fault {raw!r} has no kind")
+    return FaultSpec(kind=str(raw["kind"]),
                      buffer=raw.get("buffer"),
                      word_index=raw.get("word_index"),
                      cycle=raw.get("cycle"),

@@ -32,7 +32,7 @@ def test_type2_routes_are_auditable():
 
 def test_streaming_degradations():
     spec = WindowSpec()
-    streaming = FetchBudget("streaming", 1, 2)
+    streaming = FetchBudget("streaming", 2)
     no_reconv = minimal_resident_set(spec, streaming, forwarding=True,
                                      reconvert=False)
     assert no_reconv.resident_count == 49    # lower row cannot stream
@@ -61,8 +61,7 @@ def test_monotone_in_budget_forwarding_reconvert():
     """Resident count never grows when the fetch budget rises or when
     forwarding/reconvert are switched on (>=100 randomized window specs)."""
     rng = random.Random(42)
-    budgets = [FetchBudget("refill", 1, 1), FetchBudget("refill", 2, 1),
-               FetchBudget("streaming", 1, 2)]
+    budgets = [FetchBudget("refill", 1), FetchBudget("streaming", 2)]
     checked = 0
     for _ in range(120):
         spec = random_spec(rng)

@@ -1,11 +1,17 @@
 import random
 
 import numpy as np
-import pytest
 
-from dbemem.errors import RangeError
-from dbemem.oracle import (ColorSpace, GoldenOracle, PixelValue, rgb_from_ycocg,
-                           ycocg_frame, ycocg_from_rgb)
+from dbemem.oracle import GoldenOracle, ycocg_frame
+
+
+def ycocg_inverse(yco: np.ndarray) -> np.ndarray:
+    """The exact inverse of `ycocg_frame` over a (..., 3) int array."""
+    y, co, cg = yco[..., 0], yco[..., 1], yco[..., 2]
+    t = y - (cg >> 1)
+    g = cg + t
+    b = t - (co >> 1)
+    return np.stack([b + co, g, b], axis=-1)
 
 
 # regression constants computed by direct evaluation of the mixing function
@@ -19,39 +25,22 @@ PINNED = {
 
 def test_pinned_values():
     for (seed, x, y), want in PINNED.items():
-        p = GoldenOracle(seed).golden_rgb(x, y)
-        assert p.components() == want
-        assert p.space is ColorSpace.RGB
+        assert tuple(GoldenOracle(seed).golden_frame(x + 1, y + 1)[y, x]) \
+            == want
 
 
 def test_determinism():
     o = GoldenOracle(12345)
-    assert o.golden_rgb(17, 9) == o.golden_rgb(17, 9)
-
-
-def test_negative_coordinates_rejected():
-    with pytest.raises(RangeError):
-        GoldenOracle(0).golden_rgb(-1, 0)
+    assert np.array_equal(o.golden_frame(32, 16), o.golden_frame(32, 16))
+    # a pixel does not depend on the frame size it is read from
+    assert np.array_equal(o.golden_frame(18, 10)[9, 17],
+                          GoldenOracle(12345).golden_frame(64, 12)[9, 17])
 
 
 def test_adjacent_pixels_differ():
-    o = GoldenOracle(0)
-    probe = [[o.golden_rgb(x, y).components() for x in range(64)]
-             for y in range(64)]
-    for y in range(64):
-        for x in range(63):
-            assert probe[y][x] != probe[y][x + 1]
-    for y in range(63):
-        for x in range(64):
-            assert probe[y][x] != probe[y + 1][x]
-
-
-def test_frame_matches_scalar_path():
-    o = GoldenOracle(99, bit_depth=10)
-    frame = o.golden_frame(32, 8)
-    for y in (0, 3, 7):
-        for x in (0, 17, 31):
-            assert tuple(frame[y, x]) == o.golden_rgb(x, y).components()
+    probe = GoldenOracle(0).golden_frame(64, 64)
+    assert (probe[:, :-1] != probe[:, 1:]).any(axis=-1).all()
+    assert (probe[:-1] != probe[1:]).any(axis=-1).all()
 
 
 def test_bit_depth_range():
@@ -61,26 +50,25 @@ def test_bit_depth_range():
 
 
 def test_gray_axis():
-    for v in (0, 1, 511, 700, 1023):
-        p = ycocg_from_rgb(PixelValue(v, v, v, ColorSpace.RGB))
-        assert p.components() == (v, 0, 0)
-        back = rgb_from_ycocg(p)
-        assert back.components() == (v, v, v)
+    v = np.array([0, 1, 511, 700, 1023], dtype=np.int32)
+    gray = np.stack([v, v, v], axis=-1)
+    yco = ycocg_frame(gray)
+    assert yco.tolist() == [[int(g), 0, 0] for g in v]
+    assert np.array_equal(ycocg_inverse(yco), gray)
 
 
 def test_pinned_transform():
-    p = ycocg_from_rgb(PixelValue(1023, 0, 0, ColorSpace.RGB))
-    assert p.components() == (255, 1023, -511)
-    assert rgb_from_ycocg(p).components() == (1023, 0, 0)
+    rgb = np.array([1023, 0, 0], dtype=np.int32)
+    yco = ycocg_frame(rgb)
+    assert yco.tolist() == [255, 1023, -511]
+    assert ycocg_inverse(yco).tolist() == [1023, 0, 0]
 
 
 def test_roundtrip_random_10bit():
     rng = random.Random(1)
-    for _ in range(10000):
-        r, g, b = (rng.randrange(1024) for _ in range(3))
-        p = PixelValue(r, g, b, ColorSpace.RGB)
-        q = rgb_from_ycocg(ycocg_from_rgb(p))
-        assert q.components() == (r, g, b)
+    rgb = np.array([[rng.randrange(1024) for _ in range(3)]
+                    for _ in range(10000)], dtype=np.int32)
+    assert np.array_equal(ycocg_inverse(ycocg_frame(rgb)), rgb)
 
 
 def test_roundtrip_exhaustive_8bit_vectorized():
@@ -89,28 +77,15 @@ def test_roundtrip_exhaustive_8bit_vectorized():
     r, g, b = np.meshgrid(v, v, v, indexing="ij")
     rgb = np.stack([r.ravel(), g.ravel(), b.ravel()], axis=-1)
     yco = ycocg_frame(rgb)
-    y, co, cg = yco[:, 0], yco[:, 1], yco[:, 2]
-    t = y - (cg >> 1)
-    g2 = cg + t
-    b2 = t - (co >> 1)
-    r2 = b2 + co
-    assert np.array_equal(r2, rgb[:, 0])
-    assert np.array_equal(g2, rgb[:, 1])
-    assert np.array_equal(b2, rgb[:, 2])
-    assert y.min() >= 0 and y.max() <= 255
-
-
-def test_out_of_image_tuple_rejected():
-    # (0, -15, -15) is not in the forward image of the 4-bit RGB cube
-    with pytest.raises(RangeError):
-        rgb_from_ycocg(PixelValue(0, -15, -15, ColorSpace.YCOCG), bit_depth=4)
+    assert np.array_equal(ycocg_inverse(yco), rgb)
+    assert yco[:, 0].min() >= 0 and yco[:, 0].max() <= 255
 
 
 def test_component_ranges_random():
     rng = random.Random(2)
-    for _ in range(5000):
-        r, g, b = (rng.randrange(1024) for _ in range(3))
-        y, co, cg = ycocg_from_rgb(PixelValue(r, g, b, ColorSpace.RGB)).components()
-        assert 0 <= y <= 1023
-        assert -1023 <= co <= 1023
-        assert -1023 <= cg <= 1023
+    rgb = np.array([[rng.randrange(1024) for _ in range(3)]
+                    for _ in range(5000)], dtype=np.int32)
+    y, co, cg = ycocg_frame(rgb).T
+    assert 0 <= y.min() and y.max() <= 1023
+    assert -1023 <= co.min() and co.max() <= 1023
+    assert -1023 <= cg.min() and cg.max() <= 1023

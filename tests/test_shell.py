@@ -281,9 +281,14 @@ def _fault_cfg(kind, value, arch="type2"):
     # a 320-wide slice uses words 0..39: flipping word 479 changes nothing
     dict(CFG, faults=[{"kind": "flip_word", "buffer": "lower0",
                        "word_index": 479, "cycle": 100}]),
+    # bool("false") is True: a flag must be a JSON boolean
+    dict(CFG, arch={"forwarding": "false"}),
+    dict(CFG, trace="no"),
+    dict(CFG, faults=[{"value": 2}]),
 ], ids=["capacity_str", "capacity_negative", "bit_depth_str", "chroma_420",
         "interleave_bogus", "window_span_str", "line_buffers_str",
-        "height_missing", "fetch_budget_0", "clock_nan", "flip_unused_word"])
+        "height_missing", "fetch_budget_0", "clock_nan", "flip_unused_word",
+        "forwarding_str", "trace_str", "fault_without_kind"])
 def test_cli_malformed_config_exit_two(tmp_path, capsys, data):
     assert cli_main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2
     err = capsys.readouterr().err
