@@ -167,10 +167,14 @@ def _check_keys(d: dict, allowed: set, where: str):
 
 
 def _as(kind, value, what: str):
-    """`kind(value)` for int, float or an Enum, and a bool only from a JSON
-    boolean (bool("false") is True); a failure is a ConfigError."""
+    """`kind(value)` for an Enum, or a value of the JSON type of an int,
+    float or bool field: an integer, a number, a boolean, and a bool for
+    no other field (int(2.7), int(True) and bool("false") all succeed).  A
+    failure is a ConfigError."""
     try:
-        if kind is bool and not isinstance(value, bool):
+        if kind in (int, float, bool) and (
+                isinstance(value, bool) != (kind is bool) or not isinstance(
+                    value, (int, float) if kind is float else kind)):
             raise TypeError(value)
         return kind(value)
     except (TypeError, ValueError, OverflowError):

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The full-4K criterion
-simulates a complete 3840x2160 frame (~2M cycles) and takes about 6 s on
-a 2-vCPU VM; everything else runs at the 640x128 regression size.
+simulates a complete 3840x2160 frame (~2M cycles) and takes about 1.3 s
+on a 2-vCPU VM; everything else runs at the 640x128 regression size.
 """
 
 import random

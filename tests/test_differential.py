@@ -3,7 +3,9 @@ give the same violation counts and detail samples, pixels and windows
 served, recon peaks, trace rows and violation rows."""
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from dbemem.engine import Engine, FaultSpec, SimConfig
 from dbemem.errors import ConfigError
 from dbemem.geometry import (CYCLES_PER_SLOT, ImageGeometry, Interleave,
                              SliceLayout)
+from dbemem.oracle import GoldenOracle
 from dbemem.predwindow import WindowSpec
 from dbemem.reference import ReferenceEngine
 from dbemem.sched import Scheduler, preset_by_name
@@ -110,6 +113,71 @@ def test_engine_matches_reference_combined_faults(name, faults):
                     faults=[FaultSpec(kind, value=v) for kind, v in faults])
     want = assert_same_run(cfg)
     assert want["counts"]["conflicts"] and want["counts"]["hazards"]
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_late_flip_matches_reference(name):
+    """A flip in blockline 7 of a 320x64 frame, shifted six blocklines from
+    flip_182, lands where the clean run already replays its class: a run
+    with a flip checks every blockline and matches the reference."""
+    cfg = SimConfig(ImageGeometry(320, 64), SliceLayout(1, 1),
+                    preset_by_name(name), collect_trace=True)
+    assert Engine(cfg).run().blocklines_replayed > 0
+    cfg.faults = [FaultSpec("flip_word", buffer="lower0", word_index=5,
+                            cycle=182 + 6 * 160)]
+    want = assert_same_run(cfg)
+    assert want["counts"]["output_mismatches"] > 0
+    assert Engine(cfg).run().blocklines_replayed == 0
+
+
+@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize("shape", [
+    dict(cols=1), dict(cols=4), dict(cols=4, interleave=Interleave.ROUND_ROBIN),
+    dict(rows=2), dict(sram_read_latency=1)],
+    ids=["cols1", "cols4", "round_robin", "rows2", "latency1"])
+def test_replayed_blocklines_match_reference(name, shape):
+    """At 320x128 a fault-free run replays the blocklines whose carried
+    state repeats, and with and without its trace gives what the reference
+    gives.  Round-robin, and a registered read on the half-line presets,
+    log violations in every blockline: for them only the outputs are
+    compared."""
+    shape = dict(shape)
+    cfg = SimConfig(ImageGeometry(320, 128),
+                    SliceLayout(shape.pop("cols", 1), shape.pop("rows", 1)),
+                    preset_by_name(name), collect_trace=True, **shape)
+    want = outputs(ReferenceEngine(cfg).run())
+    for trace in (True, False):
+        res = Engine(replace(cfg, collect_trace=trace)).run()
+        got = outputs(res)
+        for key in want:
+            if trace or key not in ("trace_rows", "violation_rows"):
+                assert got[key] == want[key], key
+            else:
+                assert got[key] == [], key
+        if not any(want["counts"].values()):
+            assert res.blocklines_replayed > 0
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_words_from_another_place_are_never_replayed(monkeypatch, name):
+    """Round-robin displays words that a later line overwrote.  With the
+    golden frame's upper half made of its first two lines repeated, those
+    words hold their place's pixels there and differ in the lower half; a
+    blockline that compared them is checked again, never replayed."""
+    frame = GoldenOracle.golden_frame
+
+    def repeated(self, width, height):
+        rgb = frame(self, width, height)
+        rgb[:height // 2] = rgb[np.arange(height // 2) % 2]
+        return rgb
+
+    monkeypatch.setattr(GoldenOracle, "golden_frame", repeated)
+    cfg = SimConfig(ImageGeometry(320, 128), SliceLayout(2, 1),
+                    preset_by_name(name), interleave=Interleave.ROUND_ROBIN,
+                    collect_trace=True)
+    want = assert_same_run(cfg)
+    assert want["counts"]["output_mismatches"] > 0
+    assert Engine(cfg).run().blocklines_replayed == 0
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,

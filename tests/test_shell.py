@@ -285,10 +285,20 @@ def _fault_cfg(kind, value, arch="type2"):
     dict(CFG, arch={"forwarding": "false"}),
     dict(CFG, trace="no"),
     dict(CFG, faults=[{"value": 2}]),
+    # int(True) is 1 and int(2.7) is 2: an integer field takes a JSON
+    # integer only
+    dict(CFG, sram_read_latency=True),
+    dict(CFG, seed=2.7),
+    dict(CFG, image=dict(CFG["image"], width=320.0)),
+    dict(CFG, slices={"columns": 1.9}),
+    dict(CFG, window_spec={"prev_line_span": [-8.0, 32]}),
+    dict(CFG, clock_mhz=True),
 ], ids=["capacity_str", "capacity_negative", "bit_depth_str", "chroma_420",
         "interleave_bogus", "window_span_str", "line_buffers_str",
         "height_missing", "fetch_budget_0", "clock_nan", "flip_unused_word",
-        "forwarding_str", "trace_str", "fault_without_kind"])
+        "forwarding_str", "trace_str", "fault_without_kind", "latency_bool",
+        "seed_float", "width_float", "columns_float", "window_span_float",
+        "clock_bool"])
 def test_cli_malformed_config_exit_two(tmp_path, capsys, data):
     assert cli_main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2
     err = capsys.readouterr().err
@@ -372,11 +382,28 @@ _config = st.fixed_dictionaries({
         "faults": _maybe(st.lists(_fault, max_size=3))})
 
 
+def _integers(data):
+    """The values of a config that it reads as integers."""
+    out = [data[k] for k in ("throughput_ppc", "seed", "sram_read_latency")
+           if k in data]
+    for section, keys in (("image", ("width", "height", "bit_depth")),
+                          ("slices", ("columns", "rows")),
+                          ("arch", ("line_buffers", "banks_per_buffer",
+                                    "fetch_words_per_slot"))):
+        if isinstance(data.get(section), dict):
+            out += [data[section][k] for k in keys if k in data[section]]
+    if isinstance(data.get("window_spec"), dict):
+        out += [x for span in data["window_spec"].values()
+                if isinstance(span, list) and len(span) == 2 for x in span]
+    return out
+
+
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(data=_config)
 def test_config_fuzz_never_tracebacks(tmp_path_factory, data):
     """Any config, well-formed or not, on images of at most 64x8: the CLI
-    answers 0, 1 or 2 and never with a traceback."""
+    answers 0, 1 or 2 and never with a traceback, and 2 when an integer
+    field holds a bool or a float."""
     path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
     path.write_text(json.dumps(data))
     err = io.StringIO()
@@ -385,3 +412,5 @@ def test_config_fuzz_never_tracebacks(tmp_path_factory, data):
         code = cli_main(["simulate", "--config", str(path)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if any(isinstance(v, (bool, float)) for v in _integers(data)):
+        assert code == 2
