@@ -424,28 +424,37 @@ class Engine:
         pixels_served = replayed = 0
         # per class, per (next display word, carried state) moved back bl
         # blocklines: the display word and carried state after the pass,
-        # moved back likewise, and the pixels it served.  Kept only for a
-        # pass that logged no violation and compared only words holding
-        # their own place's pixels, so that no golden value decided it; and
-        # never in a run with a flip
+        # moved back likewise, the pixels it served, its availability
+        # misses and its bank violations (`found`, event indices of the
+        # template).  Kept only for a pass that compared only words holding
+        # their own place's pixels, and never in a run with a flip, so that
+        # no golden value decided it: it has no mismatches, and its other
+        # violations follow from the class and the carried state
         seen = {}
         for bl in range(plan.total_blocklines):
             tm, d = self._template(bl)
             known = seen.setdefault(tm.bl0, {})
             k0, start = self._next_display_k, self._carry.copy()
             key = self._moved_back(k0, start, bl) if known else None
-            if key in known:
-                k, end, served = known[key]
+            rec = known.get(key)
+            # a miss's detail sample names its slot, which only a check gives
+            if rec and not (rec[3] and self._room("availability_misses") > 0):
+                k, end, served, misses, found = rec
                 end = np.frombuffer(end, dtype=np.int64)
                 self._next_display_k = k + 2 * spb * bl
                 self._carry[:] = np.where(end == _NEVER, -1,
                                           end + bl * self._carry_unit)
                 pixels_served += served
+                self.log.availability_misses += misses
                 replayed += 1
-                if self.cfg.collect_trace:
-                    self._trace(tm, self.sched.shift_bookings(tm.bookings, d))
+                if self.cfg.collect_trace or tm.conflicts or \
+                        any(a.size for a in found):
+                    b = self.sched.shift_bookings(tm.bookings, d)
+                    if self.cfg.collect_trace:
+                        self._trace(tm, b)
+                    self._drain_bank_violations(tm, b, found)
                 continue
-            violations, self._foreign = self.log.total(), False
+            self._foreign = False
             b = self.sched.shift_bookings(tm.bookings, d) if d else tm.bookings
             display, staged, found = self._commit_slot(tm, b)
             self._check_display_word(*display)
@@ -457,11 +466,10 @@ class Engine:
             self.log.availability_misses += misses
             self.log.prediction_mismatches += mismatches
             self._drain_bank_violations(tm, b, found)
-            if not (self._flips or self._foreign) and \
-                    self.log.total() == violations:
+            if not (self._flips or self._foreign):
                 known[key or self._moved_back(k0, start, bl)] = (
                     *self._moved_back(self._next_display_k, self._carry, bl),
-                    served)
+                    served, misses, found)
 
         # display-only tail after the last decode slot
         total = self.sched.total_display_words

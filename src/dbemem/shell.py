@@ -8,6 +8,7 @@ Config files are strict: unknown keys are errors.
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 
 from .engine import EngineResult, FaultSpec, SimConfig
 from .errors import ConfigError
@@ -18,6 +19,7 @@ from .sched import ArchPreset, ONE_LINE, preset_by_name
 
 BITS_PER_PIXEL = 30          # accounting convention: 3 x 10-bit components
 TRACE_HEADER = "cycle,slice,buffer,bank,op,word,purpose,block"
+_TRACE_ROW = "%d,%d,%s,%d,%s,%d,%s,%d\n"
 
 
 @dataclass
@@ -124,12 +126,11 @@ def report_to_text(report: SimReport) -> str:
 def emit_trace(result: EngineResult, path) -> None:
     """One row per granted access plus one row per violation, cycle-ordered,
     so replaying the file reproduces the run's violation tallies."""
-    rows = list(result.trace_rows) + list(result.violation_rows)
-    rows.sort(key=lambda r: r[0])
+    rows = result.trace_rows + result.violation_rows
+    rows.sort(key=itemgetter(0))
     with open(path, "w") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for r in rows:
-            fh.write(",".join(str(v) for v in r) + "\n")
+        fh.writelines(_TRACE_ROW % r for r in rows)
 
 
 def parse_trace(text: str):
@@ -137,10 +138,13 @@ def parse_trace(text: str):
     if not lines or lines[0] != TRACE_HEADER:
         raise ConfigError("trace file missing the expected header")
     out = []
-    for line in lines[1:]:
-        cyc, sl, buf, bank, op, word, purpose, block = line.split(",")
-        out.append((int(cyc), int(sl), buf, int(bank), op, int(word),
-                    purpose, int(block)))
+    for n, line in enumerate(lines[1:], start=2):
+        try:
+            cyc, sl, buf, bank, op, word, purpose, block = line.split(",")
+            out.append((int(cyc), int(sl), buf, int(bank), op, int(word),
+                        purpose, int(block)))
+        except ValueError as e:
+            raise ConfigError(f"trace line {n}: {e}") from None
     return out
 
 

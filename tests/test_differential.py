@@ -66,6 +66,25 @@ def assert_same_run(cfg):
     return want
 
 
+def assert_same_traced_and_untraced(cfg):
+    """The engine with and without its trace against one traced reference
+    run: equal on every output, but for the untraced run's empty rows.
+    Returns the reference's outputs and the fewer blocklines either
+    engine run replayed."""
+    want = outputs(ReferenceEngine(cfg).run())
+    replayed = []
+    for trace in (True, False):
+        res = Engine(replace(cfg, collect_trace=trace)).run()
+        got = outputs(res)
+        for key in want:
+            if trace or key not in ("trace_rows", "violation_rows"):
+                assert got[key] == want[key], key
+            else:
+                assert got[key] == [], key
+        replayed.append(res.blocklines_replayed)
+    return want, min(replayed)
+
+
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 @pytest.mark.parametrize("cols", [1, 2, 4])
 @pytest.mark.parametrize("name", PRESETS)
@@ -145,17 +164,53 @@ def test_replayed_blocklines_match_reference(name, shape):
     cfg = SimConfig(ImageGeometry(320, 128),
                     SliceLayout(shape.pop("cols", 1), shape.pop("rows", 1)),
                     preset_by_name(name), collect_trace=True, **shape)
-    want = outputs(ReferenceEngine(cfg).run())
-    for trace in (True, False):
-        res = Engine(replace(cfg, collect_trace=trace)).run()
-        got = outputs(res)
-        for key in want:
-            if trace or key not in ("trace_rows", "violation_rows"):
-                assert got[key] == want[key], key
-            else:
-                assert got[key] == [], key
-        if not any(want["counts"].values()):
-            assert res.blocklines_replayed > 0
+    want, replayed = assert_same_traced_and_untraced(cfg)
+    if not any(want["counts"].values()):
+        assert replayed > 0
+
+
+@pytest.mark.parametrize("name,fault", [
+    ("type1", "fetch_budget"), ("type2", "banks"), ("baseline", "capacity"),
+    ("type1", "capacity"), ("type2", "capacity")])
+def test_blocklines_with_violations_replay(name, fault):
+    """Conflicts, hazards, underflows and availability misses follow from
+    the class and the carried state, so a 320x128 run that logs them in
+    every blockline still replays, traced and untraced, and gives what the
+    reference gives."""
+    cfg = SimConfig(ImageGeometry(320, 128), SliceLayout(1, 1),
+                    preset_by_name(name), collect_trace=True,
+                    faults=[FAULTS[fault](name)])
+    want, replayed = assert_same_traced_and_untraced(cfg)
+    assert any(want["counts"].values())
+    assert replayed > 0
+
+
+@pytest.mark.parametrize("name,fault", [("baseline", "line_buffers"),
+                                        ("type1", "delay")])
+def test_faults_reading_words_from_another_place_never_replay(name, fault):
+    """Two line buffers on the baseline, and a one-line delay on type1,
+    display or fetch words that hold another place's pixels: every
+    blockline is checked."""
+    cfg = SimConfig(ImageGeometry(320, 128), SliceLayout(1, 1),
+                    preset_by_name(name), collect_trace=True,
+                    faults=[FAULTS[fault](name)])
+    assert_same_run(cfg)
+    assert Engine(cfg).run().blocklines_replayed == 0
+
+
+def test_availability_misses_replay_only_once_their_samples_are_full():
+    """A miss sample names its slot, so a blockline with misses is checked
+    while the 16 detail samples have room.  With no recon capacity an 8x12
+    baseline frame misses in 5 slots, one per blockline after the first:
+    the samples never fill, no blockline replays, and the samples equal
+    the reference's."""
+    cfg = SimConfig(ImageGeometry(8, 12), SliceLayout(1, 1),
+                    preset_by_name("baseline"), collect_trace=True,
+                    faults=[FaultSpec("capacity_override", value=0)])
+    want = assert_same_run(cfg)
+    assert [t for t, _, _ in want["details"]["availability_misses"]] == \
+        [1, 2, 3, 4, 5]
+    assert Engine(cfg).run().blocklines_replayed == 0
 
 
 @pytest.mark.parametrize("name", PRESETS)

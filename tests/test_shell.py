@@ -131,6 +131,18 @@ def test_empty_trace_header_only(tmp_path):
     assert p.read_text().strip() == "cycle,slice,buffer,bank,op,word,purpose,block"
 
 
+@pytest.mark.parametrize("row,why", [
+    ("1,2,3", "not enough values"),
+    ("x,0,upper,0,read,3,display_read,-1", "invalid literal"),
+])
+def test_malformed_trace_row_names_its_line(row, why):
+    good = "5,0,upper,0,read,3,display_read,-1"
+    text = "\n".join(["cycle,slice,buffer,bank,op,word,purpose,block",
+                      good, row, good])
+    with pytest.raises(ConfigError, match=f"trace line 3: {why}"):
+        parse_trace(text)
+
+
 def test_config_unknown_keys_rejected():
     with pytest.raises(ConfigError):
         parse_config(json.dumps({**CFG, "bogus": 1}))
