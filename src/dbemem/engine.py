@@ -28,8 +28,8 @@ from .oracle import GoldenOracle, ycocg_frame
 from .predwindow import (BLOCK_BITS, FETCH, FORWARDED, RESIDENT, SECTIONS,
                          ReconBufferState, WindowSpec)
 from .sched import (BANK, BLOCK, CYCLE, LINE, PURPOSE, PURPOSES, PX, REFILL,
-                    SLOT, STREAMING, WORD, ArchPreset, BlockSlotPlan,
-                    Scheduler, total_frame_cycles)
+                    SLOT, STREAMING, WORD, ArchPreset, Scheduler,
+                    total_frame_cycles)
 
 DETAIL_LIMIT = 16  # violation samples kept per class
 
@@ -117,7 +117,6 @@ class EngineResult:
     total_cycles: int
     peak_recon_per_column: list
     recon_capacity: int
-    windows_served: int
     pixels_served: int
     assembly_peak_pixels: int
     preset: ArchPreset
@@ -394,15 +393,13 @@ class Engine:
     def _room(self, cls) -> int:
         return DETAIL_LIMIT - len(self.log.details.get(cls, ()))
 
-    def _result(self, windows_served, pixels_served, peak,
-                replayed=0) -> EngineResult:
+    def _result(self, pixels_served, peak, replayed=0) -> EngineResult:
         return EngineResult(
             violations=self.log,
             latency_cycles=self.sched.latency,
             total_cycles=total_frame_cycles(self.preset, self.plan),
             peak_recon_per_column=list(peak),
             recon_capacity=self.capacity,
-            windows_served=windows_served,
             pixels_served=pixels_served,
             assembly_peak_pixels=self._stage_words_static * PIXELS_PER_WORD,
             preset=self.preset,
@@ -432,6 +429,12 @@ class Engine:
         # violations follow from the class and the carried state
         seen = {}
         for bl in range(plan.total_blocklines):
+            # no window reads a line below 2 bl - 1 again: its stage entries
+            # become never staged, so that they keep no two start states
+            # of a class apart
+            line, src_x, parity = self._stage
+            stale = line < 2 * bl - 1
+            line[stale], src_x[stale], parity[stale] = -1, 0, 0
             tm, d = self._template(bl)
             known = seen.setdefault(tm.bl0, {})
             k0, start = self._next_display_k, self._carry.copy()
@@ -471,23 +474,9 @@ class Engine:
                     *self._moved_back(self._next_display_k, self._carry, bl),
                     served, misses, found)
 
-        # display-only tail after the last decode slot
-        total = self.sched.total_display_words
-        if self._next_display_k < total:
-            slot0 = plan.total_blocklines * spb
-            last = self.sched.display_read_cycle(total - 1) // CYCLES_PER_SLOT
-            plans = (BlockSlotPlan(None, CYCLES_PER_SLOT * s, display_reads=[
-                self.sched.display_record(k) for k in self.sched
-                .display_words_in(CYCLES_PER_SLOT * s, CYCLES_PER_SLOT * (s + 1))])
-                for s in range(slot0, last + 1))
-            tm = Pass(self, plans, slot0, None)
-            display, _, found = self._commit_slot(tm, tm.bookings)
-            self._check_display_word(*display)
-            self._drain_bank_violations(tm, tm.bookings, found)
-
         # a replayed pass admits what its recorded one did, so the recon
         # peaks are already reached
-        return self._result(plan.total_blocklines * spb, pixels_served,
+        return self._result(pixels_served,
                             [r.peak_occupancy for r in self._recon], replayed)
 
     def _moved_back(self, k, carry, bl):
@@ -504,10 +493,7 @@ class Engine:
         key = self.sched._blockline_class(bl)
         tm = self._templates.get(key)
         if tm is None:
-            spb = self.sched.slots_per_blockline
-            plans = map(self.sched.slot_plan, range(bl * spb, (bl + 1) * spb))
-            tm = Pass(self, plans, bl * spb, bl)
-            self._templates[key] = tm
+            tm = self._templates[key] = Pass(self, bl)
         return tm, bl - tm.bl0
 
     def _commit_slot(self, tm, b):

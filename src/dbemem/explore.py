@@ -41,8 +41,6 @@ class ExplorerResult:
     resident_count: int
     resident_positions: dict
     routes: dict
-    forwarding: bool
-    reconvert: bool
 
 
 def _candidate_routes(spec: WindowSpec, budget: FetchBudget, forwarding: bool,
@@ -125,8 +123,7 @@ def minimal_resident_set(spec: WindowSpec, budget: FetchBudget,
                                      reconvert_on_fetch=reconvert)
             positions = policy.resident_positions(spec)
             count = sum(len(v) for v in positions.values())
-            return ExplorerResult(count, positions, dict(routes), forwarding,
-                                  reconvert)
+            return ExplorerResult(count, positions, dict(routes))
     # nothing placeable even with everything resident
     raise InfeasibleError("no routing satisfies the schedule")
 

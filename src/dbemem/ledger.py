@@ -1,10 +1,9 @@
 """The line-buffer ledger as arrays.
 
-A `Pass` is the bookings of a run of slots (a blockline, or the display
-tail after the last one) with what stays fixed when a blockline is replayed
-whole blocklines later: the port law, the commit order and each word's
-order of events.  `owed_reads` counts the reads a word still owes along
-its events.
+A `Pass` is the bookings of a blockline's slots with what stays fixed
+when the blockline is replayed whole blocklines later: the port law, the
+commit order and each word's order of events.  `owed_reads` counts the
+reads a word still owes along its events.
 """
 
 import numpy as np
@@ -34,15 +33,17 @@ def owed_reads(step, start, seg, head):
 
 
 class Pass:
-    """The bookings of a run of slots (a blockline, or the display tail)
-    with what stays fixed when a blockline is replayed d blocklines later:
-    the port law, the commit order and each word's order of events."""
+    """The bookings of a blockline's slots (`Scheduler.blockline_slots`)
+    with what stays fixed when the blockline is replayed d blocklines
+    later: the port law, the commit order and each word's order of
+    events."""
 
-    def __init__(self, eng, plans, slot0, bl0):
-        """Book the records of the slot plans `plans`, the first at global
-        slot `slot0`; `bookings` is their `Scheduler.booking_arrays`."""
-        self.bl0 = bl0
+    def __init__(self, eng, bl):
+        """Book the records of blockline bl's slot plans; `bookings` is
+        their `Scheduler.booking_arrays`."""
+        self.bl0 = bl
         sched = eng.sched
+        slots = sched.blockline_slots(bl)
         banks = [SramBankModel(buf, bk) for buf, bk in sched.bank_keys]
         conflicts = []   # (booking index, first purpose, first word)
         static = []      # the trace-row fields of each grant that a shift
@@ -75,7 +76,8 @@ class Pass:
                     banks[bank].commit_cycle(cyc)
                 yield sp
 
-        self.bookings = b = sched.booking_arrays(booked(plans), slot0)
+        self.bookings = b = sched.booking_arrays(
+            booked(map(sched.slot_plan, slots)), slots.start)
         self.conflicts = conflicts
         granted = np.ones(b.shape[1], dtype=bool)
         granted[[c[0] for c in conflicts]] = False

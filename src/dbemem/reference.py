@@ -79,22 +79,14 @@ class ReferenceEngine(Engine):
         rgb = self.oracle.golden_frame(w, h)
         yco = ycocg_frame(rgb)
         self._rgb, self._yco = rgb, yco
-        windows_served = 0
         pixels_served = 0
 
-        n_slots = plan.total_blocklines * self.sched.slots_per_blockline
-        for slot in range(n_slots):
+        for slot in range(self.sched.total_slots):
             sp = self.sched.slot_plan(slot)
-            b = sp.block
-            y0 = 2 * b.blockline
-            col = self.cols[b.slice_col]
             booked = []   # (cycle, bank order, bank) of every grant
             # book block row-writes (values from the golden decode)
-            write_booked = []
-            for rec in sp.writes:
-                if self._book(rec, booked,
-                              rgb[rec.line, rec.px:rec.px + BLOCK_W]):
-                    write_booked.append(rec)
+            write_booked = [rec for rec in sp.writes if self._book(
+                rec, booked, rgb[rec.line, rec.px:rec.px + BLOCK_W])]
             # book display reads
             for rec in sp.display_reads:
                 self._book(rec, booked)
@@ -103,30 +95,24 @@ class ReferenceEngine(Engine):
                             if self._book(rec, booked)]
             self._commit_slot(sp.cycle_base, booked, write_booked,
                               fetch_booked)
-            # slide the window and verify availability for this block
-            self._advance_window(b, col)
-            served, misses, mismatches = self._serve_window(b, col)
-            windows_served += 1
-            pixels_served += served
-            self.log.availability_misses += misses
-            self.log.prediction_mismatches += mismatches
-            # record the decoded block for forwarding / admission
-            x0 = plan.slice_base_x(b.slice_col) + BLOCK_W * b.block_x
-            col.history.append((b.block_x, yco[y0:y0 + 2, x0:x0 + BLOCK_W]))
+            # slide the window and verify availability for this block; the
+            # display-only tail after the last decode slot has none
+            b = sp.block
+            if b is not None:
+                col = self.cols[b.slice_col]
+                self._advance_window(b, col)
+                served, misses, mismatches = self._serve_window(b, col)
+                pixels_served += served
+                self.log.availability_misses += misses
+                self.log.prediction_mismatches += mismatches
+                # record the decoded block for forwarding / admission
+                y0 = 2 * b.blockline
+                x0 = plan.slice_base_x(b.slice_col) + BLOCK_W * b.block_x
+                col.history.append((b.block_x,
+                                    yco[y0:y0 + 2, x0:x0 + BLOCK_W]))
             self._drain_bank_violations()
 
-        # display-only tail after the last decode slot
-        slot = n_slots
-        while self._next_display_k < self.sched.total_display_words:
-            base = CYCLES_PER_SLOT * slot
-            booked = []
-            for k in self.sched.display_words_in(base, base + CYCLES_PER_SLOT):
-                self._book(self.sched.display_record(k), booked)
-            self._commit_slot(base, booked)
-            self._drain_bank_violations()
-            slot += 1
-
-        return self._result(windows_served, pixels_served,
+        return self._result(pixels_served,
                             [c.recon.peak_occupancy for c in self.cols])
 
     def _bank(self, rec):
@@ -147,7 +133,7 @@ class ReferenceEngine(Engine):
                  rec.word_index, rec.purpose.value, rec.block_id))
         return True
 
-    def _commit_slot(self, base, booked, write_recs=(), fetch_booked=()):
+    def _commit_slot(self, base, booked, write_recs, fetch_booked):
         """Commit the slot's granted accesses in cycle order, banks in
         `self.banks` order within a cycle.  Idle (cycle, bank) pairs are not
         visited, so a bank's frontier stays at its last booked cycle.  A

@@ -59,6 +59,10 @@ class ArchPreset:
             raise ConfigError(f"unknown line delay {self.line_delay!r}")
         require_int(self.line_buffers, "line_buffers", 2, 3)
         require_int(self.banks_per_buffer, "banks_per_buffer", 1, 2)
+        # refill pads each slot's fetches up to this many; a slot has four
+        # cycles to place them on
+        require_int(self.fetch_words_per_slot, "fetch_words_per_slot", 0,
+                    CYCLES_PER_SLOT)
         if self.fetch_kind not in (REFILL, STREAMING):
             raise ConfigError(f"unknown fetch kind {self.fetch_kind!r}")
         if self.capacity_pixels is not None:
@@ -133,8 +137,9 @@ class FetchDemand(NamedTuple):
 
 @dataclass
 class BlockSlotPlan:
-    """One slot's bank accesses, each an AccessRecord."""
-    block: BlockCoord
+    """One slot's bank accesses, each an AccessRecord.  A slot past the last
+    decode slot decodes no block and only reads the display."""
+    block: BlockCoord | None
     cycle_base: int
     writes: list = field(default_factory=list)
     fetches: list = field(default_factory=list)
@@ -169,6 +174,12 @@ class Scheduler:
                 f"(latency {self.latency}, read lead {self.read_lead})")
         self.words_per_image_line = plan.image.width // PIXELS_PER_WORD
         self.total_display_words = self.words_per_image_line * plan.image.height
+        # the frame's slots: the decode slots, then the display-only tail up
+        # to the slot of the last display read (latency >= read_lead, so
+        # the tail is never negative)
+        self.decode_slots = plan.total_blocklines * self.slots_per_blockline
+        self.total_slots = self.display_read_cycle(
+            self.total_display_words - 1) // CYCLES_PER_SLOT + 1
         prev_hi = spec.prev_line_span[1]
         self.prev_hi_words = prev_hi // PIXELS_PER_WORD  # floor
         self.warmup_count = min(self.prev_hi_words + 1, self.n_words) \
@@ -330,12 +341,14 @@ class Scheduler:
     # -- whole-slot view ---------------------------------------------------------
 
     def slot_plan(self, global_slot: int) -> BlockSlotPlan:
-        b = block_at_slot(self.plan, global_slot)
         base = CYCLES_PER_SLOT * global_slot
-        plan = BlockSlotPlan(block=b, cycle_base=base)
+        display = [self.display_record(k) for k in
+                   self.display_words_in(base, base + CYCLES_PER_SLOT)]
+        if global_slot >= self.decode_slots:
+            return BlockSlotPlan(None, base, display_reads=display)
+        b = block_at_slot(self.plan, global_slot)
+        plan = BlockSlotPlan(block=b, cycle_base=base, display_reads=display)
         plan.writes = self.write_records(b, base)
-        plan.display_reads = [self.display_record(k) for k in
-                              self.display_words_in(base, base + CYCLES_PER_SLOT)]
         occupied: dict = {}
         for rec in plan.records():
             occupied.setdefault((rec.buffer, rec.bank_id), set()).add(rec.cycle - base)
@@ -344,16 +357,25 @@ class Scheduler:
 
     # -- whole-blockline view --------------------------------------------------
 
+    def blockline_slots(self, bl: int) -> range:
+        """The slots of blockline bl's pass.  The last blockline's runs on
+        through the display-only tail to the end of the frame."""
+        spb = self.slots_per_blockline
+        last = bl == self.plan.total_blocklines - 1
+        return range(bl * spb, self.total_slots if last else (bl + 1) * spb)
+
     def _blockline_class(self, bl: int):
         """What a blockline's schedule depends on besides a whole-blockline
         shift: its parity (the line -> buffer map has period 4 lines), whether
         it opens a slice (no previous-line fetches), and whether the next
         blockline's warm-up fetches ride on its tail.  A blockline whose
-        display reads are clipped at either end of the frame is a class of
-        its own: it reads fewer than one word per two cycles."""
+        display reads are clipped at the start of the frame (it reads fewer
+        than one word per two cycles) and the last blockline, whose pass
+        carries the display tail, are classes of their own."""
         cycles = CYCLES_PER_SLOT * self.slots_per_blockline
         c0 = cycles * bl
-        if len(self.display_words_in(c0, c0 + cycles)) < cycles // 2:
+        if bl == self.plan.total_blocklines - 1 or \
+                len(self.display_words_in(c0, c0 + cycles)) < cycles // 2:
             return bl
         nxt = bl + 1
         warm = bool(self.warmup_count and nxt < self.plan.total_blocklines

@@ -4,7 +4,7 @@ import pytest
 from dbemem.engine import (Engine, FaultSpec, SimConfig, _Stage, inject_fault,
                            run_simulation)
 from dbemem.errors import ConfigError
-from dbemem.geometry import Chroma, ImageGeometry, SliceLayout
+from dbemem.geometry import Chroma, ImageGeometry, Interleave, SliceLayout
 from dbemem.oracle import GoldenOracle, ycocg_frame
 from dbemem.reference import ReferenceEngine
 from dbemem.sched import preset_baseline, preset_by_name
@@ -103,7 +103,6 @@ def test_windows_served_counts():
     for (width, height, cols, rows), want in PIXELS_SERVED:
         for name in PEAKS:
             res = run_simulation(cfg_for(name, width, height, cols, rows))
-            assert res.windows_served == width * height // 16
             assert res.pixels_served == want, (name, width, height, cols, rows)
 
 
@@ -325,3 +324,32 @@ def test_stage_lookup_sees_fetches_of_the_serving_slot():
     assert stage.at((key + 1) * one, t * one).tolist() == [key + 1]
     # the last staged entry of each key is carried out of the pass
     assert eng._stage[0][key] == 7 and eng._stage[2][key] == 1
+
+
+def _faults(kind, value):
+    return dict(faults=[FaultSpec(kind, value=value)])
+
+
+# blocklines replayed on the benchmark's configurations, of 16 at 3840x32
+# and of 64 at 640x128: a replay lost changes no report or trace, only the
+# run time.  Words from another place (two line buffers on the baseline,
+# round-robin type1) are never replayed
+REPLAYED = {
+    "type2_3840x32_c4": (("type2", 3840, 32, 4), {}, 12),
+    "baseline_640x128": (("baseline", 640, 128), {}, 59),
+    "type1_640x128": (("type1", 640, 128), {}, 60),
+    "type2_640x128": (("type2", 640, 128), {}, 60),
+    "type2_banks1": (("type2", 640, 128), _faults("banks_override", 1), 59),
+    "type1_fetch2": (("type1", 640, 128),
+                     _faults("fetch_budget_override", 2), 60),
+    "baseline_lb2": (("baseline", 640, 128),
+                     _faults("line_buffers_override", 2), 0),
+    "type1_rr_c4": (("type1", 640, 128, 4),
+                    dict(interleave=Interleave.ROUND_ROBIN), 0),
+}
+
+
+@pytest.mark.parametrize("run", sorted(REPLAYED))
+def test_blocklines_replayed_on_benchmark_configs(run):
+    shape, kw, want = REPLAYED[run]
+    assert run_simulation(cfg_for(*shape, **kw)).blocklines_replayed == want

@@ -165,6 +165,27 @@ def test_total_frame_cycles():
     assert total_frame_cycles(preset_type1(), plan) == 3840 * 2160 // 4 + 960
 
 
+@pytest.mark.parametrize("name", ["baseline", "type1", "type2"])
+@pytest.mark.parametrize("read_latency", [0, 1])
+def test_display_tail_is_planned_by_slot_plan(name, read_latency):
+    """Past the last decode slot a slot plan decodes no block and only
+    reads the display; the frame's slots end with the last display read,
+    and the last blockline's slots run to that end."""
+    plan = make_plan(320, 32)
+    sched = Scheduler(preset_by_name(name), WindowSpec(), plan,
+                      read_latency=read_latency)
+    assert sched.decode_slots == 320 * 32 // 16 < sched.total_slots
+    tail = [sched.slot_plan(t) for t in range(sched.decode_slots,
+                                              sched.total_slots)]
+    assert all(sp.block is None and not sp.writes and not sp.fetches
+               and sp.display_reads for sp in tail)
+    last = sched.display_record(sched.total_display_words - 1)
+    assert tail[-1].display_reads[-1] == last
+    assert sched.blockline_slots(plan.total_blocklines - 1) == range(
+        sched.decode_slots - sched.slots_per_blockline, sched.total_slots)
+    assert sched.blockline_slots(0) == range(sched.slots_per_blockline)
+
+
 def test_warmup_fills_tail_slots():
     # the next blockline's left prev words are fetched while the right-edge
     # clip leaves the fetch cycle idle
@@ -198,11 +219,11 @@ def test_blockline_replay_matches_slot_plan(name, interleave, read_latency,
             plan = make_plan(320, 32, cols, rows, interleave)
             sched = Scheduler(preset, WindowSpec(), plan,
                               read_latency=read_latency)
-            n = sched.slots_per_blockline
             templates = {}
             for bl in range(plan.total_blocklines):
-                direct = sched.booking_arrays(
-                    map(sched.slot_plan, range(bl * n, (bl + 1) * n)), bl * n)
+                slots = sched.blockline_slots(bl)
+                direct = sched.booking_arrays(map(sched.slot_plan, slots),
+                                              slots.start)
                 bl0, template = templates.setdefault(
                     sched._blockline_class(bl), (bl, direct))
                 assert np.array_equal(
