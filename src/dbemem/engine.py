@@ -228,6 +228,35 @@ class _Stage:
         return self._bad[reconvert, y]
 
 
+class _FlipWatch:
+    """What a run did to the word of one flip_word fault: whether a read
+    returned the flipped value (`seen`), and the cycles of the word's
+    writes and of its reads of a written word."""
+
+    def __init__(self, fault):
+        self.fault = fault
+        self.seen = False
+        self.writes, self.reads = [], []
+
+    def reject_unseen(self):
+        """A flip that no read sees changes nothing: a ConfigError naming
+        the word's write and read cycles around it."""
+        if self.seen:
+            return
+        f = self.fault
+
+        def around(cycles, before):
+            c = [c for c in cycles if (c < f.cycle) == before]
+            return f"cycle {max(c) if before else min(c)}" if c else "none"
+
+        raise ConfigError(
+            f"flip_word {f.buffer} word {f.word_index} at cycle {f.cycle} is "
+            f"seen by no read (the word's last write before it: "
+            f"{around(self.writes, True)}, last read before it: "
+            f"{around(self.reads, True)}, next write: "
+            f"{around(self.writes, False)})")
+
+
 class Engine:
     """Runs a config one blockline at a time.
 
@@ -270,7 +299,7 @@ class Engine:
                                  for base in self.plan.partition_bases)
                 raise ConfigError(f"flip_word word {f.word_index} is used by "
                                   f"no slice column (they use {used})")
-        self._flip_faults = flips
+        self._watches = [_FlipWatch(f) for f in flips]
         self._flips = [(buffers.index(f.buffer) * LINE_WORDS + f.word_index,
                         f.cycle) for f in flips]
         self._next_display_k = 0
@@ -474,6 +503,8 @@ class Engine:
                     *self._moved_back(self._next_display_k, self._carry, bl),
                     served, misses, found)
 
+        for watch in self._watches:
+            watch.reject_unseen()
         # a replayed pass admits what its recorded one did, so the recon
         # peaks are already reached
         return self._result(pixels_served,
@@ -538,8 +569,14 @@ class Engine:
         parity = np.zeros(len(wk), dtype=np.int64)
         if self._flips:
             w_cycle = np.where(mine, b[CYCLE][wb], self._word_cycle[wk])
-            for fwk, fc in self._flips:
-                parity ^= (wk == fwk) & (w_cycle < fc) & (fc <= cycle)
+            value_read = (typ >= READ_DISPLAY) & written
+            for (fwk, fc), watch in zip(self._flips, self._watches):
+                on = wk == fwk
+                hit = on & (w_cycle < fc) & (fc <= cycle)
+                parity ^= hit
+                watch.seen |= bool((hit & value_read).any())
+                watch.writes += cycle[on & (typ == WRITE_EVENT)].tolist()
+                watch.reads += cycle[on & value_read].tolist()
 
         w = tm.writes
         hazards = w[(owed[0][w] > 0) | (owed[1][w] > 0)]

@@ -39,50 +39,42 @@ class Pass:
     events."""
 
     def __init__(self, eng, bl):
-        """Book the records of blockline bl's slot plans; `bookings` is
-        their `Scheduler.booking_arrays`."""
+        """Book blockline bl's `Scheduler.booking_arrays`, `bookings`."""
         self.bl0 = bl
         sched = eng.sched
-        slots = sched.blockline_slots(bl)
+        self.bookings = b = sched.booking_arrays(bl)
         banks = [SramBankModel(buf, bk) for buf, bk in sched.bank_keys]
+        records = sched.access_records(b)
+        bank_of = b[BANK].tolist()
         conflicts = []   # (booking index, first purpose, first word)
-        static = []      # the trace-row fields of each grant that a shift
-                         # leaves alone
-        tracing = eng.cfg.collect_trace
-
-        def booked(plans):
-            # each plan is booked as `booking_arrays` takes it, so the plans
-            # are walked once and never held.  The booking protocol on the
-            # bank models, slot by slot: book the slot (the first booking of
-            # a (bank, cycle) wins, a later one is a conflict and is not
-            # granted), then commit its grants in cycle and bank order; a
-            # booking behind a cycle its bank has committed is a ConfigError
-            i = 0
-            for sp in plans:
-                grants = []
-                for rec in sp.records():
-                    bank = sched.bank_order[rec.buffer, rec.bank_id]
-                    if banks[bank].request_access(rec):
-                        grants.append((rec.cycle, bank))
-                        if tracing:
-                            static.append((rec.slice_col, rec.buffer,
-                                           rec.bank_id, rec.op,
-                                           rec.word_index, rec.purpose.value))
-                    else:
-                        v = banks[bank].conflicts[-1]
-                        conflicts.append((i, v.first_purpose, v.first_word))
-                    i += 1
-                for cyc, bank in sorted(grants):
-                    banks[bank].commit_cycle(cyc)
-                yield sp
-
-        self.bookings = b = sched.booking_arrays(
-            booked(map(sched.slot_plan, slots)), slots.start)
+        # the booking protocol on the bank models, slot by slot: book the
+        # slot (the first booking of a (bank, cycle) wins, a later one is a
+        # conflict and is not granted), then commit its grants in cycle and
+        # bank order; a booking behind a cycle its bank has committed is a
+        # ConfigError
+        ends = (np.flatnonzero(np.diff(b[SLOT])) + 1).tolist()
+        for lo, hi in zip([0, *ends], [*ends, len(records)]):
+            grants = []
+            for i in range(lo, hi):
+                k = bank_of[i]
+                if banks[k].request_access(records[i]):
+                    grants.append((records[i].cycle, k))
+                else:
+                    v = banks[k].conflicts[-1]
+                    conflicts.append((i, v.first_purpose, v.first_word))
+            grants.sort()
+            for cyc, k in grants:
+                banks[k].commit_cycle(cyc)
         self.conflicts = conflicts
         granted = np.ones(b.shape[1], dtype=bool)
         granted[[c[0] for c in conflicts]] = False
         self.granted = g = np.flatnonzero(granted)   # in booking order
-        self.trace_static = list(zip(*static)) or [()] * 6
+        # the trace-row fields of each grant that a shift leaves alone
+        traced = [records[i] for i in g.tolist()] if eng.cfg.collect_trace \
+            else []
+        self.trace_static = list(zip(*(
+            (r.slice_col, r.buffer, r.bank_id, r.op, r.word_index,
+             r.purpose.value) for r in traced))) or [()] * 6
 
         # commit order: per slot the commits on its first cycle, then the
         # required reads armed by its granted writes and later fetches, then

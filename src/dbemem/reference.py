@@ -1,4 +1,4 @@
-"""The per-cycle reference engine: every slot is planned with `slot_plan`,
+"""The per-cycle reference engine: every slot's plan (`slot_plan`) is
 booked on the single-port bank models, committed cycle by cycle and
 checked word by word.
 
@@ -57,7 +57,8 @@ class ReferenceEngine(Engine):
                                   self.plan.words_per_line,
                                   self.plan.slice_width)
                      for _ in range(cfg.slices.columns)]
-        self._flips = deque(self._flip_faults)   # pending, in cycle order
+        self._flips = deque(self._watches)   # pending, in cycle order
+        self._flipped = set()   # watches whose flip the word still holds
         routes = self.preset.residency.routes
         self._resident_rows = [(s, row) for s, row in (("row0", 0), ("row1", 1))
                                if routes[s] == RESIDENT]
@@ -112,6 +113,8 @@ class ReferenceEngine(Engine):
                                     yco[y0:y0 + 2, x0:x0 + BLOCK_W]))
             self._drain_bank_violations()
 
+        for watch in self._watches:
+            watch.reject_unseen()
         return self._result(pixels_served,
                             [c.recon.peak_occupancy for c in self.cols])
 
@@ -146,9 +149,10 @@ class ReferenceEngine(Engine):
             if not armed and cyc > base:
                 self._arm_required_reads(base, write_recs, fetch_booked)
                 armed = True
-            while flips and flips[0].cycle <= cyc:
+            while flips and flips[0].fault.cycle <= cyc:
                 self._apply_flip(flips.popleft())
             rec, vals = bank.commit_cycle(cyc)
+            self._watch(rec, vals)
             if rec.purpose is Purpose.OUTPUT_READ:
                 self._check_display_word(rec, vals)
             elif rec.purpose is Purpose.PREDICT_FETCH and vals is not None \
@@ -161,7 +165,7 @@ class ReferenceEngine(Engine):
                 col.stage_line[s, w] = rec.line
         if not armed:
             self._arm_required_reads(base, write_recs, fetch_booked)
-        while flips and flips[0].cycle < base + CYCLES_PER_SLOT:
+        while flips and flips[0].fault.cycle < base + CYCLES_PER_SLOT:
             self._apply_flip(flips.popleft())
 
     def _arm_required_reads(self, base, write_recs, fetch_booked):
@@ -176,10 +180,26 @@ class ReferenceEngine(Engine):
                 self._bank(rec)[1].register_required_reads(rec.word_index, 1,
                                                            "fetch")
 
-    def _apply_flip(self, f):
+    def _apply_flip(self, watch):
+        f = watch.fault
         for bank in self.banks:
             if bank.buffer == f.buffer:
                 bank.values[f.word_index] ^= 1
+        self._flipped.add(watch)
+
+    def _watch(self, rec, vals):
+        """Note a commit on the word of a flip: a write overwrites the flip,
+        and a read of a written word sees it while the word holds it."""
+        for watch in self._watches:
+            f = watch.fault
+            if (rec.buffer, rec.word_index) != (f.buffer, f.word_index):
+                continue
+            if rec.purpose is Purpose.WRITE_BLOCK_ROW:
+                watch.writes.append(rec.cycle)
+                self._flipped.discard(watch)
+            elif vals is not None:
+                watch.reads.append(rec.cycle)
+                watch.seen |= watch in self._flipped
 
     def _check_display_word(self, rec, vals):
         k = self._next_display_k

@@ -12,15 +12,18 @@ Slot discipline (4 cycles per 8x2 block at 4 px/cycle):
 The streaming preset (type2) may place prediction fetches on any free
 (bank, cycle); with the even/odd bank split the demand of roughly two words
 per slot fits without conflicts, which is exactly what the split buys.
+
+A blockline's slots are planned together, as arrays
+(`Scheduler.booking_arrays`); `Scheduler.slot_plan` is one slot's view of
+them, as AccessRecords.
 """
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, require_int
-from .geometry import (BLOCK_W, CYCLES_PER_SLOT, BlockCoord, GeometryPlan,
+from .geometry import (CYCLES_PER_SLOT, BlockCoord, GeometryPlan, Interleave,
                        PIXELS_PER_WORD, block_at_slot)
 from .membank import AccessRecord, Purpose
 from .predwindow import (FETCH, FORWARDED, ResidencyPolicy, WindowSpec,
@@ -127,23 +130,16 @@ def preset_by_name(name: str) -> ArchPreset:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
 
 
-class FetchDemand(NamedTuple):
-    """One line-buffer word the prediction path needs this slot."""
-    line_y: int
-    word_local: int            # word index within the slice column
-    slice_col: int
-    min_offset: int = 0        # 1 when the word is written at this slot's offset 0
-
-
 @dataclass
 class BlockSlotPlan:
-    """One slot's bank accesses, each an AccessRecord.  A slot past the last
-    decode slot decodes no block and only reads the display."""
+    """One slot's bank accesses, each an AccessRecord, by purpose.  A slot
+    past the last decode slot decodes no block and only reads the
+    display."""
     block: BlockCoord | None
     cycle_base: int
-    writes: list = field(default_factory=list)
-    fetches: list = field(default_factory=list)
-    display_reads: list = field(default_factory=list)
+    writes: list
+    display_reads: list
+    fetches: list
 
     def records(self) -> list:
         """The slot's records in booking order: writes, display reads,
@@ -151,8 +147,15 @@ class BlockSlotPlan:
         return self.writes + self.display_reads + self.fetches
 
 
+# the lowest set bit of a 4-bit mask of free slot offsets; none free -> the
+# last offset
+_FIRST_FREE = np.array([CYCLES_PER_SLOT - 1]
+                       + [(m & -m).bit_length() - 1 for m in range(1, 16)])
+
+
 class Scheduler:
-    """Pure per-slot access-plan generator shared by the engine and tests."""
+    """The access plan: pure functions of the config and the slot, shared
+    by both engines, the explorer and the tests."""
 
     def __init__(self, preset: ArchPreset, spec: WindowSpec, plan: GeometryPlan,
                  read_latency: int = 0):
@@ -189,130 +192,25 @@ class Scheduler:
         self._fetched_span = {
             s: (lo, hi) for s, parts in preset.residency.parts(spec).items()
             for lo, hi, route in parts if route != FORWARDED}
-        # buffer-for-line repeats with period 4 (ping-pong included)
-        self._buf_of = [preset.buffer_for_line(y) for y in range(4)]
         # (buffer, bank) in commit order within a cycle, and each one's place
         self.bank_keys = [(buf, bk) for buf in preset.buffer_names()
                           for bk in range(preset.banks_per_buffer)]
         self.bank_order = {key: i for i, key in enumerate(self.bank_keys)}
+        # the place in buffer_names of the buffer holding line y, by y mod 4
+        # (buffer-for-line repeats with period 4, ping-pong included)
+        self._buf_of = np.array([preset.buffer_names().index(
+            preset.buffer_for_line(y)) for y in range(4)])
+        self._bases = np.array(plan.partition_bases)
+        self._view = (None, None, None)   # see `slot_plan`
 
     # -- addressing ----------------------------------------------------------
 
-    def word_address(self, slice_col: int, local_word: int) -> tuple[int, int]:
-        """(word index, bank) of a slice column's local word.  Words are
-        block-aligned, so with a bank split the bank is the word's parity."""
-        return (self.plan.partition_bases[slice_col] + local_word,
+    def word_address(self, slice_col, local_word):
+        """(word index, bank) of a slice column's local word, or of arrays
+        of them.  Words are block-aligned, so with a bank split the bank is
+        the word's parity."""
+        return (self._bases[slice_col] + local_word,
                 local_word % self.preset.banks_per_buffer)
-
-    # -- writes --------------------------------------------------------------
-
-    def write_records(self, b: BlockCoord, cycle_base: int) -> list[AccessRecord]:
-        word, bank = self.word_address(b.slice_col, b.block_x)
-        x0 = self.plan.slice_base_x(b.slice_col) + BLOCK_W * b.block_x
-        y0 = 2 * b.blockline
-        recs = []
-        for y in (y0, y0 + 1):
-            recs.append(AccessRecord(
-                cycle=cycle_base, buffer=self._buf_of[y % 4],
-                bank_id=bank, word_index=word,
-                purpose=Purpose.WRITE_BLOCK_ROW,
-                block_id=b.global_block_index, slice_col=b.slice_col,
-                line=y, px=x0))
-        return recs
-
-    # -- prediction fetches ----------------------------------------------------
-
-    def fetch_demands(self, b: BlockCoord) -> list[FetchDemand]:
-        """Line-buffer words the window pipeline wants during this slot.
-
-        Refill presets top up the resident previous-line span (one entering
-        word per slot, plus the next blockline's left words during the tail
-        slots, where the right-edge clip leaves the fetch cycle idle).
-        The streaming preset additionally pulls the entering word of every
-        fetch-routed section.
-        """
-        demands: list[FetchDemand] = []
-        bl, bx, col = b.blockline, b.block_x, b.slice_col
-        first = self.plan.is_first_blockline_of_slice(bl)
-
-        def entering_word(section: str) -> int | None:
-            # one new word slides into the next block's span per slot; the
-            # forwarded block needs no fetch
-            if bx + 1 >= self.n_words or section not in self._fetched_span:
-                return None
-            hi = self._fetched_span[section][1]
-            w = (PIXELS_PER_WORD * (bx + 1) + hi) // PIXELS_PER_WORD
-            return w if 0 <= w < self.n_words else None
-
-        if not first:
-            w = entering_word("prev")
-            if w is not None:
-                demands.append(FetchDemand(2 * bl - 1, w, col))
-        if self.preset.fetch_kind == STREAMING:
-            # the streaming fetch datapath (with its reconvert unit) hangs off
-            # the lower buffer pair, so only the lower row can stream
-            if self.preset.residency.routes["row1"] == FETCH:
-                w = entering_word("row1")
-                if w is not None and w <= bx:
-                    demands.append(FetchDemand(2 * bl + 1, w, col,
-                                               min_offset=1 if w == bx else 0))
-        # tail warmup for the next blockline's previous line: the right-edge
-        # clip frees exactly enough fetch cycles at the end of each blockline
-        nxt = bl + 1
-        if (self.warmup_count and nxt < self.plan.total_blocklines
-                and not self.plan.is_first_blockline_of_slice(nxt)):
-            j = bx - (self.n_words - self.warmup_count)
-            if 0 <= j < self.warmup_count:
-                demands.append(FetchDemand(2 * bl + 1, j, col,
-                                           min_offset=1 if j == bx else 0))
-        return demands
-
-    def fetch_records(self, b: BlockCoord, cycle_base: int,
-                      occupied) -> list[AccessRecord]:
-        """Place this slot's fetch demands.
-
-        `occupied` maps (buffer, bank) -> set of taken offsets.  Refill
-        presets book the designated offset 2 (a second word in the same slot
-        lands on the same cycle and shows up as a conflict, which is the
-        point of the over-budget experiment).  Streaming picks the first
-        free cycle on the word's bank.
-        """
-        out = []
-        demands = self.fetch_demands(b)
-        if self.preset.fetch_kind == REFILL and self.preset.fetch_words_per_slot > 1:
-            demands = self._overbudget(demands, b)
-        for d in demands:
-            buf = self._buf_of[d.line_y % 4]
-            word, bank = self.word_address(d.slice_col, d.word_local)
-            if self.preset.fetch_kind == REFILL:
-                offset = 2
-            else:
-                taken = occupied.setdefault((buf, bank), set())
-                free = [o for o in range(d.min_offset, CYCLES_PER_SLOT)
-                        if o not in taken]
-                offset = free[0] if free else CYCLES_PER_SLOT - 1
-            occupied.setdefault((buf, bank), set()).add(offset)
-            out.append(AccessRecord(
-                cycle=cycle_base + offset, buffer=buf, bank_id=bank,
-                word_index=word, purpose=Purpose.PREDICT_FETCH,
-                block_id=b.global_block_index, slice_col=d.slice_col,
-                line=d.line_y, px=self.plan.slice_base_x(d.slice_col)
-                + PIXELS_PER_WORD * d.word_local))
-        return out
-
-    def _overbudget(self, demands, b):
-        """Pad the demand list up to fetch_words_per_slot with extra
-        previous-line words (the "second fetch per slot" experiment)."""
-        if not demands:
-            return demands
-        extra = []
-        want = self.preset.fetch_words_per_slot
-        base = demands[0]
-        w = base.word_local
-        while len(demands) + len(extra) < want:
-            w = (w + 1) % self.n_words
-            extra.append(FetchDemand(base.line_y, w, base.slice_col))
-        return demands + extra
 
     # -- display output reads --------------------------------------------------
 
@@ -328,34 +226,7 @@ class Scheduler:
         k1 = min(max(k1, 0), self.total_display_words)
         return range(k0, max(k0, k1))
 
-    def display_record(self, k: int) -> AccessRecord:
-        y = k // self.words_per_image_line
-        i = k % self.words_per_image_line
-        col = (i * PIXELS_PER_WORD) // self.plan.slice_width
-        word, bank = self.word_address(col, i - col * self.n_words)
-        return AccessRecord(
-            cycle=self.display_read_cycle(k), buffer=self._buf_of[y % 4],
-            bank_id=bank, word_index=word, purpose=Purpose.OUTPUT_READ,
-            block_id=-1, slice_col=col, line=y, px=PIXELS_PER_WORD * i)
-
-    # -- whole-slot view ---------------------------------------------------------
-
-    def slot_plan(self, global_slot: int) -> BlockSlotPlan:
-        base = CYCLES_PER_SLOT * global_slot
-        display = [self.display_record(k) for k in
-                   self.display_words_in(base, base + CYCLES_PER_SLOT)]
-        if global_slot >= self.decode_slots:
-            return BlockSlotPlan(None, base, display_reads=display)
-        b = block_at_slot(self.plan, global_slot)
-        plan = BlockSlotPlan(block=b, cycle_base=base, display_reads=display)
-        plan.writes = self.write_records(b, base)
-        occupied: dict = {}
-        for rec in plan.records():
-            occupied.setdefault((rec.buffer, rec.bank_id), set()).add(rec.cycle - base)
-        plan.fetches = self.fetch_records(b, base, occupied)
-        return plan
-
-    # -- whole-blockline view --------------------------------------------------
+    # -- the schedule ------------------------------------------------------------
 
     def blockline_slots(self, bl: int) -> range:
         """The slots of blockline bl's pass.  The last blockline's runs on
@@ -377,34 +248,161 @@ class Scheduler:
         if bl == self.plan.total_blocklines - 1 or \
                 len(self.display_words_in(c0, c0 + cycles)) < cycles // 2:
             return bl
+        return (bl % 2, self.plan.is_first_blockline_of_slice(bl),
+                self._warms_next(bl))
+
+    def _warms_next(self, bl: int) -> bool:
+        """Whether blockline bl's tail fetches the next blockline's first
+        previous-line words."""
         nxt = bl + 1
-        warm = bool(self.warmup_count and nxt < self.plan.total_blocklines
+        return bool(self.warmup_count and nxt < self.plan.total_blocklines
                     and not self.plan.is_first_blockline_of_slice(nxt))
-        return (bl % 2, self.plan.is_first_blockline_of_slice(bl), warm)
 
-    def booking_arrays(self, plans, slot0: int) -> np.ndarray:
-        """The records of consecutive slot plans, the first at global slot
-        `slot0`, in booking order (`BlockSlotPlan.records`: per slot,
-        writes, display reads, fetches), as an int32 array with one row per
-        field of `BOOKING_FIELDS`:
+    def booking_arrays(self, bl: int) -> np.ndarray:
+        """Every booking of blockline bl's slots (`blockline_slots`) in
+        booking order (per slot: writes, display reads, fetches), as an
+        int32 array with one row per field of `BOOKING_FIELDS`:
 
-          slot     slot index from slot0
+          slot     slot index from the blockline's first slot
           cycle    the access cycle
           bank     the bank's place in commit order within a cycle, its
                    index in `bank_keys`
           purpose  WRITE, DISPLAY or FETCH_READ, its index in PURPOSES
           word     word index in the line buffer
-          block    block id; -1 for display reads
-          col      slice column of the record
+          block    block id (the decode slot); -1 for display reads
+          col      slice column of the booking
           line     the image line written, displayed or demanded
           px       x of the first of the word's 8 pixels on that line
+
+        Each decode slot writes its block's two rows at offset 0.  The
+        display reads raster word k at `display_read_cycle(k)`.  Then come
+        the slot's fetch demands, in this order: the entering word of the
+        previous line's fetched span (not in a slice's first blockline);
+        for the streaming preset with row1 fetched, the entering word of
+        row1's span if it is already decoded; the next blockline's first
+        previous-line words in the last slots (the right-edge clip leaves
+        their fetch cycles idle); and for a refill budget above one word,
+        the words after the first demand, wrapping round the slice, up to
+        the budget.  Refill presets fetch at offset 2 (a second word in a
+        slot lands on the same cycle and shows up as a conflict, which is
+        the point of the over-budget experiment).  Streaming takes the
+        first offset its bank has free in the slot, or offset 3 with none
+        free; a word decoded in the slot is written at offset 0 of that
+        bank, so its fetch comes after its write.
         """
-        at = self.bank_order
-        rows = [(sp.cycle_base // CYCLES_PER_SLOT - slot0, r.cycle,
-                 at[r.buffer, r.bank_id], _CODE[r.purpose], r.word_index,
-                 r.block_id, r.slice_col, r.line, r.px)
-                for sp in plans for r in sp.records()]
-        return np.array(rows, dtype=np.int32).reshape(-1, len(BOOKING_FIELDS)).T
+        slots = self.blockline_slots(bl)
+        spb, n = self.slots_per_blockline, self.n_words
+        bookings = []   # per kind: (slot, offset, line, col, local word,
+                        # block, purpose), each an array or a scalar
+
+        # the decode slots' blocks; each slot writes both rows of its block
+        t = np.arange(spb)
+        if self.plan.interleave is Interleave.ROUND_ROBIN:
+            bx, col = np.divmod(t, self.cols)
+        else:
+            col, bx = np.divmod(t, n)
+        tw = np.repeat(t, 2)
+        bookings.append((tw, 0, 2 * bl + np.tile([0, 1], spb),
+                         np.repeat(col, 2), np.repeat(bx, 2), slots.start + tw,
+                         WRITE))
+
+        r = self.display_words_in(CYCLES_PER_SLOT * slots.start,
+                                  CYCLES_PER_SLOT * slots.stop)
+        k = np.arange(r.start, r.stop)
+        cyc = self.display_read_cycle(k) - CYCLES_PER_SLOT * slots.start
+        y, i = np.divmod(k, self.words_per_image_line)
+        bookings.append((cyc // CYCLES_PER_SLOT, cyc % CYCLES_PER_SLOT, y,
+                         i // n, i % n, -1, DISPLAY))
+
+        # fetch demands, one kind at a time: (valid, line, local word)
+        def entering(section):
+            # one new word of the section's fetched span slides into the
+            # next block's window per slot
+            w = bx + 1 + self._fetched_span[section][1] // PIXELS_PER_WORD
+            return (bx + 1 < n) & (w >= 0) & (w < n), w
+
+        demands = []
+        if not self.plan.is_first_blockline_of_slice(bl):
+            ok, w = entering("prev")
+            demands.append((ok, 2 * bl - 1, w))
+        if self.preset.fetch_kind == STREAMING and "row1" in \
+                self._fetched_span and \
+                self.preset.residency.routes["row1"] == FETCH:
+            # the streaming fetch datapath (with its reconvert unit) hangs
+            # off the lower buffer pair, so only the lower row can stream
+            ok, w = entering("row1")
+            demands.append((ok & (w <= bx), 2 * bl + 1, w))
+        if self._warms_next(bl):
+            j = bx - (n - self.warmup_count)
+            demands.append((j >= 0, 2 * bl + 1, j))
+        want = self.preset.fetch_words_per_slot
+        if self.preset.fetch_kind == REFILL and want > 1 and demands:
+            ok, line, w = zip(*demands)
+            count = np.sum(ok, axis=0)
+            first = np.argmax(ok, axis=0)
+            line, w = np.array(line)[first], np.choose(first, w)
+            for e in range(1, want):
+                demands.append(((count > 0) & (count + e <= want), line,
+                                (w + e) % n))
+
+        if self.preset.fetch_kind == STREAMING:
+            # the offsets each (slot, bank) has taken, as bits
+            taken = np.zeros((len(slots), len(self.bank_keys)), dtype=np.int64)
+            for s, off, line, c, wl, _, _ in bookings:
+                np.bitwise_or.at(taken, (s, self._bank(line, c, wl)),
+                                 1 << off)
+        for ok, line, w in demands:
+            line = np.broadcast_to(line, bx.shape)[ok]
+            s, c, w = t[ok], col[ok], w[ok]
+            if self.preset.fetch_kind == STREAMING:
+                at = (s, self._bank(line, c, w))
+                off = _FIRST_FREE[~taken[at] & 0xF]
+                taken[at] |= 1 << off
+            else:
+                off = 2
+            bookings.append((s, off, line, c, w, slots.start + s, FETCH_READ))
+
+        rows = []
+        for s, off, line, c, wl, block, purpose in bookings:
+            rows.append(np.stack(np.broadcast_arrays(
+                s, CYCLES_PER_SLOT * (slots.start + s) + off,
+                self._bank(line, c, wl), purpose,
+                self.word_address(c, wl)[0], block, c, line,
+                c * self.plan.slice_width + PIXELS_PER_WORD * wl)))
+        out = np.concatenate(rows, axis=1)
+        return out[:, np.argsort(out[SLOT], kind="stable")].astype(np.int32)
+
+    def _bank(self, line, slice_col, local_word):
+        """The place in `bank_keys` of the bank holding a slice column's
+        local word of image line `line`."""
+        return self._buf_of[line % 4] * self.preset.banks_per_buffer \
+            + self.word_address(slice_col, local_word)[1]
+
+    def access_records(self, bookings: np.ndarray) -> list[AccessRecord]:
+        """The columns of `booking_arrays` as AccessRecords."""
+        _, cycle, bank, purpose, word, block, col, line, px = bookings.tolist()
+        buf, bank_id = zip(*self.bank_keys)
+        return list(map(AccessRecord, cycle, [buf[k] for k in bank],
+                        [bank_id[k] for k in bank], word,
+                        [PURPOSES[p] for p in purpose], block, col, line, px))
+
+    def slot_plan(self, global_slot: int) -> BlockSlotPlan:
+        """One slot's view of `booking_arrays` of its blockline, which is
+        kept for the last blockline viewed."""
+        bl = min(global_slot // self.slots_per_blockline,
+                 self.plan.total_blocklines - 1)
+        if self._view[0] != bl:
+            b = self.booking_arrays(bl)
+            self._view = (bl, b[SLOT], self.access_records(b))
+        _, slot, records = self._view
+        rel = global_slot - self.blockline_slots(bl).start
+        lo, hi = np.searchsorted(slot, (rel, rel + 1))
+        by = ([], [], [])
+        for rec in records[lo:hi]:
+            by[_CODE[rec.purpose]].append(rec)
+        block = block_at_slot(self.plan, global_slot) \
+            if global_slot < self.decode_slots else None
+        return BlockSlotPlan(block, CYCLES_PER_SLOT * global_slot, *by)
 
     def shift_bookings(self, bookings: np.ndarray, d: int) -> np.ndarray:
         """A blockline's `booking_arrays` moved d blocklines later, within

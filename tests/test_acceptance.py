@@ -20,6 +20,8 @@ from dbemem.predwindow import WindowSpec
 from dbemem.sched import Scheduler, preset_by_name, preset_type2
 from dbemem.shell import buffer_accounting, throughput_metrics
 
+from test_sched import display_record
+
 PEAKS = {"baseline": 106, "type1": 90, "type2": 25}
 LATENCY_DIV = {"baseline": 2, "type1": 4, "type2": 4}
 
@@ -211,7 +213,7 @@ def test_criterion_8_property_suites():
                 writes[y, rec.word_index] = (rec.buffer, rec.bank_id, x0)
         assert (cover == 1).all()
         for k in range(sched.total_display_words):
-            rec = sched.display_record(k)
+            rec = display_record(sched, k)
             y, i = divmod(k, sched.words_per_image_line)
             assert writes[y, rec.word_index] == (rec.buffer, rec.bank_id, 8 * i)
     print("ACCEPTANCE 8 PASS: lossless-transform exhaustive at 8 bit, "

@@ -17,7 +17,8 @@ from dbemem.geometry import (CYCLES_PER_SLOT, ImageGeometry, Interleave,
 from dbemem.oracle import GoldenOracle
 from dbemem.predwindow import WindowSpec
 from dbemem.reference import ReferenceEngine
-from dbemem.sched import Scheduler, preset_by_name
+from dbemem.sched import (BLOCK, CYCLE, PURPOSE, WRITE, Scheduler,
+                          preset_by_name)
 from dbemem.shell import parse_config
 
 from test_shell import _config
@@ -25,7 +26,8 @@ from test_shell import _config
 PRESETS = ("baseline", "type1", "type2")
 COUNTS = {"baseline": 106, "type1": 90, "type2": 25}
 # per preset, every fault kind with a value that changes the run; flips
-# land on either side of type2's row1 fetch of lower0 word 5 at cycle 186
+# land on either side of type2's row1 fetch of lower0 word 5 at cycle 186,
+# and on upper word 3 before its display read (cycle 85 on type1 and type2)
 FAULTS = {
     "noop": lambda name: FaultSpec("noop"),
     "flip_182": lambda name: FaultSpec("flip_word", buffer="lower0",
@@ -35,7 +37,7 @@ FAULTS = {
     "flip_188": lambda name: FaultSpec("flip_word", buffer="lower0",
                                        word_index=5, cycle=188),
     "flip_upper": lambda name: FaultSpec("flip_word", buffer="upper",
-                                         word_index=3, cycle=100),
+                                         word_index=3, cycle=80),
     "capacity": lambda name: FaultSpec("capacity_override",
                                        value=COUNTS[name] - 1),
     "line_buffers": lambda name: FaultSpec(
@@ -58,11 +60,33 @@ def outputs(res):
             "violation_rows": res.violation_rows}
 
 
-def assert_same_run(cfg):
-    got, want = outputs(Engine(cfg).run()), outputs(ReferenceEngine(cfg).run())
+def assert_same_run(cfg, may_reject=False):
+    """The two engines give the same outputs; returns the reference's.  With
+    may_reject, a config the reference rejects with a ConfigError must be
+    rejected by the engine with the same message."""
+    try:
+        want = outputs(ReferenceEngine(cfg).run())
+    except ConfigError:
+        if not may_reject:
+            raise
+        assert_same_rejection(cfg)
+        return None
+    got = outputs(Engine(cfg).run())
     for key in want:
         assert got[key] == want[key], key
     return want
+
+
+def assert_same_rejection(cfg):
+    """Both engines reject cfg with the same ConfigError; returns its
+    message."""
+    messages = []
+    for engine in (ReferenceEngine, Engine):
+        with pytest.raises(ConfigError) as err:
+            engine(cfg).run()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    return messages[0]
 
 
 def assert_same_traced_and_untraced(cfg):
@@ -131,6 +155,21 @@ def test_engine_matches_reference_combined_faults(name, faults):
                     faults=[FaultSpec(kind, value=v) for kind, v in faults])
     want = assert_same_run(cfg)
     assert want["counts"]["conflicts"] and want["counts"]["hazards"]
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_unseen_flip_rejected_by_both_engines(name):
+    """lower0 word 39 of a 320x32 frame is first written at cycle 156: a
+    flip at cycle 100 is seen by no read, and both engines reject it after
+    the run with one message naming the word's cycles around it."""
+    cfg = SimConfig(ImageGeometry(320, 32), SliceLayout(1, 1),
+                    preset_by_name(name),
+                    faults=[FaultSpec("flip_word", buffer="lower0",
+                                      word_index=39, cycle=100)])
+    assert assert_same_rejection(cfg) == (
+        "flip_word lower0 word 39 at cycle 100 is seen by no read (the "
+        "word's last write before it: none, last read before it: none, "
+        "next write: cycle 156)")
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -254,7 +293,9 @@ def test_words_from_another_place_are_never_replayed(monkeypatch, name):
 @given(data=_config, height=st.sampled_from([8, 12, 16, 24, 32]))
 def test_engine_matches_reference_fuzz(data, height):
     """Configs of the CLI fuzz test that parse, with images up to 32 lines
-    high, so that blocklines replay their class (d >= 2)."""
+    high, so that blocklines replay their class (d >= 2).  A config one
+    engine rejects after its run, the other rejects with the same
+    message."""
     data = json.loads(json.dumps(data))
     if isinstance(data["image"], dict) and \
             isinstance(data["image"].get("height"), int):
@@ -265,7 +306,7 @@ def test_engine_matches_reference_fuzz(data, height):
         Engine(cfg)
     except ConfigError:
         assume(False)
-    assert_same_run(cfg)
+    assert_same_run(cfg, may_reject=True)
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -275,22 +316,17 @@ def test_booking_behind_a_bank_frontier_rejected(monkeypatch, name, slot):
     committed is a ConfigError with the same message in both engines:
     within a blockline (slot 3) and across blocklines (slot 40 opens
     blockline 1 at 320 pixels wide).  The slot's first write moves two
-    slots back."""
-    plan = Scheduler.slot_plan
+    slots back in the planner both engines read."""
+    planned = Scheduler.booking_arrays
 
-    def moved(self, s):
-        sp = plan(self, s)
-        if s == slot:
-            sp.writes[0] = sp.writes[0]._replace(
-                cycle=sp.writes[0].cycle - 2 * CYCLES_PER_SLOT)
-        return sp
+    def moved(self, bl):
+        b = planned(self, bl)
+        i = np.flatnonzero((b[BLOCK] == slot) & (b[PURPOSE] == WRITE))
+        if i.size:
+            b[CYCLE, i[0]] -= 2 * CYCLES_PER_SLOT
+        return b
 
-    monkeypatch.setattr(Scheduler, "slot_plan", moved)
+    monkeypatch.setattr(Scheduler, "booking_arrays", moved)
     cfg = SimConfig(ImageGeometry(320, 32), SliceLayout(1, 1),
                     preset_by_name(name))
-    messages = []
-    for engine in (ReferenceEngine, Engine):
-        with pytest.raises(ConfigError, match="behind frontier") as err:
-            engine(cfg).run()
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
+    assert "behind frontier" in assert_same_rejection(cfg)

@@ -10,6 +10,8 @@ from dbemem.reference import ReferenceEngine
 from dbemem.sched import preset_baseline, preset_by_name
 from dbemem.shell import build_report, report_to_text
 
+from test_sched import display_record
+
 PEAKS = {"baseline": 106, "type1": 90, "type2": 25}
 
 
@@ -82,7 +84,7 @@ def test_display_stream_rate_law_enforced():
     # a display read off latency - read_lead + 2k is an engine fault, in the
     # engine's check of a pass's display reads and in the reference's
     eng = Engine(cfg_for("baseline"))
-    rec = eng.sched.display_record(0)
+    rec = display_record(eng.sched, 0)
     assert rec.cycle == eng.sched.latency - eng.sched.read_lead
     one = np.ones(1, dtype=np.int64)
     with pytest.raises(AssertionError):
@@ -151,6 +153,11 @@ def test_every_fault_changes_the_run_or_is_rejected(name):
     # word 479 is used by no slice column of a 320-wide image
     with pytest.raises(ConfigError, match="no slice column"):
         outcome(FaultSpec("flip_word", buffer="lower0", word_index=479,
+                          cycle=100))
+    # lower0 word 39 is first written at cycle 156: no read sees a flip at
+    # cycle 100, and the run rejects it
+    with pytest.raises(ConfigError, match="seen by no read"):
+        outcome(FaultSpec("flip_word", buffer="lower0", word_index=39,
                           cycle=100))
 
 

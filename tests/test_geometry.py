@@ -10,6 +10,8 @@ from dbemem.membank import Purpose
 from dbemem.predwindow import WindowSpec
 from dbemem.sched import Scheduler, preset_by_name
 
+from test_sched import display_record
+
 
 def plan_4k(columns=4):
     return build_geometry(ImageGeometry(3840, 2160), SliceLayout(columns, 1))
@@ -29,7 +31,7 @@ def slot_of(plan, c, bx, bl):
 
 def display_addr(sched, x, y):
     """(buffer, bank, word) the display reads pixel (x, y) from."""
-    rec = sched.display_record(y * sched.words_per_image_line + x // 8)
+    rec = display_record(sched, y * sched.words_per_image_line + x // 8)
     return rec.buffer, rec.bank_id, rec.word_index
 
 
@@ -90,7 +92,7 @@ def test_pixel_to_word():
     sched4 = sched_for(plan_4k(4))
     assert display_addr(sched4, 959, 0)[2] == 119
     assert display_addr(sched4, 960, 0)[2] == 120    # column 1's partition
-    assert sched4.display_record(960 // 8).slice_col == 1
+    assert display_record(sched4, 960 // 8).slice_col == 1
     assert sched4.word_address(1, 0) == (120, 0)
 
 
@@ -177,7 +179,7 @@ def check_addressing(sched):
                                            Purpose.WRITE_BLOCK_ROW)
     assert len(writes) == plan.image.height * sched.words_per_image_line
     for k in range(sched.total_display_words):
-        rec = sched.display_record(k)
+        rec = display_record(sched, k)
         y, i = divmod(k, sched.words_per_image_line)
         assert (rec.line, rec.px) == (y, 8 * i)
         assert writes[y, rec.word_index] == (rec.buffer, rec.bank_id, 8 * i)

@@ -1,12 +1,15 @@
+import hashlib
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dbemem.engine import Engine, SimConfig
+from dbemem.engine import Engine, FaultSpec, SimConfig
 from dbemem.errors import ConfigError
-from dbemem.geometry import ImageGeometry, Interleave, SliceLayout, build_geometry
+from dbemem.geometry import (CYCLES_PER_SLOT, ImageGeometry, Interleave,
+                             SliceLayout, build_geometry)
+from dbemem.ledger import Pass
 from dbemem.membank import Purpose
 from dbemem.predwindow import WindowSpec
 from dbemem.sched import (Scheduler, preset_baseline, preset_by_name,
@@ -17,6 +20,13 @@ def make_plan(width=640, height=64, cols=1, rows=1,
               interleave=Interleave.COLUMN_MAJOR):
     return build_geometry(ImageGeometry(width, height), SliceLayout(cols, rows),
                           interleave)
+
+
+def display_record(sched, k):
+    """The record of raster display word k in its slot's plan."""
+    cycle = sched.display_read_cycle(k)
+    return next(r for r in sched.slot_plan(cycle // CYCLES_PER_SLOT)
+                .display_reads if r.cycle == cycle)
 
 
 def test_preset_structure():
@@ -179,7 +189,7 @@ def test_display_tail_is_planned_by_slot_plan(name, read_latency):
                                               sched.total_slots)]
     assert all(sp.block is None and not sp.writes and not sp.fetches
                and sp.display_reads for sp in tail)
-    last = sched.display_record(sched.total_display_words - 1)
+    last = display_record(sched, sched.total_display_words - 1)
     assert tail[-1].display_reads[-1] == last
     assert sched.blockline_slots(plan.total_blocklines - 1) == range(
         sched.decode_slots - sched.slots_per_blockline, sched.total_slots)
@@ -209,8 +219,8 @@ def test_blockline_replay_matches_slot_plan(name, interleave, read_latency,
                                             budget):
     """Every blockline's bookings equal those of the first blockline of its
     class, shifted by whole blocklines: the replay the engine runs is
-    slot_plan, field by field (cycle, bank, purpose, word, block, column,
-    line and pixel x)."""
+    the blockline's own plan, field by field (cycle, bank, purpose, word,
+    block, column, line and pixel x)."""
     preset = preset_by_name(name)
     if budget is not None:
         preset = replace(preset, fetch_words_per_slot=budget)
@@ -221,12 +231,134 @@ def test_blockline_replay_matches_slot_plan(name, interleave, read_latency,
                               read_latency=read_latency)
             templates = {}
             for bl in range(plan.total_blocklines):
-                slots = sched.blockline_slots(bl)
-                direct = sched.booking_arrays(map(sched.slot_plan, slots),
-                                              slots.start)
+                direct = sched.booking_arrays(bl)
                 bl0, template = templates.setdefault(
                     sched._blockline_class(bl), (bl, direct))
                 assert np.array_equal(
                     sched.shift_bookings(template, bl - bl0), direct)
             # replay happens: fewer classes than blocklines
             assert len(templates) < plan.total_blocklines
+
+
+# the schedule bit for bit, over 3 presets x {1, 2, 4} columns x both
+# interleaves x read latency {0, 1} x {1, 2} slice rows at 320x32.  A case
+# adds a fetch budget and a bank count to a preset, or a window spec; its
+# digest is the sha256 of one line per config and blockline class: the
+# class key and the sha256 of the bookings of the class's first blockline
+SPECS = {
+    # a previous-line span left of the block, so no warm-up, and a row1
+    # span that forwarding covers whole
+    "prev_left": WindowSpec((-24, -4), (-25, -1), (-8, -1)),
+    # a previous-line span wider than a 4-column slice: with 4 columns
+    # every slot fetches a warm-up word of the next blockline
+    "wide_prev": WindowSpec((-16, 80), (-40, -2), (-20, -3))}
+SCHEDULE_DIGESTS = {
+    "baseline_budgetpreset_bankspreset": (
+        ("baseline", None, None, None),
+        "ae6fe0f067e16d4de64d2446c5059cb146903109be38a516ea22381930059694"),
+    "baseline_budgetpreset_banks2": (
+        ("baseline", None, 2, None),
+        "512bfaf20cc65815d01eee1c94bed8b775be904b4066bbd06d586e61af691c97"),
+    "baseline_budget2_bankspreset": (
+        ("baseline", 2, None, None),
+        "bb3d2a179aefb13b85f51ff6daf7f601a26cc7f80a7d6e5204ae81c245b07922"),
+    "baseline_budget2_banks2": (
+        ("baseline", 2, 2, None),
+        "d8f937a41d72e6b3cbb6a5bd69658ab03457c1b0f1266ad06b3b174bc43cd91d"),
+    "baseline_budget3_bankspreset": (
+        ("baseline", 3, None, None),
+        "b5be01bad923a6cc46cd680ae402ed7b9a592e1d8b6ba9effd216ac9647ee161"),
+    "baseline_budget3_banks2": (
+        ("baseline", 3, 2, None),
+        "2f30792739822283c94cf200ed00722dfe111581318fbea0ccf3abc7e47b9059"),
+    "baseline_budget4_bankspreset": (
+        ("baseline", 4, None, None),
+        "5c686b81052e2854a813722539a361f8c7c6e359514bad23efecc2ff535a8e91"),
+    "baseline_budget4_banks2": (
+        ("baseline", 4, 2, None),
+        "7358bf6b5312e540983c8575f4c4c9f2b51fb5679ef2c9286ab8c98867767644"),
+    "type1_budgetpreset_bankspreset": (
+        ("type1", None, None, None),
+        "71d962777e2e13da6919011853a4ec61d16c9ae0da6bb279b343908b84024f19"),
+    "type1_budgetpreset_banks2": (
+        ("type1", None, 2, None),
+        "074cd49e014a4ab7911c316c4c07e056f2e4f0ee7560fc718e0b4f5c12e6190b"),
+    "type1_budget2_bankspreset": (
+        ("type1", 2, None, None),
+        "3ed559d70153abab5a4985fc8e4e3faec120d309f299b26cd1f55965486c7f50"),
+    "type1_budget2_banks2": (
+        ("type1", 2, 2, None),
+        "77299808765c67e331724901d3b0448496e78a3d948d1c665da7aa80e6d10b36"),
+    "type1_budget3_bankspreset": (
+        ("type1", 3, None, None),
+        "d9eafd6ad9deade07f4e4da0c2fc7df1cadf361691bde8d9d9c83f149157966f"),
+    "type1_budget3_banks2": (
+        ("type1", 3, 2, None),
+        "28dde70742724fbcd421f081bcce65f7235d49a01c7a56739e57a578627628dd"),
+    "type1_budget4_bankspreset": (
+        ("type1", 4, None, None),
+        "df2bf674ee2de78876db354c5fcdb371c6bbf95470b72ac0a5ff4495ff40537c"),
+    "type1_budget4_banks2": (
+        ("type1", 4, 2, None),
+        "58bd05688f5102d2b86d8ab056862b6cf83d748aad0c3e2bdaea2864ef500a2d"),
+    "type2_budgetpreset_bankspreset": (
+        ("type2", None, None, None),
+        "9c7d86ca3df5a3694a87e3f04ab9b1eba0d4282d8d32d2ebb4f0ad2426c944ea"),
+    "type2_budgetpreset_banks1": (
+        ("type2", None, 1, None),
+        "04354f8e3ddd026937cd27802a6308dbd1830e7f240d588b838ad04feec95f39"),
+    "baseline_prev_left": (
+        ("baseline", None, None, "prev_left"),
+        "1ac281e51c40da3f8786083004c67ac70b71de4b79925ee056741360664a4ab2"),
+    "type1_prev_left": (
+        ("type1", None, None, "prev_left"),
+        "eb4b67bded7a86230700561f8ab72768ccd35e919fbb3669a1ff2df369a3497c"),
+    "type2_prev_left": (
+        ("type2", None, None, "prev_left"),
+        "5729819bde1e1dbcec63462e8a90b8ff561b22652288631ca2c120d3c6e4f7c7"),
+    "baseline_wide_prev": (
+        ("baseline", None, None, "wide_prev"),
+        "94e76e138eefa85dc33daca97094ab041fa4eb04ea70611f39b695a1cbc71c30"),
+    "type1_wide_prev": (
+        ("type1", None, None, "wide_prev"),
+        "94717ff6ce35b3e07e2439af40a6469b29e728192006357de8a74f85babf619c"),
+    "type2_wide_prev": (
+        ("type2", None, None, "wide_prev"),
+        "ef6eb22dca2494c8dcfe9003cd0fb6491748ba41a0d5b34da66c53e8fed224bd"),
+}
+
+
+def _schedule_digest(name, budget, banks, spec):
+    faults = []
+    if budget is not None:
+        faults.append(FaultSpec("fetch_budget_override", value=budget))
+    if banks is not None:
+        faults.append(FaultSpec("banks_override", value=banks))
+    lines = []
+    for cols in (1, 2, 4):
+        for interleave in Interleave:
+            for read_latency in (0, 1):
+                for rows in (1, 2):
+                    eng = Engine(SimConfig(
+                        ImageGeometry(320, 32), SliceLayout(cols, rows),
+                        preset_by_name(name), window=SPECS.get(spec,
+                                                               WindowSpec()),
+                        interleave=interleave,
+                        sram_read_latency=read_latency, faults=faults))
+                    classes = {}
+                    for bl in range(eng.plan.total_blocklines):
+                        classes.setdefault(eng.sched._blockline_class(bl), bl)
+                    for key, bl in classes.items():
+                        b = Pass(eng, bl).bookings
+                        lines.append(f"{cols} {interleave.value} "
+                                     f"{read_latency} {rows} {key!r} "
+                                     f"{b.shape} {b.dtype} "
+                                     + hashlib.sha256(b.tobytes()).hexdigest())
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(SCHEDULE_DIGESTS))
+def test_schedule_pinned_bit_for_bit(case):
+    name, budget, banks, spec = SCHEDULE_DIGESTS[case][0]
+    assert _schedule_digest(name, budget, banks, spec) == \
+        SCHEDULE_DIGESTS[case][1]

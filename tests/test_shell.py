@@ -308,12 +308,17 @@ def _fault_cfg(kind, value, arch="type2"):
     # a refill slot pads its fetches up to the budget on four cycles
     dict(CFG, arch={"fetch_words_per_slot": 5}),
     dict(CFG, arch={"fetch_words_per_slot": -1}),
+    # lower0 word 39 is first written at cycle 156: no read sees the flip
+    *(dict(CFG, arch=name, faults=[{"kind": "flip_word", "buffer": "lower0",
+                                    "word_index": 39, "cycle": 100}])
+      for name in ("baseline", "type1", "type2")),
 ], ids=["capacity_str", "capacity_negative", "bit_depth_str", "chroma_420",
         "interleave_bogus", "window_span_str", "line_buffers_str",
         "height_missing", "fetch_budget_0", "clock_nan", "flip_unused_word",
         "forwarding_str", "trace_str", "fault_without_kind", "latency_bool",
         "seed_float", "width_float", "columns_float", "window_span_float",
-        "clock_bool", "fetch_words_over_slot", "fetch_words_negative"])
+        "clock_bool", "fetch_words_over_slot", "fetch_words_negative",
+        "flip_unseen_baseline", "flip_unseen_type1", "flip_unseen_type2"])
 def test_cli_malformed_config_exit_two(tmp_path, capsys, data):
     assert cli_main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2
     err = capsys.readouterr().err
