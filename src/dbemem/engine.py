@@ -6,8 +6,10 @@ class's template shifted by whole blocklines, so the port law, the commit
 order and each word's order of events are worked out once per class.
 A blockline that starts from the state an earlier blockline of its class
 started from, moved by the blocklines between them, ends as that one ended
-and is replayed instead of checked (`Engine.run`).  Violations never abort
-a run, so one simulation can fully characterize a broken configuration.
+and is replayed instead of checked (`Engine.run`); only the values of the
+words it displays from another place are checked again.  Violations never
+abort a run, so one simulation can fully characterize a broken
+configuration.
 `reference.ReferenceEngine` runs the same model slot by slot and cycle by
 cycle, and never replays; the tests hold the two equal.
 """
@@ -32,6 +34,8 @@ from .sched import (BANK, BLOCK, CYCLE, LINE, PURPOSE, PURPOSES, PX, REFILL,
                     total_frame_cycles)
 
 DETAIL_LIMIT = 16  # violation samples kept per class
+# a drained violation's trace-row op, by class (`VIOLATION_CLASSES`)
+_DRAIN_OPS = ("conflict", "hazard", "underflow")
 
 
 @dataclass
@@ -196,6 +200,10 @@ class _Stage:
         self._want_x = np.concatenate([eng._key_x, eng._key_x[keys]])
         self._eng = eng
         self._bad = {}
+        # a staged word holds the demanded line, and a line's words sit at
+        # distinct addresses, so an entry also holds its key's pixels; one
+        # that did not would keep its pass from being recorded
+        self.foreign = False
         # carry out the last staged word of each key
         if len(keys):
             last = np.ones(len(keys), dtype=bool)
@@ -221,6 +229,7 @@ class _Stage:
         if (reconvert, y) not in self._bad:
             e = np.flatnonzero(self.line == y)
             line = self.line[e]
+            self.foreign |= bool((self._src_x[e] != self._want_x[e]).any())
             bad = np.zeros((len(self.line), PIXELS_PER_WORD), dtype=bool)
             bad[e] = self._eng._mismatch(line, self._src_x[e], self._parity[e],
                                          line, self._want_x[e], reconvert)
@@ -348,7 +357,6 @@ class Engine:
         (self._frontier, self._word_line, self._word_x, self._word_cycle,
          owed, *self._stage) = np.split(self._carry, np.cumsum(sizes)[:-1])
         self._word_owed = owed.reshape(2, n_wk)
-        self._foreign = False   # see `_mismatch`
         self._templates = {}   # blockline class -> its first blockline's Pass
         self._setup_residency()
         self._setup_window()
@@ -447,15 +455,20 @@ class Engine:
         rgb = self.oracle.golden_frame(plan.image.width, plan.image.height)
         self._rgb, self._yco = rgb, ycocg_frame(rgb)
         spb = self.sched.slots_per_blockline
+        # how far a display word from another place moves per blockline:
+        # its source line, x and parity, and its raster word
+        far_unit = np.array([[2], [0], [0], [2 * spb]])
         pixels_served = replayed = 0
         # per class, per (next display word, carried state) moved back bl
         # blocklines: the display word and carried state after the pass,
         # moved back likewise, the pixels it served, its availability
-        # misses and its bank violations (`found`, event indices of the
-        # template).  Kept only for a pass that compared only words holding
-        # their own place's pixels, and never in a run with a flip, so that
-        # no golden value decided it: it has no mismatches, and its other
-        # violations follow from the class and the carried state
+        # misses, its bank violations (`found`, event indices of the
+        # template) and its display reads of words from another place
+        # (`far`, moved back likewise).  None of these depends on a golden
+        # value, so a replay re-checks only the values of the `far` words.
+        # Never kept in a run with a flip, whose parities can change any
+        # word's value, nor for a window that compared a stage entry from
+        # another place (`_Stage.foreign`)
         seen = {}
         for bl in range(plan.total_blocklines):
             # no window reads a line below 2 bl - 1 again: its stage entries
@@ -471,11 +484,13 @@ class Engine:
             rec = known.get(key)
             # a miss's detail sample names its slot, which only a check gives
             if rec and not (rec[3] and self._room("availability_misses") > 0):
-                k, end, served, misses, found = rec
+                k, end, served, misses, found, far = rec
                 end = np.frombuffer(end, dtype=np.int64)
                 self._next_display_k = k + 2 * spb * bl
                 self._carry[:] = np.where(end == _NEVER, -1,
                                           end + bl * self._carry_unit)
+                if far.size:
+                    self._compare_display(*(far + bl * far_unit))
                 pixels_served += served
                 self.log.availability_misses += misses
                 replayed += 1
@@ -486,10 +501,9 @@ class Engine:
                         self._trace(tm, b)
                     self._drain_bank_violations(tm, b, found)
                 continue
-            self._foreign = False
             b = self.sched.shift_bookings(tm.bookings, d) if d else tm.bookings
             display, staged, found = self._commit_slot(tm, b)
-            self._check_display_word(*display)
+            far = self._check_display_word(*display)
             stage = _Stage(self, staged)
             resident = self._advance_window(bl, stage)
             served, misses, mismatches = self._serve_window(bl, stage,
@@ -498,10 +512,10 @@ class Engine:
             self.log.availability_misses += misses
             self.log.prediction_mismatches += mismatches
             self._drain_bank_violations(tm, b, found)
-            if not (self._flips or self._foreign):
+            if not (self._flips or stage.foreign):
                 known[key or self._moved_back(k0, start, bl)] = (
                     *self._moved_back(self._next_display_k, self._carry, bl),
-                    served, misses, found)
+                    served, misses, found, far - bl * far_unit)
 
         for watch in self._watches:
             watch.reject_unseen()
@@ -612,7 +626,9 @@ class Engine:
     def _check_display_word(self, cycle, written, line, src_x, parity):
         """The display reads of one pass in commit order: raster word k must
         be read at `display_read_cycle(k)`, and a written word must hold the
-        golden pixels of its place."""
+        golden pixels of its place (`_compare_display`).  Returns the
+        written words from another place, as `_compare_display` takes
+        them."""
         k0 = self._next_display_k
         k = np.arange(k0, k0 + len(cycle))
         self._next_display_k += len(cycle)
@@ -623,23 +639,32 @@ class Engine:
             raise AssertionError(f"display word {k[i]} read at {cycle[i]}, "
                                  f"expected {expected[i]}")
         r = np.flatnonzero(written)   # an underflow is the bank's to count
-        y, x = np.divmod(k[r], self.sched.words_per_image_line)
+        return self._compare_display(line[r], src_x[r], parity[r], k[r])
+
+    def _compare_display(self, line, src_x, parity, k):
+        """Count and sample the output mismatches of raster words k, in
+        order, whose values come from (line, first pixel x src_x) with flip
+        parity `parity`.  Returns, stacked in that argument order, the
+        words whose source is not their place: only their values can
+        mismatch in a run without flips."""
+        y, x = np.divmod(k, self.sched.words_per_image_line)
         x *= PIXELS_PER_WORD
-        bad = self._mismatch(line[r], src_x[r], parity[r], y, x).sum(axis=-1)
+        bad = self._mismatch(line, src_x, parity, y, x).sum(axis=-1)
         hit = np.flatnonzero(bad)
         if hit.size:
             self.log.output_mismatches += int(bad.sum())
             for i in hit[:self._room("output_mismatches")].tolist():
-                self._note("output_mismatches", (int(k[r][i]), int(y[i]),
+                self._note("output_mismatches", (int(k[i]), int(y[i]),
                                                  int(x[i]), int(bad[i])))
+        far = (line != y) | (src_x != x)
+        return np.stack((line[far], src_x[far], parity[far], k[far]))
 
     def _mismatch(self, line, src_x, parity, y, x, reconvert=False):
         """Per word and pixel: the golden pixels at the word's source (line,
         first pixel x src_x) with the flip parity XORed in differ from the
         golden pixels of its place (line y, first pixel x x), in RGB or,
         after the reconvert, in YCoCg.  Every argument but reconvert has
-        one entry per word.  A word from another place sets `_foreign`."""
-        self._foreign |= bool((line != y).any() or (src_x != x).any())
+        one entry per word."""
         got = self._rgb[line[:, None], src_x[:, None] + _PIXEL] \
             ^ parity[:, None, None]
         if reconvert:
@@ -665,15 +690,24 @@ class Engine:
                                 np.arange(len(ub))])
         tie = np.where(cls == 0, at, b[CYCLE][at])
         order = np.lexsort((tie, cls, b[BANK][at], b[SLOT][at]))
-        tracing = self.cfg.collect_trace
+        cls, which, at = cls[order], which[order], at[order]
+        if self.cfg.collect_trace:
+            block = np.where(cls == 2, -1, b[BLOCK][at])
+            keys = self.sched.bank_keys
+            purposes = [p.value for p in PURPOSES]
+            self.violation_rows.extend(
+                (cyc, -1, *keys[k], _DRAIN_OPS[c], word, purposes[p], blk)
+                for cyc, k, c, word, p, blk in zip(
+                    b[CYCLE][at].tolist(), b[BANK][at].tolist(),
+                    cls.tolist(), b[WORD][at].tolist(),
+                    b[PURPOSE][at].tolist(), block.tolist()))
+        # only the detail samples are built, in drain order
         room = [self._room(c) for c in VIOLATION_CLASSES]
-        if not tracing:   # only the detail samples are built
-            keep = np.zeros(len(order), dtype=bool)
-            for c in range(3):
-                keep[np.flatnonzero(cls[order] == c)[:max(room[c], 0)]] = True
-            order = order[keep]
-        for c, j, i in zip(cls[order].tolist(), which[order].tolist(),
-                           at[order].tolist()):
+        keep = np.zeros(len(at), dtype=bool)
+        for c in range(3):
+            keep[np.flatnonzero(cls == c)[:max(room[c], 0)]] = True
+        for c, j, i in zip(cls[keep].tolist(), which[keep].tolist(),
+                           at[keep].tolist()):
             buf, bank = self.sched.bank_keys[int(b[BANK][i])]
             cyc, word = int(b[CYCLE][i]), int(b[WORD][i])
             purpose = PURPOSES[b[PURPOSE][i]]
@@ -686,11 +720,7 @@ class Engine:
                                     int(hz_fetch[j]), int(b[BLOCK][i]))
             else:
                 v = UnderflowViolation(cyc, buf, bank, word, purpose)
-            if room[c] > 0:
-                self._note(VIOLATION_CLASSES[c], v)
-                room[c] -= 1
-            if tracing:
-                self.violation_rows.append(v.trace_row())
+            self._note(VIOLATION_CLASSES[c], v)
 
     # -- window service ----------------------------------------------------------
 

@@ -241,13 +241,16 @@ def test_stale_fetch_stage_entries_do_not_stop_replay():
                                         ("type1", "delay")])
 def test_faults_reading_words_from_another_place_never_replay(name, fault):
     """Two line buffers on the baseline, and a one-line delay on type1,
-    display or fetch words that hold another place's pixels: every
-    blockline is checked."""
+    display words that hold another place's pixels.  Which words those
+    are follows from the class and the carried state, so the 320x128 run
+    still replays, traced and untraced: a replay checks only those words'
+    values again, and the run gives what the reference gives."""
     cfg = SimConfig(ImageGeometry(320, 128), SliceLayout(1, 1),
                     preset_by_name(name), collect_trace=True,
                     faults=[FAULTS[fault](name)])
-    assert_same_run(cfg)
-    assert Engine(cfg).run().blocklines_replayed == 0
+    want, replayed = assert_same_traced_and_untraced(cfg)
+    assert want["counts"]["output_mismatches"] > 0
+    assert replayed > 0
 
 
 def test_availability_misses_replay_only_once_their_samples_are_full():
@@ -269,8 +272,10 @@ def test_availability_misses_replay_only_once_their_samples_are_full():
 def test_words_from_another_place_are_never_replayed(monkeypatch, name):
     """Round-robin displays words that a later line overwrote.  With the
     golden frame's upper half made of its first two lines repeated, those
-    words hold their place's pixels there and differ in the lower half; a
-    blockline that compared them is checked again, never replayed."""
+    words hold their place's pixels there and differ in the lower half.  A
+    replayed blockline checks their values again: it replays as matches
+    in the upper half and as mismatches in the lower half, and the run
+    gives what the reference gives, detail samples included."""
     frame = GoldenOracle.golden_frame
 
     def repeated(self, width, height):
@@ -278,13 +283,40 @@ def test_words_from_another_place_are_never_replayed(monkeypatch, name):
         rgb[:height // 2] = rgb[np.arange(height // 2) % 2]
         return rgb
 
+    # per replayed pass that read words from another place: the half its
+    # words' sources and places lie in (None: both), and the output
+    # mismatches its check found
+    replays, checking = [], []
+    check, compare = Engine._check_display_word, Engine._compare_display
+
+    def checked(self, *display):
+        checking.append(True)
+        try:
+            return check(self, *display)
+        finally:
+            checking.pop()
+
+    def compared(self, line, src_x, parity, k):
+        before = self.log.output_mismatches
+        far = compare(self, line, src_x, parity, k)
+        if not checking:
+            y = k // self.sched.words_per_image_line
+            upper = {bool(v) for v in np.concatenate([line, y]) < 64}
+            replays.append((upper.pop() if len(upper) == 1 else None,
+                            self.log.output_mismatches - before))
+        return far
+
     monkeypatch.setattr(GoldenOracle, "golden_frame", repeated)
     cfg = SimConfig(ImageGeometry(320, 128), SliceLayout(2, 1),
                     preset_by_name(name), interleave=Interleave.ROUND_ROBIN,
                     collect_trace=True)
     want = assert_same_run(cfg)
     assert want["counts"]["output_mismatches"] > 0
-    assert Engine(cfg).run().blocklines_replayed == 0
+    monkeypatch.setattr(Engine, "_check_display_word", checked)
+    monkeypatch.setattr(Engine, "_compare_display", compared)
+    Engine(cfg).run()
+    assert {n > 0 for upper, n in replays if upper is True} == {False}
+    assert {n > 0 for upper, n in replays if upper is False} == {True}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
@@ -306,6 +338,59 @@ def test_engine_matches_reference_fuzz(data, height):
         Engine(cfg)
     except ConfigError:
         assume(False)
+    assert_same_run(cfg, may_reject=True)
+
+
+# per preset: no fault, or the fault that makes passes display words from
+# another place
+FOREIGN_FAULTS = {
+    "baseline": [None, ("line_buffers_override", 2)],
+    "type1": [None, ("delay_override", "one_line")],
+    "type2": [None, ("delay_override", "one_line")],
+}
+
+
+@st.composite
+def foreign_or_flipped(draw):
+    """A config whose passes read words from another place (a fault of
+    `FOREIGN_FAULTS`, or round-robin over 2 or 4 columns) on images up to
+    64 lines high, so that its blocklines repeat, and on some draws up to
+    two flip_word faults.  A flip lands within a few cycles of a booking
+    of the flip-free run's trace, on the booking's buffer and word, so it
+    is valid, and seen or unseen by a read."""
+    name = draw(st.sampled_from(PRESETS))
+    fault = draw(st.sampled_from(FOREIGN_FAULTS[name]))
+    cols = draw(st.sampled_from([1, 2, 4]))
+    interleave = Interleave.COLUMN_MAJOR
+    if cols > 1 and (fault is None or draw(st.booleans())):
+        interleave = Interleave.ROUND_ROBIN
+    assume(fault or interleave == Interleave.ROUND_ROBIN)
+    cfg = SimConfig(
+        ImageGeometry(cols * 8 * draw(st.integers(1, 6)),
+                      draw(st.sampled_from([16, 24, 32, 48, 64]))),
+        SliceLayout(cols, 1), preset_by_name(name), interleave=interleave,
+        seed=draw(st.integers(0, 3)),
+        sram_read_latency=draw(st.sampled_from([0, 1])), collect_trace=True,
+        faults=[FaultSpec(fault[0], value=fault[1])] if fault else [])
+    rows = Engine(cfg).run().trace_rows
+    last = rows[-1][0]
+    for _ in range(draw(st.integers(0, 2))):
+        cycle, _, buffer, _, _, word, _, _ = rows[
+            draw(st.integers(0, len(rows) - 1))]
+        cfg.faults.append(FaultSpec(
+            "flip_word", buffer=buffer, word_index=word,
+            cycle=min(max(cycle + draw(st.integers(-4, 4)), 0), last)))
+    return cfg
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(cfg=foreign_or_flipped())
+def test_foreign_words_and_flips_match_reference_fuzz(cfg):
+    """Runs that replay passes reading words from another place, and runs
+    with valid flips, give what the reference gives; a flip that no read
+    sees is rejected by both engines with the same message."""
     assert_same_run(cfg, may_reject=True)
 
 
