@@ -7,9 +7,11 @@ order and each word's order of events are worked out once per class.
 A blockline that starts from the state an earlier blockline of its class
 started from, moved by the blocklines between them, ends as that one ended
 and is replayed instead of checked (`Engine.run`); only the values of the
-words it displays from another place are checked again.  Violations never
-abort a run, so one simulation can fully characterize a broken
-configuration.
+words it displays from another place are checked again.  Values are
+checked by provenance first (`Engine._mismatch`): only a word from another
+place needs golden pixels, so a run without one builds no golden frame.
+Violations never abort a run, so one simulation can fully characterize a
+broken configuration.
 `reference.ReferenceEngine` runs the same model slot by slot and cycle by
 cycle, and never replays; the tests hold the two equal.
 """
@@ -185,7 +187,10 @@ class _Stage:
     """Every column's fetch stage during one pass: the fetches staged in
     the pass, found by (stage key, slot), over the stage carried in.  An
     entry is one staged word: its line and the source of its value, a
-    written row's first pixel x and the flip parity since that write."""
+    written row's first pixel x and the flip parity since that write.  A
+    fetch stages a word only when the word holds the demanded line, and a
+    line's words sit at distinct addresses, so an entry's source is also
+    its place."""
 
     def __init__(self, eng, staged):
         keys, slots, line, src_x, parity = staged
@@ -197,13 +202,8 @@ class _Stage:
         self.line = np.concatenate([carried[0], line])
         self._src_x = np.concatenate([carried[1], src_x])
         self._parity = np.concatenate([carried[2], parity])
-        self._want_x = np.concatenate([eng._key_x, eng._key_x[keys]])
         self._eng = eng
         self._bad = {}
-        # a staged word holds the demanded line, and a line's words sit at
-        # distinct addresses, so an entry also holds its key's pixels; one
-        # that did not would keep its pass from being recorded
-        self.foreign = False
         # carry out the last staged word of each key
         if len(keys):
             last = np.ones(len(keys), dtype=bool)
@@ -228,11 +228,10 @@ class _Stage:
         of other lines read False."""
         if (reconvert, y) not in self._bad:
             e = np.flatnonzero(self.line == y)
-            line = self.line[e]
-            self.foreign |= bool((self._src_x[e] != self._want_x[e]).any())
+            line, x = self.line[e], self._src_x[e]
             bad = np.zeros((len(self.line), PIXELS_PER_WORD), dtype=bool)
-            bad[e] = self._eng._mismatch(line, self._src_x[e], self._parity[e],
-                                         line, self._want_x[e], reconvert)
+            bad[e] = self._eng._mismatch(line, x, self._parity[e], line, x,
+                                         reconvert)
             self._bad[reconvert, y] = bad
         return self._bad[reconvert, y]
 
@@ -333,9 +332,6 @@ class Engine:
             self._slot_of[b.slice_col, b.block_x] = t
         order = np.argsort(self._slot_of, axis=None)
         self._slot_col, self._slot_bx = np.unravel_index(order, (cols, n))
-        sw = self.plan.slice_width
-        self._key_x = (np.arange(cols * 4 * n) // (4 * n) * sw
-                       + np.arange(cols * 4 * n) % n * PIXELS_PER_WORD)
         # carried from pass to pass, in one array so that it can be keyed
         # and restored whole: per bank the cycle after its last commit; per
         # (buffer, word) the line it holds (-1: never written), its first
@@ -358,6 +354,9 @@ class Engine:
          owed, *self._stage) = np.split(self._carry, np.cumsum(sizes)[:-1])
         self._word_owed = owed.reshape(2, n_wk)
         self._templates = {}   # blockline class -> its first blockline's Pass
+        # the whole-frame golden RGB and YCoCg, built by the first compare
+        # of a word from another place (`_golden`)
+        self._rgb = self._yco = None
         self._setup_residency()
         self._setup_window()
 
@@ -452,8 +451,6 @@ class Engine:
     def run(self) -> EngineResult:
         plan = self.plan
         self._setup_passes()
-        rgb = self.oracle.golden_frame(plan.image.width, plan.image.height)
-        self._rgb, self._yco = rgb, ycocg_frame(rgb)
         spb = self.sched.slots_per_blockline
         # how far a display word from another place moves per blockline:
         # its source line, x and parity, and its raster word
@@ -465,10 +462,10 @@ class Engine:
         # misses, its bank violations (`found`, event indices of the
         # template) and its display reads of words from another place
         # (`far`, moved back likewise).  None of these depends on a golden
-        # value, so a replay re-checks only the values of the `far` words.
-        # Never kept in a run with a flip, whose parities can change any
-        # word's value, nor for a window that compared a stage entry from
-        # another place (`_Stage.foreign`)
+        # value: a word whose source is its place matches or mismatches by
+        # its flip parity alone, so a replay re-checks only the values of
+        # the `far` words.  Never kept in a run with a flip, whose parities
+        # can change any word's value
         seen = {}
         for bl in range(plan.total_blocklines):
             # no window reads a line below 2 bl - 1 again: its stage entries
@@ -512,7 +509,7 @@ class Engine:
             self.log.availability_misses += misses
             self.log.prediction_mismatches += mismatches
             self._drain_bank_violations(tm, b, found)
-            if not (self._flips or stage.foreign):
+            if not self._flips:
                 known[key or self._moved_back(k0, start, bl)] = (
                     *self._moved_back(self._next_display_k, self._carry, bl),
                     served, misses, found, far - bl * far_unit)
@@ -664,13 +661,31 @@ class Engine:
         first pixel x src_x) with the flip parity XORed in differ from the
         golden pixels of its place (line y, first pixel x x), in RGB or,
         after the reconvert, in YCoCg.  Every argument but reconvert has
-        one entry per word."""
-        got = self._rgb[line[:, None], src_x[:, None] + _PIXEL] \
-            ^ parity[:, None, None]
-        if reconvert:
-            got = ycocg_frame(got)
-        golden = self._yco if reconvert else self._rgb
-        return (got != golden[y[:, None], x[:, None] + _PIXEL]).any(axis=-1)
+        one entry per word.  A word whose source is its place differs on
+        every pixel exactly when its parity is 1: the flip changes each
+        component, and the lifting transform is injective.  Only the words
+        from another place gather golden pixels."""
+        bad = np.repeat(parity[:, None] != 0, PIXELS_PER_WORD, axis=1)
+        far = np.flatnonzero((line != y) | (src_x != x))
+        if far.size:
+            rgb, yco = self._golden()
+            got = rgb[line[far, None], src_x[far, None] + _PIXEL] \
+                ^ parity[far, None, None]
+            if reconvert:
+                got = ycocg_frame(got)
+            golden = yco if reconvert else rgb
+            bad[far] = (got != golden[y[far, None], x[far, None] + _PIXEL]) \
+                .any(axis=-1)
+        return bad
+
+    def _golden(self):
+        """The whole-frame golden RGB and YCoCg, built on the first call of
+        a run and kept for the rest of it."""
+        if self._rgb is None:
+            image = self.plan.image
+            self._rgb = self.oracle.golden_frame(image.width, image.height)
+            self._yco = ycocg_frame(self._rgb)
+        return self._rgb, self._yco
 
     def _drain_bank_violations(self, tm, b, found):
         """Count and log the pass's conflicts, hazards and underflows in

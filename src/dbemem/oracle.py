@@ -5,6 +5,9 @@ mixing function stands in for the reconstructed image so that every buffer
 read can be checked bit-exactly against ground truth.  The color transform
 is the reversible (lossless) YCoCg variant, which makes the
 "fetch RGB from the line buffer and re-convert" path exactly checkable.
+Its injectivity also lets the engine decide a word that holds its own
+place's pixels without any golden value: such a word mismatches exactly
+when a flip changed it, in RGB and after the re-convert alike.
 """
 
 import numpy as np
@@ -28,8 +31,11 @@ class GoldenOracle:
         """Whole frame as an int32 array of shape (height, width, 3).
 
         Component c of pixel (x, y) is the low bit_depth bits of a 64-bit
-        mix of seed ^ x*KX ^ y*KY ^ c*KC.  The engines gather from the frame
-        with numpy instead of hashing per pixel.
+        mix of seed ^ x*KX ^ y*KY ^ c*KC.  The reference engine builds it
+        for every run.  `Engine` builds it only at a run's first compare of
+        a word whose source is not its place (`Engine._golden`), and a run
+        without such words builds none.  Both gather from the frame with
+        numpy instead of hashing per pixel.
         """
         xs = np.arange(width, dtype=np.uint64) * np.uint64(_KX)
         ys = np.arange(height, dtype=np.uint64) * np.uint64(_KY)

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The full-4K criterion
-simulates a complete 3840x2160 frame (~2M cycles) and takes about 1.3 s
+simulates a complete 3840x2160 frame (~2M cycles) and takes about 0.2 s
 on a 2-vCPU VM; everything else runs at the 640x128 regression size.
 """
 

@@ -239,12 +239,13 @@ def test_stale_fetch_stage_entries_do_not_stop_replay():
 
 @pytest.mark.parametrize("name,fault", [("baseline", "line_buffers"),
                                         ("type1", "delay")])
-def test_faults_reading_words_from_another_place_never_replay(name, fault):
+def test_foreign_word_faults_replay_matching_reference(name, fault):
     """Two line buffers on the baseline, and a one-line delay on type1,
-    display words that hold another place's pixels.  Which words those
-    are follows from the class and the carried state, so the 320x128 run
-    still replays, traced and untraced: a replay checks only those words'
-    values again, and the run gives what the reference gives."""
+    display foreign words: words that hold another place's pixels.
+    Which words those are follows from the class and the carried state,
+    so the 320x128 run still replays, traced and untraced: a replay checks
+    only those words' values again, and the run gives what the reference
+    gives."""
     cfg = SimConfig(ImageGeometry(320, 128), SliceLayout(1, 1),
                     preset_by_name(name), collect_trace=True,
                     faults=[FAULTS[fault](name)])
@@ -269,8 +270,10 @@ def test_availability_misses_replay_only_once_their_samples_are_full():
 
 
 @pytest.mark.parametrize("name", PRESETS)
-def test_words_from_another_place_are_never_replayed(monkeypatch, name):
-    """Round-robin displays words that a later line overwrote.  With the
+def test_replays_recheck_foreign_words_like_reference(monkeypatch, name):
+    """Round-robin displays foreign words: words that a later line
+    overwrote.  The engine builds its golden frame through
+    `GoldenOracle.golden_frame` at the first foreign compare.  With the
     golden frame's upper half made of its first two lines repeated, those
     words hold their place's pixels there and differ in the lower half.  A
     replayed blockline checks their values again: it replays as matches

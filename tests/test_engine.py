@@ -235,6 +235,44 @@ def test_reconvert_matches_the_oracle_transform():
     assert ycocg_frame(rgb)[2, 17].tolist() == [1907, 3112, 554]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_mismatch_equals_a_per_pixel_compare(seed):
+    """`Engine._mismatch` decides a word whose source is its place by its
+    flip parity and gathers golden pixels only for the others.  On random
+    words of both kinds, with parity 0 or 1 and with or without the
+    reconvert, it equals a per-pixel compare of the golden frame.  The
+    frame keeps only each component's low bit, so that words from another
+    place match on some pixels and differ on others."""
+    w, h = 64, 16
+    eng = Engine(cfg_for("type2", width=w, height=h))
+    eng._setup_passes()
+    rgb = eng.oracle.golden_frame(w, h) & 1
+    eng.oracle.golden_frame = lambda width, height: rgb
+    yco = ycocg_frame(rgb)
+    rng = np.random.default_rng(seed)
+    n = 300
+    y, x = rng.integers(0, h, n), 8 * rng.integers(0, w // 8, n)
+    same = rng.random(n) < 0.5
+    line = np.where(same, y, rng.integers(0, h, n))
+    src_x = np.where(same, x, 8 * rng.integers(0, w // 8, n))
+    parity = rng.integers(0, 2, n)
+    # same-place words alone build no frame
+    eng._mismatch(y[same], x[same], parity[same], y[same], x[same], True)
+    assert eng._rgb is None
+    for reconvert in (False, True):
+        golden = yco if reconvert else rgb
+        want = np.zeros((n, 8), dtype=bool)
+        for i in range(n):
+            for p in range(8):
+                got = rgb[line[i], src_x[i] + p] ^ parity[i]
+                if reconvert:
+                    got = ycocg_frame(got)
+                want[i, p] = (got != golden[y[i], x[i] + p]).any()
+        assert eng._mismatch(line, src_x, parity, y, x, reconvert).tolist() \
+            == want.tolist()
+    assert 0 < want[~same].sum() < 8 * (~same).sum()
+
+
 def test_challenge1_two_line_buffers_hazard():
     res = inject_fault(cfg_for("baseline", width=640, height=32),
                        FaultSpec("line_buffers_override", value=2))
@@ -321,7 +359,7 @@ def test_stage_lookup_sees_fetches_of_the_serving_slot():
     stage = _Stage(eng, (np.array([key, key]), np.array([t, 9]),
                          np.array([3, 7]), np.array([0, 8]),
                          np.array([0, 1])))
-    n = len(eng._key_x)
+    n = len(eng._stage[0])
     assert stage.at(key * one, t * one).tolist() == [n]
     assert stage.line[n] == 3
     assert stage.at(key * one, (t - 1) * one).tolist() == [key]
@@ -360,3 +398,26 @@ REPLAYED = {
 def test_blocklines_replayed_on_benchmark_configs(run):
     shape, kw, want = REPLAYED[run]
     assert run_simulation(cfg_for(*shape, **kw)).blocklines_replayed == want
+
+
+def test_golden_frame_built_only_for_words_from_another_place(monkeypatch):
+    """A word whose source is its place needs no golden pixel, so clean
+    runs of every preset build no golden frame.  A run that displays words
+    from another place builds it once, at its first such compare."""
+    calls = []
+    frame = GoldenOracle.golden_frame
+
+    def spy(self, width, height):
+        calls.append((width, height))
+        return frame(self, width, height)
+
+    monkeypatch.setattr(GoldenOracle, "golden_frame", spy)
+    for name in PEAKS:
+        assert run_simulation(cfg_for(name, width=640, height=32)).passed
+    assert run_simulation(cfg_for("type2", width=640, height=32,
+                                  cols=4)).passed
+    assert calls == []
+    res = run_simulation(cfg_for("baseline", width=640, height=32,
+                                 **_faults("line_buffers_override", 2)))
+    assert res.violations.output_mismatches > 0
+    assert calls == [(640, 32)]
