@@ -111,8 +111,9 @@ def build_geometry(image: ImageGeometry, slices: SliceLayout,
     )
 
 
-def block_at_slot(plan: GeometryPlan, global_slot: int) -> BlockCoord:
-    """The block decoded in a slot: the decode order.
+def decode_position(plan: GeometryPlan, global_slot):
+    """The decode order: the blockline, slice column and block x decoded in
+    a slot, or in each slot of an array of slots.
 
     Blocklines advance in raster order.  Within a blockline, round_robin
     visits the slice columns one block slot each; column_major finishes one
@@ -124,4 +125,10 @@ def block_at_slot(plan: GeometryPlan, global_slot: int) -> BlockCoord:
         bx, c = divmod(within, cols)
     else:
         c, bx = divmod(within, n)
+    return bl, c, bx
+
+
+def block_at_slot(plan: GeometryPlan, global_slot: int) -> BlockCoord:
+    """The block decoded in a slot (`decode_position`)."""
+    bl, c, bx = decode_position(plan, global_slot)
     return BlockCoord(c, bx, bl, global_slot)

@@ -33,8 +33,8 @@ class GoldenOracle:
         Component c of pixel (x, y) is the low bit_depth bits of a 64-bit
         mix of seed ^ x*KX ^ y*KY ^ c*KC.  The reference engine builds it
         for every run.  `Engine` builds it only at a run's first compare of
-        a word whose source is not its place (`Engine._golden`), and a run
-        without such words builds none.  Both gather from the frame with
+        a word of another line than its place's (`Engine._golden`), and a
+        run without such words builds none.  Both gather from the frame with
         numpy instead of hashing per pixel.
         """
         xs = np.arange(width, dtype=np.uint64) * np.uint64(_KX)

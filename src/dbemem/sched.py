@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, require_int
-from .geometry import (CYCLES_PER_SLOT, BlockCoord, GeometryPlan, Interleave,
-                       PIXELS_PER_WORD, block_at_slot)
+from .geometry import (CYCLES_PER_SLOT, BlockCoord, GeometryPlan,
+                       PIXELS_PER_WORD, block_at_slot, decode_position)
 from .membank import AccessRecord, Purpose
 from .predwindow import (FETCH, FORWARDED, ResidencyPolicy, WindowSpec,
                          policy_forwarding, policy_full_resident,
@@ -297,10 +297,7 @@ class Scheduler:
 
         # the decode slots' blocks; each slot writes both rows of its block
         t = np.arange(spb)
-        if self.plan.interleave is Interleave.ROUND_ROBIN:
-            bx, col = np.divmod(t, self.cols)
-        else:
-            col, bx = np.divmod(t, n)
+        _, col, bx = decode_position(self.plan, t)
         tw = np.repeat(t, 2)
         bookings.append((tw, 0, 2 * bl + np.tile([0, 1], spb),
                          np.repeat(col, 2), np.repeat(bx, 2), slots.start + tw,

@@ -10,8 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from dbemem.engine import (Engine, FaultSpec, SimConfig, inject_fault,
-                           run_simulation)
+from dbemem.engine import Engine, FaultSpec, SimConfig, run_simulation
 from dbemem.explore import FetchBudget, minimal_resident_set, preset_budget
 from dbemem.geometry import (Chroma, ImageGeometry, Interleave, SliceLayout,
                              build_geometry)
@@ -104,13 +103,14 @@ def test_criterion_4_scheduling_correctness(regression_results, full_4k_result):
 
 
 def test_criterion_5_challenge_reproductions():
-    a = inject_fault(small_cfg("baseline"),
-                     FaultSpec("line_buffers_override", value=2))
+    a = run_simulation(small_cfg("baseline", faults=[
+        FaultSpec("line_buffers_override", value=2)]))
     assert a.violations.hazards >= 1
-    b = inject_fault(small_cfg("type1"),
-                     FaultSpec("fetch_budget_override", value=2))
+    b = run_simulation(small_cfg("type1", faults=[
+        FaultSpec("fetch_budget_override", value=2)]))
     assert b.violations.conflicts >= 1
-    c = inject_fault(small_cfg("type2"), FaultSpec("banks_override", value=1))
+    c = run_simulation(small_cfg("type2", faults=[
+        FaultSpec("banks_override", value=1)]))
     assert c.violations.conflicts >= 1
     print(f"ACCEPTANCE 5 PASS: challenge reproductions -> "
           f"{a.violations.hazards} hazards (2 line buffers), "
@@ -121,8 +121,8 @@ def test_criterion_5_challenge_reproductions():
 def test_criterion_6_tightness_sweeps():
     hits = {}
     for name, cap in (("baseline", 105), ("type1", 89), ("type2", 24)):
-        res = inject_fault(small_cfg(name),
-                           FaultSpec("capacity_override", value=cap))
+        res = run_simulation(small_cfg(name, faults=[
+            FaultSpec("capacity_override", value=cap)]))
         assert res.violations.availability_misses >= 1, name
         hits[name] = res.violations.availability_misses
     print(f"ACCEPTANCE 6 PASS: capacities 105/89/24 miss "

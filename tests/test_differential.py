@@ -299,9 +299,9 @@ def test_replays_recheck_foreign_words_like_reference(monkeypatch, name):
         finally:
             checking.pop()
 
-    def compared(self, line, src_x, parity, k):
+    def compared(self, line, parity, k):
         before = self.log.output_mismatches
-        far = compare(self, line, src_x, parity, k)
+        far = compare(self, line, parity, k)
         if not checking:
             y = k // self.sched.words_per_image_line
             upper = {bool(v) for v in np.concatenate([line, y]) < 64}

@@ -1,8 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from dbemem.engine import (Engine, FaultSpec, SimConfig, _Stage, inject_fault,
-                           run_simulation)
+from dbemem.engine import Engine, FaultSpec, SimConfig, _Stage, run_simulation
 from dbemem.errors import ConfigError
 from dbemem.geometry import Chroma, ImageGeometry, Interleave, SliceLayout
 from dbemem.oracle import GoldenOracle, ycocg_frame
@@ -89,7 +90,7 @@ def test_display_stream_rate_law_enforced():
     one = np.ones(1, dtype=np.int64)
     with pytest.raises(AssertionError):
         eng._check_display_word(np.array([rec.cycle + 1]),
-                                np.zeros(1, dtype=bool), one, one, one)
+                                np.zeros(1, dtype=bool), one, one)
     with pytest.raises(AssertionError):
         ReferenceEngine(cfg_for("baseline"))._check_display_word(
             rec._replace(cycle=rec.cycle + 1), None)
@@ -114,7 +115,7 @@ def test_windows_served_counts():
 def test_noop_fault_identical():
     cfg = cfg_for("type2")
     r1 = run_simulation(cfg)
-    r2 = inject_fault(cfg, FaultSpec("noop"))
+    r2 = run_simulation(replace(cfg, faults=[FaultSpec("noop")]))
     assert r1.violations.as_dict() == r2.violations.as_dict()
     assert r1.total_cycles == r2.total_cycles
 
@@ -188,8 +189,8 @@ def test_flip_word_exactly_eight_mismatches():
     # after every prediction use of that word has passed
     k = (32 - 1) * (320 // 8)
     flip_cycle = base.latency_cycles + 2 * k - 2
-    res = inject_fault(cfg, FaultSpec("flip_word", buffer="lower0",
-                                      word_index=0, cycle=flip_cycle))
+    res = run_simulation(replace(cfg, faults=[FaultSpec(
+        "flip_word", buffer="lower0", word_index=0, cycle=flip_cycle)]))
     assert res.violations.output_mismatches == 8
     assert res.violations.availability_misses == 0
 
@@ -210,9 +211,8 @@ TYPE2_ROW1_FETCH = 186  # the cycle type2 streams lower0 word 5 as row1
     ("type2", 188, {"output_mismatches": 8, "prediction_mismatches": 41}),
 ])
 def test_flip_word_before_prediction_fetch(name, cycle, counts):
-    res = inject_fault(cfg_for(name, width=320, height=32),
-                       FaultSpec("flip_word", buffer="lower0", word_index=5,
-                                 cycle=cycle))
+    res = run_simulation(cfg_for(name, width=320, height=32, faults=[
+        FaultSpec("flip_word", buffer="lower0", word_index=5, cycle=cycle)]))
     want = dict.fromkeys(res.violations.as_dict(), 0)
     want.update(counts)
     assert res.violations.as_dict() == want
@@ -237,71 +237,70 @@ def test_reconvert_matches_the_oracle_transform():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_mismatch_equals_a_per_pixel_compare(seed):
-    """`Engine._mismatch` decides a word whose source is its place by its
-    flip parity and gathers golden pixels only for the others.  On random
-    words of both kinds, with parity 0 or 1 and with or without the
-    reconvert, it equals a per-pixel compare of the golden frame.  The
-    frame keeps only each component's low bit, so that words from another
-    place match on some pixels and differ on others."""
+    """`Engine._mismatch` decides a word of its place's line by its flip
+    parity and gathers golden pixels only for the others: words of
+    another line at the same x, the only place a word's value can come
+    from.  On random words of both kinds, with parity 0 or 1, it equals a
+    per-pixel compare of the golden frame.  The frame keeps only each
+    component's low bit, so that words of another line match on some
+    pixels and differ on others."""
     w, h = 64, 16
     eng = Engine(cfg_for("type2", width=w, height=h))
     eng._setup_passes()
-    rgb = eng.oracle.golden_frame(w, h) & 1
+    full = eng.oracle.golden_frame(w, h)
+    # a fetch stage entry is decided by its parity after the reconvert
+    # too (`_Stage.bad`): a flipped pixel differs in YCoCg as well
+    assert (ycocg_frame(full ^ 1) != ycocg_frame(full)).any(axis=-1).all()
+    rgb = full & 1
     eng.oracle.golden_frame = lambda width, height: rgb
-    yco = ycocg_frame(rgb)
     rng = np.random.default_rng(seed)
     n = 300
     y, x = rng.integers(0, h, n), 8 * rng.integers(0, w // 8, n)
     same = rng.random(n) < 0.5
     line = np.where(same, y, rng.integers(0, h, n))
-    src_x = np.where(same, x, 8 * rng.integers(0, w // 8, n))
     parity = rng.integers(0, 2, n)
-    # same-place words alone build no frame
-    eng._mismatch(y[same], x[same], parity[same], y[same], x[same], True)
+    # words of their place's line alone build no frame
+    eng._mismatch(y[same], parity[same], y[same], x[same])
     assert eng._rgb is None
-    for reconvert in (False, True):
-        golden = yco if reconvert else rgb
-        want = np.zeros((n, 8), dtype=bool)
-        for i in range(n):
-            for p in range(8):
-                got = rgb[line[i], src_x[i] + p] ^ parity[i]
-                if reconvert:
-                    got = ycocg_frame(got)
-                want[i, p] = (got != golden[y[i], x[i] + p]).any()
-        assert eng._mismatch(line, src_x, parity, y, x, reconvert).tolist() \
-            == want.tolist()
-    assert 0 < want[~same].sum() < 8 * (~same).sum()
+    want = np.zeros((n, 8), dtype=bool)
+    for i in range(n):
+        for p in range(8):
+            got = rgb[line[i], x[i] + p] ^ parity[i]
+            want[i, p] = (got != rgb[y[i], x[i] + p]).any()
+    assert eng._mismatch(line, parity, y, x).tolist() == want.tolist()
+    far = line != y
+    assert 0 < want[far].sum() < 8 * far.sum()
 
 
 def test_challenge1_two_line_buffers_hazard():
-    res = inject_fault(cfg_for("baseline", width=640, height=32),
-                       FaultSpec("line_buffers_override", value=2))
+    res = run_simulation(cfg_for("baseline", width=640, height=32,
+                                 **_faults("line_buffers_override", 2)))
     assert res.violations.hazards >= 1
 
 
 def test_type1_second_fetch_conflicts():
-    res = inject_fault(cfg_for("type1", width=640, height=32),
-                       FaultSpec("fetch_budget_override", value=2))
+    res = run_simulation(cfg_for("type1", width=640, height=32,
+                                 **_faults("fetch_budget_override", 2)))
     assert res.violations.conflicts >= 1
 
 
 def test_challenge3_unsplit_banks_conflict():
-    res = inject_fault(cfg_for("type2", width=640, height=32),
-                       FaultSpec("banks_override", value=1))
+    res = run_simulation(cfg_for("type2", width=640, height=32,
+                                 **_faults("banks_override", 1)))
     assert res.violations.conflicts >= 1
 
 
 def test_type1_one_line_delay_hazard():
-    res = inject_fault(cfg_for("type1", width=640, height=32),
-                       FaultSpec("delay_override", value="one_line"))
+    res = run_simulation(cfg_for("type1", width=640, height=32,
+                                 **_faults("delay_override", "one_line")))
     assert res.violations.hazards >= 1
 
 
 @pytest.mark.parametrize("name,cap", [("baseline", 105), ("type1", 89),
                                       ("type2", 24)])
 def test_capacity_tightness(name, cap):
-    res = inject_fault(cfg_for(name, width=640, height=32),
-                       FaultSpec("capacity_override", value=cap))
+    res = run_simulation(cfg_for(name, width=640, height=32,
+                                 **_faults("capacity_override", cap)))
     assert res.violations.availability_misses >= 1
 
 
@@ -357,8 +356,7 @@ def test_stage_lookup_sees_fetches_of_the_serving_slot():
     one = np.array([1])
     # staged: key 12 at slots 5 and 9, line 3 then line 7
     stage = _Stage(eng, (np.array([key, key]), np.array([t, 9]),
-                         np.array([3, 7]), np.array([0, 8]),
-                         np.array([0, 1])))
+                         np.array([3, 7]), np.array([0, 1])))
     n = len(eng._stage[0])
     assert stage.at(key * one, t * one).tolist() == [n]
     assert stage.line[n] == 3
@@ -368,7 +366,7 @@ def test_stage_lookup_sees_fetches_of_the_serving_slot():
     assert stage.at(key * one, 9 * one).tolist() == [n + 1]
     assert stage.at((key + 1) * one, t * one).tolist() == [key + 1]
     # the last staged entry of each key is carried out of the pass
-    assert eng._stage[0][key] == 7 and eng._stage[2][key] == 1
+    assert eng._stage[0][key] == 7 and eng._stage[1][key] == 1
 
 
 def _faults(kind, value):
@@ -401,7 +399,7 @@ def test_blocklines_replayed_on_benchmark_configs(run):
 
 
 def test_golden_frame_built_only_for_words_from_another_place(monkeypatch):
-    """A word whose source is its place needs no golden pixel, so clean
+    """A word of its place's line needs no golden pixel, so clean
     runs of every preset build no golden frame.  A run that displays words
     from another place builds it once, at its first such compare."""
     calls = []

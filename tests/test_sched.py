@@ -7,13 +7,15 @@ import pytest
 
 from dbemem.engine import Engine, FaultSpec, SimConfig
 from dbemem.errors import ConfigError
-from dbemem.geometry import (CYCLES_PER_SLOT, ImageGeometry, Interleave,
-                             SliceLayout, build_geometry)
+from dbemem.geometry import (CYCLES_PER_SLOT, LINE_WORDS, PIXELS_PER_WORD,
+                             ImageGeometry, Interleave, SliceLayout,
+                             build_geometry)
 from dbemem.ledger import Pass
 from dbemem.membank import Purpose
 from dbemem.predwindow import WindowSpec
-from dbemem.sched import (Scheduler, preset_baseline, preset_by_name,
-                          preset_type1, preset_type2, total_frame_cycles)
+from dbemem.sched import (COL, PX, WORD, Scheduler, preset_baseline,
+                          preset_by_name, preset_type1, preset_type2,
+                          total_frame_cycles)
 
 
 def make_plan(width=640, height=64, cols=1, rows=1,
@@ -238,6 +240,32 @@ def test_blockline_replay_matches_slot_plan(name, interleave, read_latency,
                     sched.shift_bookings(template, bl - bl0), direct)
             # replay happens: fewer classes than blocklines
             assert len(templates) < plan.total_blocklines
+
+
+@pytest.mark.parametrize("name", ["baseline", "type1", "type2"])
+@pytest.mark.parametrize("interleave", list(Interleave))
+@pytest.mark.parametrize("read_latency", [0, 1])
+@pytest.mark.parametrize("budget", [None, 2, 4])
+def test_booking_place_follows_from_its_word(name, interleave, read_latency,
+                                             budget):
+    """Every booking's slice column and pixel x follow from its word
+    address: a column owns one partition of each line buffer, and its
+    local word w holds pixels 8w to 8w + 7 of the column's slice.  So a
+    word's value can come from another line but never from another x,
+    which lets the engine name a value by its line (`Engine._mismatch`)."""
+    preset = preset_by_name(name)
+    if budget is not None:
+        preset = replace(preset, fetch_words_per_slot=budget)
+    for cols in (1, 2, 4):
+        plan = make_plan(320, 32, cols, 1, interleave)
+        sched = Scheduler(preset, WindowSpec(), plan,
+                          read_latency=read_latency)
+        for bl in range(plan.total_blocklines):
+            b = sched.booking_arrays(bl)
+            col, local = np.divmod(b[WORD], LINE_WORDS // cols)
+            assert np.array_equal(b[COL], col), bl
+            assert np.array_equal(
+                b[PX], col * plan.slice_width + PIXELS_PER_WORD * local), bl
 
 
 # the schedule bit for bit, over 3 presets x {1, 2, 4} columns x both
