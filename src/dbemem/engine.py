@@ -33,30 +33,40 @@ from .oracle import GoldenOracle, ycocg_frame
 from .predwindow import (BLOCK_BITS, FETCH, FORWARDED, RESIDENT, SECTIONS,
                          ReconBufferState, WindowSpec)
 from .sched import (BANK, BLOCK, CYCLE, LINE, PURPOSE, PURPOSES, REFILL,
-                    SLOT, STREAMING, WORD, ArchPreset, Scheduler,
-                    total_frame_cycles)
+                    PX, SLOT, STREAMING, WORD, ArchPreset, Scheduler,
+                    preset_baseline, total_frame_cycles)
 
 DETAIL_LIMIT = 16  # violation samples kept per class
 # a drained violation's trace-row op, by class (`VIOLATION_CLASSES`)
 _DRAIN_OPS = ("conflict", "hazard", "underflow")
 
 
+# the preset field each override fault kind sets to its value
+_OVERRIDES = {"capacity_override": "capacity_pixels",
+              "line_buffers_override": "line_buffers",
+              "banks_override": "banks_per_buffer",
+              "delay_override": "line_delay",
+              "fetch_budget_override": "fetch_words_per_slot"}
+
+
 @dataclass
 class FaultSpec:
     """Deterministic perturbation for negative testing."""
-    kind: str                 # noop | flip_word | capacity_override |
-                              # line_buffers_override | banks_override |
-                              # delay_override | fetch_budget_override
+    kind: str                 # noop, flip_word or a kind of _OVERRIDES
     buffer: str | None = None
     word_index: int | None = None
     cycle: int | None = None
     value: int | str | None = None
 
     def __post_init__(self):
-        kinds = ("noop", "flip_word", "capacity_override", "line_buffers_override",
-                 "banks_override", "delay_override", "fetch_budget_override")
-        if self.kind not in kinds:
+        own = {"noop": (), "flip_word": ("buffer", "word_index", "cycle"),
+               **dict.fromkeys(_OVERRIDES, ("value",))}.get(self.kind)
+        if own is None:
             raise ConfigError(f"unknown fault kind {self.kind!r}")
+        for name in ("buffer", "word_index", "cycle", "value"):
+            # a field of another kind would change nothing
+            if name not in own and getattr(self, name) is not None:
+                raise ConfigError(f"{self.kind} takes no {name}")
         if self.kind == "flip_word":
             # the buffer name is checked against the preset by the Engine
             if not isinstance(self.buffer, str):
@@ -70,8 +80,8 @@ class FaultSpec:
 @dataclass
 class SimConfig:
     image: ImageGeometry
-    slices: SliceLayout
-    preset: ArchPreset
+    slices: SliceLayout = field(default_factory=SliceLayout)
+    preset: ArchPreset = field(default_factory=preset_baseline)
     window: WindowSpec = field(default_factory=WindowSpec)
     clock_hz: float = 200e6
     throughput_ppc: int = 4
@@ -144,20 +154,15 @@ def apply_faults_to_preset(preset: ArchPreset, faults,
     overridden fields; the checks here reject values it would accept but
     that leave the run unchanged, among them a value equal to the one in
     force (the recon capacity's under the window spec)."""
-    fields = {"capacity_override": "capacity_pixels",
-              "line_buffers_override": "line_buffers",
-              "banks_override": "banks_per_buffer",
-              "delay_override": "line_delay",
-              "fetch_budget_override": "fetch_words_per_slot"}
     for f in faults:
-        if f.kind not in fields:
+        if f.kind not in _OVERRIDES:
             continue
         if f.kind == "capacity_override":
             # None would restore the policy's own count
             require_int(f.value, "capacity_override value", 0)
             current = preset.capacity_for(spec)
         else:
-            current = getattr(preset, fields[f.kind])
+            current = getattr(preset, _OVERRIDES[f.kind])
         if f.kind == "fetch_budget_override":
             # a budget below 2 changes no schedule, and a slot has four
             # cycles; streaming presets place their fetches themselves
@@ -169,7 +174,7 @@ def apply_faults_to_preset(preset: ArchPreset, faults,
         if f.value == current:
             raise ConfigError(f"{f.kind} {f.value!r} is the value "
                               f"{preset.name} already has")
-        preset = replace(preset, **{fields[f.kind]: f.value})
+        preset = replace(preset, **{_OVERRIDES[f.kind]: f.value})
     return preset
 
 
@@ -300,7 +305,6 @@ class Engine:
         self._watches = [_FlipWatch(f) for f in flips]
         self._flips = [(buffers.index(f.buffer) * LINE_WORDS + f.word_index,
                         f.cycle) for f in flips]
-        self._next_display_k = 0
         self._parts = self.preset.residency.parts(self.spec)
         # per section: name, line offset from the blockline's upper row
         # and parts
@@ -443,16 +447,15 @@ class Engine:
         # line and parity, and its raster word
         far_unit = np.array([[2], [0], [2 * spb]])
         pixels_served = replayed = 0
-        # per class, per (next display word, carried state) moved back bl
-        # blocklines: the display word and carried state after the pass,
-        # moved back likewise, the pixels it served, its availability
-        # misses, its bank violations (`found`, event indices of the
-        # template) and its display reads of words of another line (`far`,
-        # moved back likewise).  None of these depends on a golden value: a
-        # word of its place's line matches or mismatches by its flip parity
-        # alone, so a replay re-checks only the values of the `far` words.
-        # Never kept in a run with a flip, whose parities can change any
-        # word's value
+        # per class, per carried state moved back bl blocklines: the
+        # carried state after the pass, moved back likewise, the pixels it
+        # served, its availability misses, its bank violations (`found`,
+        # event indices of the template) and its display reads of words of
+        # another line (`far`, moved back likewise).  None of these depends
+        # on a golden value: a word of its place's line matches or
+        # mismatches by its flip parity alone, so a replay re-checks only
+        # the values of the `far` words.  Never kept in a run with a flip,
+        # whose parities can change any word's value
         seen = {}
         for bl in range(plan.total_blocklines):
             # no window reads a line below 2 bl - 1 again: its stage entries
@@ -463,14 +466,12 @@ class Engine:
             line[stale], parity[stale] = -1, 0
             tm, d = self._template(bl)
             known = seen.setdefault(tm.bl0, {})
-            k0, start = self._next_display_k, self._carry.copy()
-            key = self._moved_back(k0, start, bl) if known else None
+            key = self._moved_back(self._carry, bl)
             rec = known.get(key)
             # a miss's detail sample names its slot, which only a check gives
-            if rec and not (rec[3] and self._room("availability_misses") > 0):
-                k, end, served, misses, found, far = rec
+            if rec and not (rec[2] and self._room("availability_misses") > 0):
+                end, served, misses, found, far = rec
                 end = np.frombuffer(end, dtype=np.int64)
-                self._next_display_k = k + 2 * spb * bl
                 self._carry[:] = np.where(end == _NEVER, -1,
                                           end + bl * self._carry_unit)
                 if far.size:
@@ -497,9 +498,8 @@ class Engine:
             self.log.prediction_mismatches += mismatches
             self._drain_bank_violations(tm, b, found)
             if not self._flips:
-                known[key or self._moved_back(k0, start, bl)] = (
-                    *self._moved_back(self._next_display_k, self._carry, bl),
-                    served, misses, found, far - bl * far_unit)
+                known[key] = (self._moved_back(self._carry, bl), served,
+                              misses, found, far - bl * far_unit)
 
         for watch in self._watches:
             watch.reject_unseen()
@@ -508,13 +508,12 @@ class Engine:
         return self._result(pixels_served,
                             [r.peak_occupancy for r in self._recon], replayed)
 
-    def _moved_back(self, k, carry, bl):
-        """The next display word k and carried state `carry` moved back bl
-        blocklines, the state as bytes; a -1 "never written" stays apart
-        from every moved value."""
+    def _moved_back(self, carry, bl):
+        """The carried state `carry` moved back bl blocklines, as bytes; a
+        -1 "never written" stays apart from every moved value."""
         out = carry - bl * self._carry_unit
         out[self._carry_never & (carry < 0)] = _NEVER
-        return k - 2 * self.sched.slots_per_blockline * bl, out.tobytes()
+        return out.tobytes()
 
     def _template(self, bl):
         """The pass of blockline bl's class, and how many blocklines bl
@@ -531,7 +530,8 @@ class Engine:
         display or fetch reads is a hazard; it records both counts and
         clears them.  A read of a never-written word is an underflow.  A
         flip fault lands before the commits of its cycle.  Returns the
-        display reads in commit order, the fetches that staged their word
+        display reads in commit order, with the raster word each reads, the
+        fetches that staged their word
         (the bank then held the demanded line) and the pass's hazards and
         underflows.  Like a bank model, a pass that books a bank behind a
         cycle an earlier pass committed on it is a ConfigError (the pass's
@@ -580,7 +580,9 @@ class Engine:
         found = (hazards, owed[0][hazards], owed[1][hazards],
                  tm.reads[~written[tm.reads]])
         o = tm.display
-        display = (cycle[o], written[o], line[o], parity[o])
+        k = (b[LINE][eb[o]] * self.sched.words_per_image_line
+             + b[PX][eb[o]] // PIXELS_PER_WORD)
+        display = (k, written[o], line[o], parity[o])
         f = tm.fetches
         ok = written[f] & (line[f] == b[LINE][eb[f]])
         f = f[ok]
@@ -604,20 +606,11 @@ class Engine:
         self.trace_rows.extend(zip(
             b[CYCLE][g].tolist(), *tm.trace_static, b[BLOCK][g].tolist()))
 
-    def _check_display_word(self, cycle, written, line, parity):
-        """The display reads of one pass in commit order: raster word k must
-        be read at `display_read_cycle(k)`, and a written word must hold the
-        golden pixels of its place (`_compare_display`).  Returns the
-        written words of another line, as `_compare_display` takes them."""
-        k0 = self._next_display_k
-        k = np.arange(k0, k0 + len(cycle))
-        self._next_display_k += len(cycle)
-        expected = self.sched.display_read_cycle(k)
-        off = np.flatnonzero(cycle != expected)
-        if off.size:
-            i = off[0]
-            raise AssertionError(f"display word {k[i]} read at {cycle[i]}, "
-                                 f"expected {expected[i]}")
+    def _check_display_word(self, k, written, line, parity):
+        """The display reads of one pass, of raster words k: a written word
+        must hold the golden pixels of its place (`_compare_display`).
+        Returns the written words of another line, as `_compare_display`
+        takes them."""
         r = np.flatnonzero(written)   # an underflow is the bank's to count
         return self._compare_display(line[r], parity[r], k[r])
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import ConfigError, InfeasibleError
-from .geometry import ImageGeometry, SliceLayout, build_geometry
+from .geometry import ImageGeometry, Interleave, SliceLayout, build_geometry
 from .predwindow import FETCH, RESIDENT, ResidencyPolicy, SECTIONS, WindowSpec
 from .sched import ArchPreset, HALF_LINE, REFILL, STREAMING, Scheduler
 
@@ -87,7 +87,8 @@ def _schedule_feasible(spec: WindowSpec, routes: dict, budget: FetchBudget,
         fetch_kind=REFILL if budget.kind == REFILL else STREAMING,
         fetch_words_per_slot=1, residency=policy)
     image = ImageGeometry(slice_words * 8, 8)
-    plan = build_geometry(image, SliceLayout(1, 1))
+    # one slice column decodes in the same order under either interleave
+    plan = build_geometry(image, SliceLayout(1, 1), Interleave.COLUMN_MAJOR)
     sched = Scheduler(preset, spec, plan)
     # blockline 1 is steady state: it has a previous line and a successor
     slots = range(sched.slots_per_blockline, 2 * sched.slots_per_blockline)

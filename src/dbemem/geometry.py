@@ -73,7 +73,7 @@ class GeometryPlan:
     partition_bases: tuple[int, ...]
     total_blocklines: int
     blocklines_per_slice: int
-    interleave: Interleave = Interleave.ROUND_ROBIN
+    interleave: Interleave
 
     def slice_base_x(self, slice_col: int) -> int:
         return slice_col * self.slice_width
@@ -83,7 +83,7 @@ class GeometryPlan:
 
 
 def build_geometry(image: ImageGeometry, slices: SliceLayout,
-                   interleave: Interleave = Interleave.ROUND_ROBIN) -> GeometryPlan:
+                   interleave: Interleave) -> GeometryPlan:
     """Validate the grid and derive per-column block counts and partition bases."""
     if image.width % (BLOCK_W * slices.columns):
         raise ConfigError(

@@ -96,13 +96,11 @@ class ResidencyPolicy:
 
 
 def policy_full_resident() -> ResidencyPolicy:
-    return ResidencyPolicy(routes={s: RESIDENT for s in SECTIONS},
-                           forwarding_enabled=False, reconvert_on_fetch=False)
+    return ResidencyPolicy()
 
 
 def policy_forwarding() -> ResidencyPolicy:
-    return ResidencyPolicy(routes={s: RESIDENT for s in SECTIONS},
-                           forwarding_enabled=True, reconvert_on_fetch=False)
+    return ResidencyPolicy(forwarding_enabled=True)
 
 
 def policy_streaming() -> ResidencyPolicy:

@@ -59,6 +59,7 @@ class ReferenceEngine(Engine):
                      for _ in range(cfg.slices.columns)]
         self._flips = deque(self._watches)   # pending, in cycle order
         self._flipped = set()   # watches whose flip the word still holds
+        self._next_display_k = 0   # the raster word the display reads next
         routes = self.preset.residency.routes
         self._resident_rows = [(s, row) for s, row in (("row0", 0), ("row1", 1))
                                if routes[s] == RESIDENT]

@@ -71,7 +71,8 @@ class ArchPreset:
         if self.capacity_pixels is not None:
             require_int(self.capacity_pixels, "capacity_pixels", 0)
 
-    # read-only views of the residency policy's flags, which the engine reads
+    # read-only views of the residency policy's flags, for cli.py, the tests
+    # and perfbench/child.py; the engine reads `residency` itself
     @property
     def forwarding(self) -> bool:
         return self.residency.forwarding_enabled

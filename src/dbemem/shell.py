@@ -7,15 +7,17 @@ Config files are strict: unknown keys are errors.
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from enum import EnumMeta
 from operator import itemgetter
+from types import FunctionType
 
 from .engine import EngineResult, FaultSpec, SimConfig
 from .errors import ConfigError
 from .geometry import (Chroma, ImageGeometry, Interleave, LINE_WORDS,
                        SliceLayout, WORD_BITS)
-from .predwindow import RESIDENT, ResidencyPolicy, SECTIONS, WindowSpec
-from .sched import ArchPreset, ONE_LINE, preset_by_name
+from .predwindow import SECTIONS, WindowSpec
+from .sched import ArchPreset, preset_baseline, preset_by_name
 
 BITS_PER_PIXEL = 30          # accounting convention: 3 x 10-bit components
 TRACE_HEADER = "cycle,slice,buffer,bank,op,word,purpose,block"
@@ -150,40 +152,99 @@ def parse_trace(text: str):
 
 # -- config files ---------------------------------------------------------------
 
-_IMAGE_KEYS = {"width", "height", "chroma", "bit_depth"}
-_SLICE_KEYS = {"columns", "rows"}
-_TOP_KEYS = {"image", "slices", "arch", "clock_mhz", "throughput_ppc", "seed",
-             "window_spec", "faults", "interleave", "sram_read_latency",
-             "trace"}
-_ARCH_KEYS = {"name", "line_delay", "line_buffers", "banks_per_buffer",
-              "fetch_kind", "fetch_words_per_slot", "forwarding",
-              "reconvert_on_fetch", "residency", "capacity_pixels"}
-_WINDOW_KEYS = {"prev_line_span", "cur_row0_span", "cur_row1_span"}
-_FAULT_KEYS = {"kind", "buffer", "word_index", "cycle", "value"}
 
-
-def _check_keys(d: dict, allowed: set, where: str):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object, got {d!r}")
-    unknown = set(d) - allowed
+def _fields(raw, table: dict, where: str, required=()) -> dict:
+    """The keys config object `raw` holds, checked against `table` and
+    converted; the dataclasses supply every default.  An entry of `table`
+    is a JSON type (int, float for any number, bool, str, or a union of
+    them), an Enum, whose values are JSON strings, or a nested value's
+    parser.  A bool is a value of a bool field only (int(True), int(2.7)
+    and bool("false") all succeed).  A failure is a ConfigError."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object, got {raw!r}")
+    unknown = set(raw) - set(table)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"{where} has no {key}")
+    out = {}
+    for key, value in raw.items():
+        kind = table[key]
+        if isinstance(kind, FunctionType):
+            out[key] = kind(value, key)
+            continue
+        json_type = (str if isinstance(kind, EnumMeta)
+                     else int | float if kind is float else kind)
+        try:
+            if isinstance(value, bool) != (kind is bool) or \
+                    not isinstance(value, json_type):
+                raise TypeError(value)
+            out[key] = kind(value) if isinstance(kind, type) else value
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(
+                f"{key} in {where} must be a valid "
+                f"{getattr(kind, '__name__', kind)}, got {value!r}") from None
+    return out
 
 
-def _as(kind, value, what: str):
-    """`kind(value)` for an Enum, or a value of the JSON type of an int,
-    float or bool field: an integer, a number, a boolean, and a bool for
-    no other field (int(2.7), int(True) and bool("false") all succeed).  A
-    failure is a ConfigError."""
-    try:
-        if kind in (int, float, bool) and (
-                isinstance(value, bool) != (kind is bool) or not isinstance(
-                    value, (int, float) if kind is float else kind)):
-            raise TypeError(value)
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what} must be a valid {kind.__name__}, "
+def _span(value, what: str) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2
+            and all(type(v) is int for v in value)):
+        raise ConfigError(f"{what} must be a [lo, hi] pair of integers, "
                           f"got {value!r}")
+    return tuple(value)
+
+
+def _arch(raw, where: str) -> ArchPreset:
+    """A preset's name, or a custom preset: the baseline preset with the
+    keys the object holds, named custom unless it names itself."""
+    if isinstance(raw, str):
+        return preset_by_name(raw)
+    given = _fields(raw, _ARCH, where)
+    base = preset_baseline()
+    routes = {**base.residency.routes, **given.pop("residency", {})}
+    policy = {name: given.pop(key) for key, name in _POLICY_FIELD.items()
+              if key in given}
+    return replace(base, **{"name": "custom", **given},
+                   residency=replace(base.residency, routes=routes, **policy))
+
+
+def _faults(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    # each named by its contents, so that a message says which it is
+    return [FaultSpec(**_fields(f, _FAULT, f"fault {f!r}", ("kind",)))
+            for f in value]
+
+
+# per config object, each key's entry for `_fields`
+_IMAGE = {"width": int, "height": int, "chroma": Chroma, "bit_depth": int}
+_ARCH = {"name": str, "line_delay": str, "line_buffers": int,
+         "banks_per_buffer": int, "fetch_kind": str,
+         "fetch_words_per_slot": int, "forwarding": bool,
+         "reconvert_on_fetch": bool,
+         "residency": lambda v, key: _fields(v, dict.fromkeys(SECTIONS, str),
+                                             key),
+         "capacity_pixels": int | None}
+_FAULT = {"kind": str, "buffer": str, "word_index": int, "cycle": int,
+          "value": int | str}
+_CONFIG = {
+    "image": lambda v, key: ImageGeometry(**_fields(v, _IMAGE, key,
+                                                    ("width", "height"))),
+    "slices": lambda v, key: SliceLayout(**_fields(
+        v, {"columns": int, "rows": int}, key)),
+    "arch": _arch,
+    "clock_mhz": float, "throughput_ppc": int, "seed": int,
+    "window_spec": lambda v, key: WindowSpec(**_fields(v, dict.fromkeys(
+        ("prev_line_span", "cur_row0_span", "cur_row1_span"), _span), key)),
+    "faults": _faults,
+    "interleave": Interleave, "sram_read_latency": int, "trace": bool}
+# the keys whose SimConfig or ResidencyPolicy field has another name
+_SIM_FIELD = {"arch": "preset", "clock_mhz": "clock_hz",
+              "window_spec": "window", "trace": "collect_trace"}
+_POLICY_FIELD = {"forwarding": "forwarding_enabled",
+                 "reconvert_on_fetch": "reconvert_on_fetch"}
 
 
 def parse_config(text: str) -> SimConfig:
@@ -191,87 +252,7 @@ def parse_config(text: str) -> SimConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    _check_keys(raw, _TOP_KEYS, "config")
-    img_raw = raw.get("image")
-    _check_keys(img_raw, _IMAGE_KEYS, "image")
-    image = ImageGeometry(
-        width=_as(int, img_raw.get("width"), "image.width"),
-        height=_as(int, img_raw.get("height"), "image.height"),
-        chroma=_as(Chroma, str(img_raw.get("chroma", "444")), "image.chroma"),
-        bit_depth=_as(int, img_raw.get("bit_depth", 10), "image.bit_depth"))
-    sl_raw = raw.get("slices", {"columns": 1, "rows": 1})
-    _check_keys(sl_raw, _SLICE_KEYS, "slices")
-    slices = SliceLayout(
-        columns=_as(int, sl_raw.get("columns", 1), "slices.columns"),
-        rows=_as(int, sl_raw.get("rows", 1), "slices.rows"))
-    preset = _parse_arch(raw.get("arch", "baseline"))
-    window = _parse_window(raw.get("window_spec"))
-    faults = raw.get("faults", [])
-    if not isinstance(faults, list):
-        raise ConfigError(f"faults must be a list, got {faults!r}")
-    return SimConfig(
-        image=image, slices=slices, preset=preset, window=window,
-        clock_hz=_as(float, raw.get("clock_mhz", 200.0), "clock_mhz") * 1e6,
-        throughput_ppc=_as(int, raw.get("throughput_ppc", 4), "throughput_ppc"),
-        seed=_as(int, raw.get("seed", 0), "seed"),
-        interleave=_as(Interleave, raw.get("interleave", "column_major"),
-                       "interleave"),
-        sram_read_latency=_as(int, raw.get("sram_read_latency", 0),
-                              "sram_read_latency"),
-        collect_trace=_as(bool, raw.get("trace", False), "trace"),
-        faults=[_parse_fault(f) for f in faults])
-
-
-def _parse_arch(raw) -> ArchPreset:
-    if isinstance(raw, str):
-        return preset_by_name(raw)
-    _check_keys(raw, _ARCH_KEYS, "arch")
-    res_raw = raw.get("residency", {s: RESIDENT for s in SECTIONS})
-    _check_keys(res_raw, set(SECTIONS), "arch.residency")
-    routes = {s: res_raw.get(s, RESIDENT) for s in SECTIONS}
-    policy = ResidencyPolicy(
-        routes=routes,
-        forwarding_enabled=_as(bool, raw.get("forwarding", False),
-                               "arch.forwarding"),
-        reconvert_on_fetch=_as(bool, raw.get("reconvert_on_fetch", False),
-                               "arch.reconvert_on_fetch"))
-    return ArchPreset(
-        name=str(raw.get("name", "custom")),
-        line_delay=str(raw.get("line_delay", ONE_LINE)),
-        line_buffers=_as(int, raw.get("line_buffers", 3), "arch.line_buffers"),
-        banks_per_buffer=_as(int, raw.get("banks_per_buffer", 1),
-                             "arch.banks_per_buffer"),
-        fetch_kind=str(raw.get("fetch_kind", "refill")),
-        fetch_words_per_slot=_as(int, raw.get("fetch_words_per_slot", 1),
-                                 "arch.fetch_words_per_slot"),
-        residency=policy,
-        capacity_pixels=raw.get("capacity_pixels"))
-
-
-def _parse_window(raw) -> WindowSpec:
-    if raw is None:
-        return WindowSpec()
-    _check_keys(raw, _WINDOW_KEYS, "window_spec")
-
-    def span(key, default):
-        v = raw.get(key, default)
-        if not (isinstance(v, (list, tuple)) and len(v) == 2):
-            raise ConfigError(f"{key} must be a [lo, hi] pair")
-        return (_as(int, v[0], key), _as(int, v[1], key))
-
-    return WindowSpec(prev_line_span=span("prev_line_span", (-8, 32)),
-                      cur_row0_span=span("cur_row0_span", (-33, -1)),
-                      cur_row1_span=span("cur_row1_span", (-32, -1)))
-
-
-def _parse_fault(raw) -> FaultSpec:
-    _check_keys(raw, _FAULT_KEYS, "fault")
-    if "kind" not in raw:
-        raise ConfigError(f"fault {raw!r} has no kind")
-    return FaultSpec(kind=str(raw["kind"]),
-                     buffer=raw.get("buffer"),
-                     word_index=raw.get("word_index"),
-                     cycle=raw.get("cycle"),
-                     value=raw.get("value"))
+    given = _fields(raw, _CONFIG, "config", ("image",))
+    if "clock_mhz" in given:
+        given["clock_mhz"] *= 1e6
+    return SimConfig(**{_SIM_FIELD.get(k, k): v for k, v in given.items()})

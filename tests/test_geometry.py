@@ -14,7 +14,8 @@ from test_sched import display_record
 
 
 def plan_4k(columns=4):
-    return build_geometry(ImageGeometry(3840, 2160), SliceLayout(columns, 1))
+    return build_geometry(ImageGeometry(3840, 2160), SliceLayout(columns, 1),
+                          Interleave.ROUND_ROBIN)
 
 
 def sched_for(plan, preset="type1"):
@@ -50,9 +51,11 @@ def test_4k_single_column_uses_whole_buffer():
 
 def test_width_divisibility():
     with pytest.raises(ConfigError):
-        build_geometry(ImageGeometry(3841, 2160), SliceLayout(1, 1))
+        build_geometry(ImageGeometry(3841, 2160), SliceLayout(1, 1),
+                       Interleave.ROUND_ROBIN)
     with pytest.raises(ConfigError):
-        build_geometry(ImageGeometry(3844, 2160), SliceLayout(4, 1))
+        build_geometry(ImageGeometry(3844, 2160), SliceLayout(4, 1),
+                       Interleave.ROUND_ROBIN)
 
 
 def test_odd_height_rejected():
@@ -67,7 +70,8 @@ def test_bad_columns_rejected():
 
 def test_too_wide_for_buffer():
     with pytest.raises(ConfigError):
-        build_geometry(ImageGeometry(3848, 2160), SliceLayout(1, 1))
+        build_geometry(ImageGeometry(3848, 2160), SliceLayout(1, 1),
+                       Interleave.ROUND_ROBIN)
 
 
 def test_block_to_pixels():
@@ -111,7 +115,8 @@ def blocks_in_order(plan):
 
 
 def test_decode_order_round_robin():
-    plan = build_geometry(ImageGeometry(32, 2), SliceLayout(2, 1))
+    plan = build_geometry(ImageGeometry(32, 2), SliceLayout(2, 1),
+                          Interleave.ROUND_ROBIN)
     order = [(b.slice_col, b.block_x) for b in blocks_in_order(plan)]
     assert order == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
@@ -124,7 +129,8 @@ def test_decode_order_column_major():
 
 
 def test_decode_order_event_count():
-    plan = build_geometry(ImageGeometry(640, 64), SliceLayout(4, 1))
+    plan = build_geometry(ImageGeometry(640, 64), SliceLayout(4, 1),
+                          Interleave.ROUND_ROBIN)
     events = blocks_in_order(plan)
     assert len(events) == 640 * 64 // 16
     assert [b.global_block_index for b in events] == list(range(len(events)))
@@ -205,7 +211,9 @@ def test_partition_regions_disjoint():
 
 
 def test_chroma_is_annotation_only():
-    p1 = build_geometry(ImageGeometry(640, 64, Chroma.C444), SliceLayout(1, 1))
-    p2 = build_geometry(ImageGeometry(640, 64, Chroma.C422), SliceLayout(1, 1))
+    p1 = build_geometry(ImageGeometry(640, 64, Chroma.C444), SliceLayout(1, 1),
+                        Interleave.ROUND_ROBIN)
+    p2 = build_geometry(ImageGeometry(640, 64, Chroma.C422), SliceLayout(1, 1),
+                        Interleave.ROUND_ROBIN)
     assert p1.words_per_line == p2.words_per_line
     assert p1.partition_bases == p2.partition_bases

@@ -1,13 +1,16 @@
 import contextlib
 import io
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dbemem.cli import cli_main
-from dbemem.engine import run_simulation
+from dbemem.engine import SimConfig, run_simulation
 from dbemem.errors import ConfigError
+from dbemem.geometry import ImageGeometry, Interleave, SliceLayout
 from dbemem.predwindow import WindowSpec
 from dbemem.sched import (preset_baseline, preset_by_name, preset_type1,
                           preset_type2)
@@ -173,9 +176,24 @@ def test_config_custom_arch_and_window():
 
 def test_config_defaults():
     cfg = parse_config(json.dumps({"image": {"width": 320, "height": 32}}))
+    assert cfg == SimConfig(ImageGeometry(320, 32), SliceLayout(),
+                            preset_baseline(),
+                            interleave=Interleave.COLUMN_MAJOR)
     assert cfg.preset.name == "baseline"
     assert cfg.clock_hz == 200e6
     assert cfg.slices.columns == 1
+    # a custom arch object's omitted keys are the baseline preset's
+    cfg = parse_config(json.dumps({"image": {"width": 320, "height": 32},
+                                   "arch": {}}))
+    assert cfg.preset == replace(preset_baseline(), name="custom")
+
+
+def test_readme_config_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(example)
+    assert (cfg.image.width, cfg.slices.columns, cfg.preset.name) \
+        == (3840, 4, "type2")
 
 
 # -- CLI -------------------------------------------------------------------------
@@ -312,13 +330,25 @@ def _fault_cfg(kind, value, arch="type2"):
     *(dict(CFG, arch=name, faults=[{"kind": "flip_word", "buffer": "lower0",
                                     "word_index": 39, "cycle": 100}])
       for name in ("baseline", "type1", "type2")),
+    # an enum or string field takes a JSON string only
+    dict(CFG, image=dict(CFG["image"], chroma=444)),
+    dict(CFG, arch={"name": 5}),
+    dict(CFG, arch={"residency": {"prev": 5}}),
+    # a fault takes only its own kind's fields
+    dict(CFG, faults=[{"kind": "banks_override", "value": 1,
+                       "buffer": "lower0"}]),
+    dict(CFG, faults=[{"kind": "flip_word", "buffer": "lower0",
+                       "word_index": 5, "cycle": 182, "value": 1}]),
+    dict(CFG, faults=[{"kind": "noop", "value": 1}]),
 ], ids=["capacity_str", "capacity_negative", "bit_depth_str", "chroma_420",
         "interleave_bogus", "window_span_str", "line_buffers_str",
         "height_missing", "fetch_budget_0", "clock_nan", "flip_unused_word",
         "forwarding_str", "trace_str", "fault_without_kind", "latency_bool",
         "seed_float", "width_float", "columns_float", "window_span_float",
         "clock_bool", "fetch_words_over_slot", "fetch_words_negative",
-        "flip_unseen_baseline", "flip_unseen_type1", "flip_unseen_type2"])
+        "flip_unseen_baseline", "flip_unseen_type1", "flip_unseen_type2",
+        "chroma_int", "arch_name_int", "route_int", "banks_with_buffer",
+        "flip_with_value", "noop_with_value"])
 def test_cli_malformed_config_exit_two(tmp_path, capsys, data):
     assert cli_main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2
     err = capsys.readouterr().err
