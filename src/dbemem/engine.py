@@ -84,7 +84,6 @@ class SimConfig:
     preset: ArchPreset = field(default_factory=preset_baseline)
     window: WindowSpec = field(default_factory=WindowSpec)
     clock_hz: float = 200e6
-    throughput_ppc: int = 4
     seed: int = 0
     interleave: Interleave = Interleave.COLUMN_MAJOR
     sram_read_latency: int = 0   # sensitivity knob: 1 models registered outputs
@@ -92,8 +91,6 @@ class SimConfig:
     faults: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.throughput_ppc * CYCLES_PER_SLOT != 16:
-            raise ConfigError("throughput x 4 cycles must equal the 16-px block")
         if not 0 < self.clock_hz < float("inf"):   # NaN fails too
             raise ConfigError(f"clock must be positive and finite, "
                               f"got {self.clock_hz}")

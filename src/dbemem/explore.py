@@ -12,10 +12,14 @@ from itertools import product
 
 from .errors import ConfigError, InfeasibleError
 from .geometry import ImageGeometry, Interleave, SliceLayout, build_geometry
+from .membank import SramBankModel
 from .predwindow import FETCH, RESIDENT, ResidencyPolicy, SECTIONS, WindowSpec
 from .sched import ArchPreset, HALF_LINE, REFILL, STREAMING, Scheduler
 
 NONE = "none"
+# the width of the explorer's one slice column, in words, unless the
+# previous-line span needs a wider one
+SLICE_WORDS = 20
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,8 @@ def _candidate_routes(spec: WindowSpec, budget: FetchBudget, forwarding: bool,
 def _schedule_feasible(spec: WindowSpec, routes: dict, budget: FetchBudget,
                        forwarding: bool, reconvert: bool,
                        slice_words: int) -> bool:
-    """Place one steady-state blockline of traffic and check the port law."""
+    """Book one steady-state blockline of traffic on the bank models: it
+    is placeable when no booking conflicts under their port law."""
     if budget.kind == NONE:
         lo, hi = spec.prev_line_span
         if hi >= lo:
@@ -90,22 +95,16 @@ def _schedule_feasible(spec: WindowSpec, routes: dict, budget: FetchBudget,
     # one slice column decodes in the same order under either interleave
     plan = build_geometry(image, SliceLayout(1, 1), Interleave.COLUMN_MAJOR)
     sched = Scheduler(preset, spec, plan)
+    banks = {key: SramBankModel(*key) for key in sched.bank_keys}
     # blockline 1 is steady state: it has a previous line and a successor
-    slots = range(sched.slots_per_blockline, 2 * sched.slots_per_blockline)
-    for slot in slots:
-        sp = sched.slot_plan(slot)
-        seen = {}
-        for rec in sp.records():
-            key = (rec.buffer, rec.bank_id, rec.cycle)
-            if key in seen:
-                return False
-            seen[key] = rec
-    return True
+    return all(banks[rec.buffer, rec.bank_id].request_access(rec)
+               for slot in sched.blockline_slots(1)
+               for rec in sched.slot_plan(slot).records())
 
 
 def minimal_resident_set(spec: WindowSpec, budget: FetchBudget,
-                         forwarding: bool = False, reconvert: bool = False,
-                         slice_words: int = 20) -> ExplorerResult:
+                         forwarding: bool = False, reconvert: bool = False
+                         ) -> ExplorerResult:
     """Smallest resident set that still serves every window pixel.
 
     Brute-forces the section routing against the budget's placeable fetch
@@ -113,6 +112,7 @@ def minimal_resident_set(spec: WindowSpec, budget: FetchBudget,
     resident.  Raises InfeasibleError when even full residency cannot be
     sustained (no refill path for the previous-line span).
     """
+    slice_words = SLICE_WORDS
     if slice_words * 8 < spec.prev_line_span[1] + 8:
         slice_words = spec.prev_line_span[1] // 8 + 2
     # candidates are ordered cheapest-first

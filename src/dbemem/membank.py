@@ -1,18 +1,18 @@
-"""Single-port SRAM bank model with access checking.
+"""The single-port law of a line-buffer bank.
 
-Each bank grants at most one access (read or write) per cycle.  Violations
-are recorded as data, never raised, so one run can tally every conflict,
-overwrite hazard, and underflow in a broken configuration.
+Each bank grants at most one access (read or write) per cycle: the first
+booking of a cycle wins, and a later one is recorded as a conflict, never
+raised, so one run can tally every conflict in a broken configuration.
+What a granted access does to a word (its value, the line it holds, the
+reads it still owes, hazards and underflows) is the engines' word ledger.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ConfigError
-from .geometry import LINE_WORDS, PIXELS_PER_WORD
+from .geometry import LINE_WORDS
 
 
 class Purpose(Enum):
@@ -85,105 +85,45 @@ class UnderflowViolation:
                 self.word_index, self.purpose.value, -1)
 
 
-# what a bank records, in drain order: its lists of violations, and the
-# ViolationLog counts and detail classes they go to
+# the violations of a bank, in drain order, and the ViolationLog counts and
+# detail classes they go to: the bank's conflicts, then the word ledger's
+# hazards and underflows on its words
 VIOLATION_CLASSES = ("conflicts", "hazards", "underflows")
 
 
 class SramBankModel:
-    """One single-port bank of a 480-word line buffer.
-
-    Contents are per-word 8x3 component arrays plus the line each word
-    holds.  The hazard checker flags writes that land before the registered
-    number of output/fetch reads of the previous contents has completed.
-    """
+    """One single-port bank of a 480-word line buffer: its booked cycles,
+    the cycle after its last commit (`frontier`) and its conflicts."""
 
     def __init__(self, buffer: str, bank_id: int):
         self.buffer = buffer
         self.bank_id = bank_id
-        self.values = np.zeros((LINE_WORDS, PIXELS_PER_WORD, 3), dtype=np.int32)
-        # per-word scalars are Python lists: commit touches them one at a time
-        self.written = [False] * LINE_WORDS
-        self.line_tag = [-1] * LINE_WORDS
-        self.pending_output = [0] * LINE_WORDS
-        self.pending_fetch = [0] * LINE_WORDS
-        self._booked: dict[int, tuple] = {}
+        self._booked: dict[int, AccessRecord] = {}
         self.frontier = 0
         self.conflicts: list[ConflictViolation] = []
-        self.hazards: list[HazardViolation] = []
-        self.underflows: list[UnderflowViolation] = []
 
-    def request_access(self, rec: AccessRecord, values=None) -> bool:
+    def request_access(self, rec: AccessRecord) -> bool:
         """Book one access.  Returns False (and records a conflict) when the
-        cycle already carries an access on this bank.  A write tags its word
-        with `rec.line`."""
+        cycle already carries an access on this bank."""
         if rec.cycle < self.frontier:
             raise ConfigError(
                 f"access at cycle {rec.cycle} behind frontier {self.frontier}")
         if rec.word_index >= LINE_WORDS or rec.word_index < 0:
             raise ConfigError(f"word {rec.word_index} outside 0..{LINE_WORDS - 1}")
-        prior = self._booked.get(rec.cycle)
-        if prior is not None:
-            first = prior[0]
+        first = self._booked.get(rec.cycle)
+        if first is not None:
             self.conflicts.append(ConflictViolation(
                 cycle=rec.cycle, buffer=self.buffer, bank_id=self.bank_id,
                 first_purpose=first.purpose, second_purpose=rec.purpose,
                 first_word=first.word_index, second_word=rec.word_index,
                 block_id=rec.block_id))
             return False
-        self._booked[rec.cycle] = (rec, values)
+        self._booked[rec.cycle] = rec
         return True
 
-    def register_required_reads(self, word_index: int, count: int,
-                                kind: str = "output") -> None:
-        if count < 0:
-            raise ConfigError("required read count must be >= 0")
-        if kind == "output":
-            self.pending_output[word_index] += count
-        elif kind == "fetch":
-            self.pending_fetch[word_index] += count
-        else:
-            raise ConfigError(f"unknown required-read kind {kind!r}")
-
-    def commit_cycle(self, cycle: int):
-        """Apply the booked access for `cycle`, if any.
-
-        Returns (record, values) for a granted read, (record, None) for a
-        write, or None when the cycle is idle.  `values` is the bank's own
-        row, valid until the word's next write: copy it to keep it.  Hazards
-        and underflows are appended to the bank's violation lists.
-        """
+    def commit_cycle(self, cycle: int) -> AccessRecord | None:
+        """The access booked for `cycle`, or None when the cycle is idle."""
         if cycle < self.frontier:
             raise ConfigError(f"commit at {cycle} behind frontier {self.frontier}")
         self.frontier = cycle + 1
-        entry = self._booked.pop(cycle, None)
-        if entry is None:
-            return None
-        rec, values = entry
-        w = rec.word_index
-        if rec.purpose is Purpose.WRITE_BLOCK_ROW:
-            if self.pending_output[w] > 0 or self.pending_fetch[w] > 0:
-                self.hazards.append(HazardViolation(
-                    cycle=cycle, buffer=self.buffer, bank_id=self.bank_id,
-                    word_index=w,
-                    pending_output_reads=self.pending_output[w],
-                    pending_fetch_reads=self.pending_fetch[w],
-                    block_id=rec.block_id))
-                self.pending_output[w] = 0
-                self.pending_fetch[w] = 0
-            if values is not None:   # a ledger-only booking carries none
-                self.values[w] = values
-            self.written[w] = True
-            self.line_tag[w] = rec.line
-            return (rec, None)
-        # read path
-        if not self.written[w]:
-            self.underflows.append(UnderflowViolation(
-                cycle=cycle, buffer=self.buffer, bank_id=self.bank_id,
-                word_index=w, purpose=rec.purpose))
-            return (rec, None)
-        if rec.purpose is Purpose.OUTPUT_READ and self.pending_output[w] > 0:
-            self.pending_output[w] -= 1
-        elif rec.purpose is Purpose.PREDICT_FETCH and self.pending_fetch[w] > 0:
-            self.pending_fetch[w] -= 1
-        return (rec, self.values[w])
+        return self._booked.pop(cycle, None)

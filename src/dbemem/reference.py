@@ -1,6 +1,6 @@
 """The per-cycle reference engine: every slot's plan (`slot_plan`) is
 booked on the single-port bank models, committed cycle by cycle and
-checked word by word.
+applied word by word to the reference's own word ledger.
 
 `Engine` checks whole blocklines with numpy; this class is what the tests
 hold it to.  Both produce the same counts, details, trace rows and
@@ -12,8 +12,9 @@ from collections import deque
 import numpy as np
 
 from .engine import Engine, EngineResult
-from .geometry import BLOCK_W, CYCLES_PER_SLOT, PIXELS_PER_WORD
-from .membank import VIOLATION_CLASSES, Purpose, SramBankModel
+from .geometry import BLOCK_W, CYCLES_PER_SLOT, LINE_WORDS, PIXELS_PER_WORD
+from .membank import (VIOLATION_CLASSES, HazardViolation, Purpose,
+                      SramBankModel, UnderflowViolation)
 from .oracle import ycocg_frame
 from .predwindow import (FETCH, FORWARDED, RESIDENT, SECTIONS,
                          ReconBufferState)
@@ -47,17 +48,36 @@ class _ColumnState:
 
 
 class ReferenceEngine(Engine):
-    """The cycle loop: book each slot's accesses, commit them per cycle on
-    the bank models, slide and serve each block's window."""
+    """The cycle loop: book each slot's accesses on the bank models, apply
+    their commits cycle by cycle to the word ledger (`apply`), slide and
+    serve each block's window.
+
+    The word ledger holds, per (buffer, word), the line the word holds (-1:
+    never written), its pixels, and the display and fetch reads it still
+    owes; per bank, the violations not yet drained."""
 
     def __init__(self, cfg):
         super().__init__(cfg)
         self.banks = [SramBankModel(buf, bk) for buf, bk in self.sched.bank_keys]
+        buffers = self.preset.buffer_names()
+        self._word_base = {buf: i * LINE_WORDS for i, buf in enumerate(buffers)}
+        n_wk = len(buffers) * LINE_WORDS
+        self.word_line = [-1] * n_wk
+        self.word_px = np.zeros((n_wk, PIXELS_PER_WORD, 3), dtype=np.int32)
+        self.word_owed = ([0] * n_wk, [0] * n_wk)   # display, fetch
+        # per bank, in drain order (`VIOLATION_CLASSES`): its conflicts,
+        # then the hazards and underflows on its words
+        self.undrained = [(bank.conflicts, [], []) for bank in self.banks]
+        image = self.plan.image
+        self._rgb = self.oracle.golden_frame(image.width, image.height)
+        self._yco = ycocg_frame(self._rgb)
         self.cols = [_ColumnState(self.spec, self.preset, self.capacity,
                                   self.plan.words_per_line,
                                   self.plan.slice_width)
                      for _ in range(cfg.slices.columns)]
-        self._flips = deque(self._watches)   # pending, in cycle order
+        # pending flips, in cycle order: (word, cycle, watch)
+        self._flips = deque((wk, c, watch) for (wk, c), watch
+                            in zip(self._flips, self._watches))
         self._flipped = set()   # watches whose flip the word still holds
         self._next_display_k = 0   # the raster word the display reads next
         routes = self.preset.residency.routes
@@ -65,34 +85,30 @@ class ReferenceEngine(Engine):
                                if routes[s] == RESIDENT]
 
     def _drain_bank_violations(self):
-        for bank in self.banks:
-            for name in VIOLATION_CLASSES:
-                found = getattr(bank, name)
-                setattr(self.log, name, getattr(self.log, name) + len(found))
-                for v in found:
+        for found in self.undrained:
+            for name, violations in zip(VIOLATION_CLASSES, found):
+                setattr(self.log, name,
+                        getattr(self.log, name) + len(violations))
+                for v in violations:
                     self._note(name, v)
                     if self.cfg.collect_trace:
                         self.violation_rows.append(v.trace_row())
-                found.clear()
+                violations.clear()
 
     def run(self) -> EngineResult:
         plan = self.plan
-        w, h = plan.image.width, plan.image.height
-        rgb = self.oracle.golden_frame(w, h)
-        yco = ycocg_frame(rgb)
-        self._rgb, self._yco = rgb, yco
+        yco = self._yco
         pixels_served = 0
 
         for slot in range(self.sched.total_slots):
             sp = self.sched.slot_plan(slot)
-            booked = []   # (cycle, bank order, bank) of every grant
-            # book block row-writes (values from the golden decode)
-            write_booked = [rec for rec in sp.writes if self._book(
-                rec, booked, rgb[rec.line, rec.px:rec.px + BLOCK_W])]
-            # book display reads
+            booked = []   # (cycle, bank order) of every grant
+            # the first booking of a bank and cycle wins it: block
+            # row-writes, then display reads, then prediction fetches
+            write_booked = [rec for rec in sp.writes
+                            if self._book(rec, booked)]
             for rec in sp.display_reads:
                 self._book(rec, booked)
-            # book prediction fetches
             fetch_booked = [rec for rec in sp.fetches
                             if self._book(rec, booked)]
             self._commit_slot(sp.cycle_base, booked, write_booked,
@@ -119,18 +135,17 @@ class ReferenceEngine(Engine):
         return self._result(pixels_served,
                             [c.recon.peak_occupancy for c in self.cols])
 
-    def _bank(self, rec):
-        """The bank of a record, and its place in commit order."""
-        order = self.sched.bank_order[rec.buffer, rec.bank_id]
-        return order, self.banks[order]
+    def _word(self, rec):
+        """The word ledger's index of a record's word."""
+        return self._word_base[rec.buffer] + rec.word_index
 
-    def _book(self, rec, booked, values=None) -> bool:
+    def _book(self, rec, booked) -> bool:
         """Request one access; a grant joins the slot's commit list and the
         trace.  Returns whether it was granted."""
-        order, bank = self._bank(rec)
-        if not bank.request_access(rec, values=values):
+        order = self.sched.bank_order[rec.buffer, rec.bank_id]
+        if not self.banks[order].request_access(rec):
             return False
-        booked.append((rec.cycle, order, bank))
+        booked.append((rec.cycle, order))
         if self.cfg.collect_trace:
             self.trace_rows.append(
                 (rec.cycle, rec.slice_col, rec.buffer, rec.bank_id, rec.op,
@@ -142,22 +157,21 @@ class ReferenceEngine(Engine):
         `self.banks` order within a cycle.  Idle (cycle, bank) pairs are not
         visited, so a bank's frontier stays at its last booked cycle.  A
         flip fault lands before the commits of its cycle.  A fetched word
-        enters its column's stage as read at its fetch cycle, if the bank
-        then holds the demanded line."""
-        flips = self._flips
+        enters its column's stage as read at its fetch cycle, if it then
+        holds the demanded line."""
         armed = False
-        for cyc, _, bank in sorted(booked):
+        for cyc, order in sorted(booked):
             if not armed and cyc > base:
                 self._arm_required_reads(base, write_recs, fetch_booked)
                 armed = True
-            while flips and flips[0].fault.cycle <= cyc:
-                self._apply_flip(flips.popleft())
-            rec, vals = bank.commit_cycle(cyc)
+            self._land_flips(cyc)
+            rec = self.banks[order].commit_cycle(cyc)
+            vals = self.apply(rec)
             self._watch(rec, vals)
             if rec.purpose is Purpose.OUTPUT_READ:
                 self._check_display_word(rec, vals)
             elif rec.purpose is Purpose.PREDICT_FETCH and vals is not None \
-                    and bank.line_tag[rec.word_index] == rec.line:
+                    and self.word_line[self._word(rec)] == rec.line:
                 col = self.cols[rec.slice_col]
                 s = rec.line & 3
                 w = (rec.px - self.plan.slice_base_x(rec.slice_col)) \
@@ -166,27 +180,61 @@ class ReferenceEngine(Engine):
                 col.stage_line[s, w] = rec.line
         if not armed:
             self._arm_required_reads(base, write_recs, fetch_booked)
-        while flips and flips[0].fault.cycle < base + CYCLES_PER_SLOT:
-            self._apply_flip(flips.popleft())
+        self._land_flips(base + CYCLES_PER_SLOT - 1)
+
+    def apply(self, rec):
+        """Apply a committed access to the word ledger.  A write holds the
+        golden pixels of its line at its x from then on; overwriting a word
+        that still owes display or fetch reads is a hazard, which records
+        both counts and clears them.  A read of a never-written word is an
+        underflow; any other read pays one owed read of its kind, if the
+        word owes one.  Returns the word's pixels for a read of a written
+        word, valid until its next write, else None."""
+        k = self._word(rec)
+        owed_display, owed_fetch = self.word_owed
+        if rec.purpose is Purpose.WRITE_BLOCK_ROW:
+            if owed_display[k] or owed_fetch[k]:
+                self._undrained(rec)[1].append(HazardViolation(
+                    rec.cycle, rec.buffer, rec.bank_id, rec.word_index,
+                    owed_display[k], owed_fetch[k], rec.block_id))
+                owed_display[k] = owed_fetch[k] = 0
+            self.word_line[k] = rec.line
+            self.word_px[k] = self._rgb[rec.line,
+                                        rec.px:rec.px + PIXELS_PER_WORD]
+            return None
+        if self.word_line[k] < 0:
+            self._undrained(rec)[2].append(UnderflowViolation(
+                rec.cycle, rec.buffer, rec.bank_id, rec.word_index,
+                rec.purpose))
+            return None
+        owed = owed_display if rec.purpose is Purpose.OUTPUT_READ \
+            else owed_fetch
+        if owed[k]:
+            owed[k] -= 1
+        return self.word_px[k]
+
+    def _undrained(self, rec):
+        return self.undrained[self.sched.bank_order[rec.buffer, rec.bank_id]]
 
     def _arm_required_reads(self, base, write_recs, fetch_booked):
         """New data in place after the slot's first cycle: arm the
         required-read checks against the overwrites that follow (display once
         per word, plus any prediction fetch scheduled on current contents)."""
+        owed_display, owed_fetch = self.word_owed
         for rec in write_recs:
-            self._bank(rec)[1].register_required_reads(rec.word_index, 1,
-                                                       "output")
+            owed_display[self._word(rec)] += 1
         for rec in fetch_booked:
             if rec.cycle > base:
-                self._bank(rec)[1].register_required_reads(rec.word_index, 1,
-                                                           "fetch")
+                owed_fetch[self._word(rec)] += 1
 
-    def _apply_flip(self, watch):
-        f = watch.fault
-        for bank in self.banks:
-            if bank.buffer == f.buffer:
-                bank.values[f.word_index] ^= 1
-        self._flipped.add(watch)
+    def _land_flips(self, last):
+        """Land the pending flips of cycles up to `last` on the word
+        ledger."""
+        flips = self._flips
+        while flips and flips[0][1] <= last:
+            wk, _, watch = flips.popleft()
+            self.word_px[wk] ^= 1
+            self._flipped.add(watch)
 
     def _watch(self, rec, vals):
         """Note a commit on the word of a flip: a write overwrites the flip,
@@ -212,7 +260,7 @@ class ReferenceEngine(Engine):
             raise AssertionError(
                 f"display word {k} read at {rec.cycle}, expected {exp_cycle}")
         if vals is None:
-            return  # underflow already recorded by the bank
+            return  # an underflow, recorded by `apply`
         x = i * PIXELS_PER_WORD
         bad = bad_pixels(vals, self._rgb[y, x:x + PIXELS_PER_WORD])
         if bad:

@@ -14,12 +14,15 @@ from types import FunctionType
 
 from .engine import EngineResult, FaultSpec, SimConfig
 from .errors import ConfigError
-from .geometry import (Chroma, ImageGeometry, Interleave, LINE_WORDS,
-                       SliceLayout, WORD_BITS)
+from .geometry import (BLOCK_H, BLOCK_W, CYCLES_PER_SLOT, Chroma,
+                       ImageGeometry, Interleave, LINE_WORDS, SliceLayout,
+                       WORD_BITS)
 from .predwindow import SECTIONS, WindowSpec
 from .sched import ArchPreset, preset_baseline, preset_by_name
 
 BITS_PER_PIXEL = 30          # accounting convention: 3 x 10-bit components
+# the decoder's throughput: one 16-pixel block per 4-cycle slot
+PIXELS_PER_CYCLE = BLOCK_W * BLOCK_H // CYCLES_PER_SLOT
 TRACE_HEADER = "cycle,slice,buffer,bank,op,word,purpose,block"
 _TRACE_ROW = "%d,%d,%s,%d,%s,%d,%s,%d\n"
 
@@ -91,7 +94,7 @@ def build_report(result: EngineResult) -> SimReport:
     cols = plan.slices.columns
     px = max(result.peak_recon_per_column)
     acct = buffer_accounting(result.preset, cols, cfg.window, recon_pixels=px)
-    thr = throughput_metrics(cfg.clock_hz, cfg.throughput_ppc,
+    thr = throughput_metrics(cfg.clock_hz, PIXELS_PER_CYCLE,
                              plan.image.width, plan.image.height)
     footnotes = {
         "recon_capacity_pixels": result.recon_capacity,
@@ -235,7 +238,7 @@ _CONFIG = {
     "slices": lambda v, key: SliceLayout(**_fields(
         v, {"columns": int, "rows": int}, key)),
     "arch": _arch,
-    "clock_mhz": float, "throughput_ppc": int, "seed": int,
+    "clock_mhz": float, "seed": int,
     "window_spec": lambda v, key: WindowSpec(**_fields(v, dict.fromkeys(
         ("prev_line_span", "cur_row0_span", "cur_row1_span"), _span), key)),
     "faults": _faults,

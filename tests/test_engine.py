@@ -8,7 +8,7 @@ from dbemem.errors import ConfigError
 from dbemem.geometry import Chroma, ImageGeometry, Interleave, SliceLayout
 from dbemem.oracle import GoldenOracle, ycocg_frame
 from dbemem.reference import ReferenceEngine
-from dbemem.sched import preset_baseline, preset_by_name
+from dbemem.sched import preset_by_name
 from dbemem.shell import build_report, report_to_text
 
 from test_sched import display_record
@@ -50,12 +50,6 @@ def test_chroma_422_behaves_identically():
     b = run_simulation(cfg)
     assert a.violations.as_dict() == b.violations.as_dict()
     assert a.total_cycles == b.total_cycles
-
-
-def test_throughput_invariant_enforced():
-    with pytest.raises(ConfigError):
-        SimConfig(image=ImageGeometry(320, 32), slices=SliceLayout(1, 1),
-                  preset=preset_baseline(), throughput_ppc=8)
 
 
 def test_determinism_identical_traces():

@@ -41,6 +41,20 @@ def test_streaming_degradations():
     assert no_fwd.resident_count == 33       # forwarded block becomes resident
 
 
+@pytest.mark.parametrize("fwd, rec, want", [
+    (False, False, 65), (False, True, 65), (True, False, 49), (True, True, 49)])
+def test_one_bank_streaming_obeys_the_port_law(fwd, rec, want):
+    """Streaming on one bank per buffer: a row1 fetch next to the
+    previous-line fetch does not fit beside the writes and display reads
+    on the one lower bank, so the explorer must keep row1 resident.  An
+    explorer that skipped the port law would stream row1 whenever
+    reconvert is on, for 33 resident pixels, or 25 with forwarding."""
+    res = minimal_resident_set(WindowSpec(), FetchBudget("streaming", 1),
+                               fwd, rec)
+    assert res.resident_count == want
+    assert res.routes["row1"] == "resident"
+
+
 def test_budget_none_infeasible():
     with pytest.raises(InfeasibleError):
         minimal_resident_set(WindowSpec(), FetchBudget("none"))

@@ -23,7 +23,6 @@ CFG = {
     "slices": {"columns": 1, "rows": 1},
     "arch": "type2",
     "clock_mhz": 200,
-    "throughput_ppc": 4,
     "seed": 0,
 }
 
@@ -340,6 +339,8 @@ def _fault_cfg(kind, value, arch="type2"):
     dict(CFG, faults=[{"kind": "flip_word", "buffer": "lower0",
                        "word_index": 5, "cycle": 182, "value": 1}]),
     dict(CFG, faults=[{"kind": "noop", "value": 1}]),
+    # the decoder takes 4 pixels per cycle, which is no config key
+    dict(CFG, throughput_ppc=4),
 ], ids=["capacity_str", "capacity_negative", "bit_depth_str", "chroma_420",
         "interleave_bogus", "window_span_str", "line_buffers_str",
         "height_missing", "fetch_budget_0", "clock_nan", "flip_unused_word",
@@ -348,7 +349,7 @@ def _fault_cfg(kind, value, arch="type2"):
         "clock_bool", "fetch_words_over_slot", "fetch_words_negative",
         "flip_unseen_baseline", "flip_unseen_type1", "flip_unseen_type2",
         "chroma_int", "arch_name_int", "route_int", "banks_with_buffer",
-        "flip_with_value", "noop_with_value"])
+        "flip_with_value", "noop_with_value", "throughput_ppc_key"])
 def test_cli_malformed_config_exit_two(tmp_path, capsys, data):
     assert cli_main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2
     err = capsys.readouterr().err
@@ -423,7 +424,6 @@ _config = st.fixed_dictionaries({
         "interleave": _maybe(["column_major", "round_robin"]),
         "sram_read_latency": _maybe([0, 1]),
         "clock_mhz": _maybe([200, 100.5]),
-        "throughput_ppc": _maybe([4, 8]),
         "seed": _maybe([0, 7]),
         "trace": st.booleans(),
         "window_spec": _maybe(st.fixed_dictionaries({}, optional={
@@ -434,8 +434,7 @@ _config = st.fixed_dictionaries({
 
 def _integers(data):
     """The values of a config that it reads as integers."""
-    out = [data[k] for k in ("throughput_ppc", "seed", "sram_read_latency")
-           if k in data]
+    out = [data[k] for k in ("seed", "sram_read_latency") if k in data]
     for section, keys in (("image", ("width", "height", "bit_depth")),
                           ("slices", ("columns", "rows")),
                           ("arch", ("line_buffers", "banks_per_buffer",
