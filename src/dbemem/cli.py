@@ -84,7 +84,7 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_fps(args) -> int:
-    m = throughput_metrics(args.mhz * 1e6, args.ppc, args.width, args.height)
+    m = throughput_metrics(args.mhz * 1e6, args.width, args.height)
     print(f"{m['mpixels_per_sec']:.2f} Mpix/s")
     print(f"{m['fps']:.2f} fps")
     return 0
@@ -116,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     fps.add_argument("--width", type=int, required=True)
     fps.add_argument("--height", type=int, required=True)
     fps.add_argument("--mhz", type=float, default=200.0)
-    fps.add_argument("--ppc", type=int, default=4)
     fps.set_defaults(func=_cmd_fps)
     return p
 

@@ -32,8 +32,8 @@ from .membank import (VIOLATION_CLASSES, ConflictViolation, HazardViolation,
 from .oracle import GoldenOracle, ycocg_frame
 from .predwindow import (BLOCK_BITS, FETCH, FORWARDED, RESIDENT, SECTIONS,
                          ReconBufferState, WindowSpec)
-from .sched import (BANK, BLOCK, CYCLE, LINE, PURPOSE, PURPOSES, REFILL,
-                    PX, SLOT, STREAMING, WORD, ArchPreset, Scheduler,
+from .sched import (BANK, BLOCK, CYCLE, LINE, PURPOSE, PURPOSES, PX,
+                    SLOT, STREAMING, WORD, ArchPreset, Scheduler,
                     preset_baseline, total_frame_cycles)
 
 DETAIL_LIMIT = 16  # violation samples kept per class
@@ -160,14 +160,6 @@ def apply_faults_to_preset(preset: ArchPreset, faults,
             current = preset.capacity_for(spec)
         else:
             current = getattr(preset, _OVERRIDES[f.kind])
-        if f.kind == "fetch_budget_override":
-            # a budget below 2 changes no schedule, and a slot has four
-            # cycles; streaming presets place their fetches themselves
-            require_int(f.value, "fetch_budget_override value", 2,
-                        CYCLES_PER_SLOT)
-            if preset.fetch_kind != REFILL:
-                raise ConfigError("fetch_budget_override needs a refill preset; "
-                                  f"{preset.name} streams its fetches")
         if f.value == current:
             raise ConfigError(f"{f.kind} {f.value!r} is the value "
                               f"{preset.name} already has")
@@ -276,7 +268,7 @@ class Engine:
         self.spec = cfg.window
         self.sched = Scheduler(self.preset, self.spec, self.plan,
                                read_latency=cfg.sram_read_latency)
-        self.oracle = GoldenOracle(cfg.seed, cfg.image.bit_depth)
+        self.oracle = GoldenOracle(cfg.seed)
         self.capacity = self.preset.capacity_for(self.spec)
         buffers = self.preset.buffer_names()
         self.log = ViolationLog()

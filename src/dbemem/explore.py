@@ -16,7 +16,6 @@ from .membank import SramBankModel
 from .predwindow import FETCH, RESIDENT, ResidencyPolicy, SECTIONS, WindowSpec
 from .sched import ArchPreset, HALF_LINE, REFILL, STREAMING, Scheduler
 
-NONE = "none"
 # the width of the explorer's one slice column, in words, unless the
 # previous-line span needs a wider one
 SLICE_WORDS = 20
@@ -29,14 +28,14 @@ class FetchBudget:
     kind "refill": one designated fetch cycle per slot that tops up the
     resident window (it provides no per-need service).  kind "streaming":
     fetches may take any free cycle on the lower-buffer banks and serve
-    window needs directly.  Budgets are ordered none < refill < streaming
-    for the monotonicity properties.
+    window needs directly.  Budgets are ordered refill < streaming for the
+    monotonicity properties.
     """
     kind: str = REFILL
     banks_per_buffer: int = 1
 
     def __post_init__(self):
-        if self.kind not in (NONE, REFILL, STREAMING):
+        if self.kind not in (REFILL, STREAMING):
             raise ConfigError(f"unknown budget kind {self.kind!r}")
 
 
@@ -77,19 +76,12 @@ def _schedule_feasible(spec: WindowSpec, routes: dict, budget: FetchBudget,
                        slice_words: int) -> bool:
     """Book one steady-state blockline of traffic on the bank models: it
     is placeable when no booking conflicts under their port law."""
-    if budget.kind == NONE:
-        lo, hi = spec.prev_line_span
-        if hi >= lo:
-            # the resident previous-line span can never be refilled
-            raise InfeasibleError(
-                "previous-line span needs a fetch path but the budget has none")
-        return True
     policy = ResidencyPolicy(routes=dict(routes), forwarding_enabled=forwarding,
                              reconvert_on_fetch=reconvert)
     preset = ArchPreset(
         name="explorer", line_delay=HALF_LINE, line_buffers=2,
         banks_per_buffer=budget.banks_per_buffer,
-        fetch_kind=REFILL if budget.kind == REFILL else STREAMING,
+        fetch_kind=budget.kind,
         fetch_words_per_slot=1, residency=policy)
     image = ImageGeometry(slice_words * 8, 8)
     # one slice column decodes in the same order under either interleave
@@ -109,8 +101,8 @@ def minimal_resident_set(spec: WindowSpec, budget: FetchBudget,
 
     Brute-forces the section routing against the budget's placeable fetch
     schedule; pixels that are neither forwarded nor fetch-covered must be
-    resident.  Raises InfeasibleError when even full residency cannot be
-    sustained (no refill path for the previous-line span).
+    resident.  Raises InfeasibleError when not even full residency places
+    its fetch traffic.
     """
     slice_words = SLICE_WORDS
     if slice_words * 8 < spec.prev_line_span[1] + 8:
@@ -130,5 +122,4 @@ def minimal_resident_set(spec: WindowSpec, budget: FetchBudget,
 
 
 def preset_budget(preset: ArchPreset) -> FetchBudget:
-    kind = STREAMING if preset.fetch_kind == STREAMING else REFILL
-    return FetchBudget(kind=kind, banks_per_buffer=preset.banks_per_buffer)
+    return FetchBudget(preset.fetch_kind, preset.banks_per_buffer)

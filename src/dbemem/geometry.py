@@ -18,11 +18,6 @@ PIXELS_PER_WORD = 8
 CYCLES_PER_SLOT = 4       # 16 px per block at 4 px/cycle
 
 
-class Chroma(Enum):
-    C444 = "444"
-    C422 = "422"
-
-
 class Interleave(Enum):
     ROUND_ROBIN = "round_robin"
     COLUMN_MAJOR = "column_major"
@@ -32,16 +27,12 @@ class Interleave(Enum):
 class ImageGeometry:
     width: int
     height: int
-    chroma: Chroma = Chroma.C444
-    bit_depth: int = 10
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ConfigError(f"image {self.width}x{self.height} must be positive")
         if self.height % BLOCK_H:
             raise ConfigError(f"height {self.height} not divisible by block height {BLOCK_H}")
-        if not 8 <= self.bit_depth <= 12:
-            raise ConfigError(f"bit_depth {self.bit_depth} outside [8, 12]")
 
 
 @dataclass(frozen=True)

@@ -18,19 +18,19 @@ _KY = 0xC2B2AE3D27D4EB4F
 _KC = 0x165667B19E3779F9
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
+_MAX_VALUE = (1 << 10) - 1  # every component has 10 bits
 
 
 class GoldenOracle:
     """Stateless pixel generator: same (seed, x, y) always yields the same RGB."""
 
-    def __init__(self, seed: int = 0, bit_depth: int = 10):
+    def __init__(self, seed: int = 0):
         self.seed = seed & _MASK64
-        self.max_value = (1 << bit_depth) - 1
 
     def golden_frame(self, width: int, height: int) -> np.ndarray:
         """Whole frame as an int32 array of shape (height, width, 3).
 
-        Component c of pixel (x, y) is the low bit_depth bits of a 64-bit
+        Component c of pixel (x, y) is the low 10 bits of a 64-bit
         mix of seed ^ x*KX ^ y*KY ^ c*KC.  The reference engine builds it
         for every run.  `Engine` builds it only at a run's first compare of
         a word of another line than its place's (`Engine._golden`), and a
@@ -49,8 +49,7 @@ class GoldenOracle:
                 h ^= h >> np.uint64(27)
                 h *= np.uint64(_M2)
                 h ^= h >> np.uint64(31)
-                # 2**bit_depth is a power of two, so mod collapses to a mask
-                frame[:, :, c] = (h & np.uint64(self.max_value)).astype(np.int32)
+                frame[:, :, c] = (h & np.uint64(_MAX_VALUE)).astype(np.int32)
         return frame
 
 

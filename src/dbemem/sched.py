@@ -64,10 +64,14 @@ class ArchPreset:
         require_int(self.banks_per_buffer, "banks_per_buffer", 1, 2)
         # refill pads each slot's fetches up to this many; a slot has four
         # cycles to place them on
-        require_int(self.fetch_words_per_slot, "fetch_words_per_slot", 0,
+        require_int(self.fetch_words_per_slot, "fetch_words_per_slot", 1,
                     CYCLES_PER_SLOT)
         if self.fetch_kind not in (REFILL, STREAMING):
             raise ConfigError(f"unknown fetch kind {self.fetch_kind!r}")
+        # streaming places each fetch on a free cycle, and pads none
+        if self.fetch_kind == STREAMING and self.fetch_words_per_slot != 1:
+            raise ConfigError("a streaming preset takes fetch_words_per_slot "
+                              f"1, got {self.fetch_words_per_slot}")
         if self.capacity_pixels is not None:
             require_int(self.capacity_pixels, "capacity_pixels", 0)
 
@@ -117,7 +121,7 @@ def preset_type1() -> ArchPreset:
 
 
 def preset_type2() -> ArchPreset:
-    return ArchPreset("type2", HALF_LINE, 2, 2, STREAMING, 0,
+    return ArchPreset("type2", HALF_LINE, 2, 2, STREAMING, 1,
                       residency=policy_streaming())
 
 
@@ -334,7 +338,7 @@ class Scheduler:
             j = bx - (n - self.warmup_count)
             demands.append((j >= 0, 2 * bl + 1, j))
         want = self.preset.fetch_words_per_slot
-        if self.preset.fetch_kind == REFILL and want > 1 and demands:
+        if want > 1 and demands:
             ok, line, w = zip(*demands)
             count = np.sum(ok, axis=0)
             first = np.argmax(ok, axis=0)

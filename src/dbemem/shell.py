@@ -14,9 +14,8 @@ from types import FunctionType
 
 from .engine import EngineResult, FaultSpec, SimConfig
 from .errors import ConfigError
-from .geometry import (BLOCK_H, BLOCK_W, CYCLES_PER_SLOT, Chroma,
-                       ImageGeometry, Interleave, LINE_WORDS, SliceLayout,
-                       WORD_BITS)
+from .geometry import (BLOCK_H, BLOCK_W, CYCLES_PER_SLOT, ImageGeometry,
+                       Interleave, LINE_WORDS, SliceLayout, WORD_BITS)
 from .predwindow import SECTIONS, WindowSpec
 from .sched import ArchPreset, preset_baseline, preset_by_name
 
@@ -76,15 +75,13 @@ def buffer_accounting(preset: ArchPreset, columns: int,
     }
 
 
-def throughput_metrics(clock_hz: float, throughput_ppc: int,
-                       width: int, height: int) -> dict:
+def throughput_metrics(clock_hz: float, width: int, height: int) -> dict:
     # NaN fails the comparison too
-    if not (0 < clock_hz < math.inf and throughput_ppc > 0 and width > 0
-            and height > 0):
+    if not (0 < clock_hz < math.inf and width > 0 and height > 0):
         raise ConfigError("throughput metrics need positive inputs and a "
                           f"finite clock, got {clock_hz} Hz")
-    mpix = clock_hz * throughput_ppc / 1e6
-    fps = clock_hz * throughput_ppc / (width * height)
+    mpix = clock_hz * PIXELS_PER_CYCLE / 1e6
+    fps = clock_hz * PIXELS_PER_CYCLE / (width * height)
     return {"mpixels_per_sec": round(mpix, 2), "fps": round(fps, 2)}
 
 
@@ -94,8 +91,7 @@ def build_report(result: EngineResult) -> SimReport:
     cols = plan.slices.columns
     px = max(result.peak_recon_per_column)
     acct = buffer_accounting(result.preset, cols, cfg.window, recon_pixels=px)
-    thr = throughput_metrics(cfg.clock_hz, PIXELS_PER_CYCLE,
-                             plan.image.width, plan.image.height)
+    thr = throughput_metrics(cfg.clock_hz, plan.image.width, plan.image.height)
     footnotes = {
         "recon_capacity_pixels": result.recon_capacity,
         "recon_extra_sign_bits_per_slice": 2 * px,
@@ -103,7 +99,8 @@ def build_report(result: EngineResult) -> SimReport:
             cols * acct["recon_bytes_per_slice_rounded"]
             - acct["recon_bytes_total"],
         "fetch_stage_peak_pixels": result.assembly_peak_pixels,
-        "chroma": plan.image.chroma.value,
+        # the model samples every component at every pixel
+        "chroma": "444",
     }
     # the accounting and throughput keys are SimReport fields
     return SimReport(
@@ -222,7 +219,7 @@ def _faults(value, what: str) -> list:
 
 
 # per config object, each key's entry for `_fields`
-_IMAGE = {"width": int, "height": int, "chroma": Chroma, "bit_depth": int}
+_IMAGE = {"width": int, "height": int}
 _ARCH = {"name": str, "line_delay": str, "line_buffers": int,
          "banks_per_buffer": int, "fetch_kind": str,
          "fetch_words_per_slot": int, "forwarding": bool,

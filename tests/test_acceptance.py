@@ -12,7 +12,7 @@ import pytest
 
 from dbemem.engine import Engine, FaultSpec, SimConfig, run_simulation
 from dbemem.explore import FetchBudget, minimal_resident_set, preset_budget
-from dbemem.geometry import (Chroma, ImageGeometry, Interleave, SliceLayout,
+from dbemem.geometry import (ImageGeometry, Interleave, SliceLayout,
                              build_geometry)
 from dbemem.oracle import ycocg_frame
 from dbemem.predwindow import WindowSpec
@@ -25,8 +25,8 @@ PEAKS = {"baseline": 106, "type1": 90, "type2": 25}
 LATENCY_DIV = {"baseline": 2, "type1": 4, "type2": 4}
 
 
-def small_cfg(name, cols=1, chroma=Chroma.C444, **kw):
-    return SimConfig(image=ImageGeometry(640, 128, chroma),
+def small_cfg(name, cols=1, **kw):
+    return SimConfig(image=ImageGeometry(640, 128),
                      slices=SliceLayout(cols, 1),
                      preset=preset_by_name(name), **kw)
 
@@ -43,14 +43,12 @@ def regression_results():
     out = {}
     for name in PEAKS:
         for cols in (1, 2, 4):
-            for chroma in (Chroma.C444, Chroma.C422):
-                res = run_simulation(small_cfg(name, cols, chroma))
-                out[(name, cols, chroma.value)] = res
+            out[name, cols] = run_simulation(small_cfg(name, cols))
     return out
 
 
 def test_criterion_1_throughput_arithmetic():
-    m = throughput_metrics(200e6, 4, 3840, 2160)
+    m = throughput_metrics(200e6, 3840, 2160)
     assert m["mpixels_per_sec"] == 800.00
     assert m["fps"] == 96.45
     print("ACCEPTANCE 1 PASS: 200 MHz x 4 px/cycle -> 800.00 Mpix/s, "
@@ -73,7 +71,7 @@ def test_criterion_2_line_buffer_accounting():
 
 def test_criterion_3_recon_buffer_counts(regression_results, full_4k_result):
     for name, want in PEAKS.items():
-        res = regression_results[(name, 1, "444")]
+        res = regression_results[name, 1]
         assert max(res.peak_recon_per_column) == want, name
     assert max(full_4k_result.peak_recon_per_column) == 25
     acct = buffer_accounting(preset_by_name("type2"), 4)
@@ -88,8 +86,8 @@ def test_criterion_3_recon_buffer_counts(regression_results, full_4k_result):
 
 
 def test_criterion_4_scheduling_correctness(regression_results, full_4k_result):
-    for (name, cols, chroma), res in regression_results.items():
-        assert res.passed, (name, cols, chroma, res.violations.as_dict())
+    for (name, cols), res in regression_results.items():
+        assert res.passed, (name, cols, res.violations.as_dict())
         width = res.plan.image.width
         assert res.latency_cycles == width // LATENCY_DIV[name]
         assert res.total_cycles == width * res.plan.image.height // 4 \
@@ -98,8 +96,8 @@ def test_criterion_4_scheduling_correctness(regression_results, full_4k_result):
     assert full_4k_result.latency_cycles == 960
     assert full_4k_result.total_cycles == 3840 * 2160 // 4 + 960
     print("ACCEPTANCE 4 PASS: zero violations for 3 presets x {1,2,4} slices "
-          "x {444,422} at 640x128 and one full 3840x2160 run; latency = "
-          "one/half blockline as designed")
+          "at 640x128 and one full 3840x2160 run; latency = one/half "
+          "blockline as designed")
 
 
 def test_criterion_5_challenge_reproductions():

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from dbemem.errors import InfeasibleError
 from dbemem.explore import FetchBudget, minimal_resident_set, preset_budget
 from dbemem.predwindow import WindowSpec
 from dbemem.sched import preset_baseline, preset_type1, preset_type2
@@ -53,11 +52,6 @@ def test_one_bank_streaming_obeys_the_port_law(fwd, rec, want):
                                fwd, rec)
     assert res.resident_count == want
     assert res.routes["row1"] == "resident"
-
-
-def test_budget_none_infeasible():
-    with pytest.raises(InfeasibleError):
-        minimal_resident_set(WindowSpec(), FetchBudget("none"))
 
 
 def random_spec(rng):

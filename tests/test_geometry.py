@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dbemem.errors import ConfigError
-from dbemem.geometry import (Chroma, ImageGeometry, Interleave, SliceLayout,
+from dbemem.geometry import (ImageGeometry, Interleave, SliceLayout,
                              block_at_slot, build_geometry)
 from dbemem.membank import Purpose
 from dbemem.predwindow import WindowSpec
@@ -208,12 +208,3 @@ def test_partition_regions_disjoint():
     for i, (a0, a1) in enumerate(spans):
         for b0, b1 in spans[i + 1:]:
             assert a1 <= b0 or b1 <= a0
-
-
-def test_chroma_is_annotation_only():
-    p1 = build_geometry(ImageGeometry(640, 64, Chroma.C444), SliceLayout(1, 1),
-                        Interleave.ROUND_ROBIN)
-    p2 = build_geometry(ImageGeometry(640, 64, Chroma.C422), SliceLayout(1, 1),
-                        Interleave.ROUND_ROBIN)
-    assert p1.words_per_line == p2.words_per_line
-    assert p1.partition_bases == p2.partition_bases

@@ -43,12 +43,6 @@ def test_adjacent_pixels_differ():
     assert (probe[:-1] != probe[1:]).any(axis=-1).all()
 
 
-def test_bit_depth_range():
-    o = GoldenOracle(3, bit_depth=8)
-    frame = o.golden_frame(64, 16)
-    assert frame.min() >= 0 and frame.max() <= 255
-
-
 def test_gray_axis():
     v = np.array([0, 1, 511, 700, 1023], dtype=np.int32)
     gray = np.stack([v, v, v], axis=-1)

@@ -10,48 +10,30 @@ import json
 import pytest
 
 from dbemem.engine import SimConfig, run_simulation
-from dbemem.geometry import Chroma, ImageGeometry, SliceLayout
+from dbemem.geometry import ImageGeometry, SliceLayout
 from dbemem.sched import preset_by_name
 from dbemem.shell import build_report, emit_trace, parse_config, report_to_text
 
-# (preset, slice columns, chroma) at 640x128 -> report digest
+# (preset, slice columns) at 640x128 -> report digest
 MATRIX = {
-    ("baseline", 1, "444"):
+    ("baseline", 1):
         "aa0aa47516e609f360d2ed230db19424fce2e4b3be8a0674c5f8e4f86cea6999",
-    ("baseline", 1, "422"):
-        "74adba10529f7cc65ec7c13bb678038d6bf9771d4b42063332fa721354c0db9e",
-    ("baseline", 2, "444"):
+    ("baseline", 2):
         "d3f5e3d3b56b6c7ebbcbf9b5c730257ed3bb02dd296e2dbee96b990703981a2a",
-    ("baseline", 2, "422"):
-        "099555112098e596b1186adfd0d4a53cabc9206e4f79864d041a68a5e1f5004e",
-    ("baseline", 4, "444"):
+    ("baseline", 4):
         "746acb26aaf8df19f25e4a65b15d5d14a40aa14cd7cbe326a4879ee821ac9fdf",
-    ("baseline", 4, "422"):
-        "7a690570c54c40d04b08309fcc3c0a2c201a39b98dfb97afa0ae9026d0deca12",
-    ("type1", 1, "444"):
+    ("type1", 1):
         "9b13a33e8fa25b6401e090cc2af9f30f9d92ec5e05f2302f668d7c2ecf62609e",
-    ("type1", 1, "422"):
-        "40ba024deedcf796f1b25bb4d32769bfe9ec7892b144bb96e67187d098f48909",
-    ("type1", 2, "444"):
+    ("type1", 2):
         "88a4ec1243ca0eabf451f1565ec8698873464c9ad4c373a3157f75dfa0958c02",
-    ("type1", 2, "422"):
-        "64a97cc04a920e99f757b9753c2cf04d1078a8b32a3c3b7c1c5ee862852e6005",
-    ("type1", 4, "444"):
+    ("type1", 4):
         "49344946ae71891d1641e1ac23c5da88b3531eecf8183b08890e87eed776e8f6",
-    ("type1", 4, "422"):
-        "10d11c10ba073e613763ba1317ef6e5902aaadc333b70f60a488222ae8c86de1",
-    ("type2", 1, "444"):
+    ("type2", 1):
         "a267335e98303caa7cea6ba5fff177b73d588691bd6c7e845ce7bf2fc3797712",
-    ("type2", 1, "422"):
-        "b94fdbbb1bb0ca8198386ad898a2ab809f8593b27224d2fa17dd3ec9e114f662",
-    ("type2", 2, "444"):
+    ("type2", 2):
         "6f93aff5e5c856be1b67d1a87f3fd3cb9be05843b03a24661b41a05f18ff7573",
-    ("type2", 2, "422"):
-        "a3e7a09f9931b6249a685e697fa8f7b552fb669df45f3dd03f9cc60a30332c66",
-    ("type2", 4, "444"):
+    ("type2", 4):
         "043e57d14d3d91cfc444ef805a28d0161f443b05ebd81f12f4fdad43fac1a055",
-    ("type2", 4, "422"):
-        "c819da963072b04afeb77cd9518585ce43974bca43232eab5e457b7e7cdc036b",
 }
 
 
@@ -92,10 +74,10 @@ def digest(text: str) -> str:
 
 def test_regression_matrix_reports():
     got = {}
-    for name, cols, chroma in MATRIX:
-        cfg = SimConfig(ImageGeometry(640, 128, Chroma(chroma)),
-                        SliceLayout(cols, 1), preset_by_name(name))
-        got[name, cols, chroma] = digest(
+    for name, cols in MATRIX:
+        cfg = SimConfig(ImageGeometry(640, 128), SliceLayout(cols, 1),
+                        preset_by_name(name))
+        got[name, cols] = digest(
             report_to_text(build_report(run_simulation(cfg))))
     assert got == MATRIX
 

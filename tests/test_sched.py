@@ -13,7 +13,7 @@ from dbemem.geometry import (CYCLES_PER_SLOT, LINE_WORDS, PIXELS_PER_WORD,
 from dbemem.ledger import Pass
 from dbemem.membank import Purpose
 from dbemem.predwindow import WindowSpec
-from dbemem.sched import (COL, PX, WORD, Scheduler, preset_baseline,
+from dbemem.sched import (COL, PX, REFILL, WORD, Scheduler, preset_baseline,
                           preset_by_name, preset_type1, preset_type2,
                           total_frame_cycles)
 
@@ -213,10 +213,19 @@ def test_warmup_fills_tail_slots():
     assert tail_words == [(2 * bl + 1, j) for j in range(sched.warmup_count)]
 
 
-@pytest.mark.parametrize("name", ["baseline", "type1", "type2"])
-@pytest.mark.parametrize("interleave", list(Interleave))
-@pytest.mark.parametrize("read_latency", [0, 1])
-@pytest.mark.parametrize("budget", [None, 2])
+def budget_cases(budgets):
+    """(preset, interleave, read latency, fetch budget) cases; a budget
+    only for the refill presets, since a streaming preset pads no
+    fetches."""
+    return [pytest.param(name, il, lat, budget,
+                         id=f"{budget}-{lat}-{il}-{name}")
+            for budget in budgets for lat in (0, 1) for il in Interleave
+            for name in ("baseline", "type1", "type2")
+            if budget is None or preset_by_name(name).fetch_kind == REFILL]
+
+
+@pytest.mark.parametrize("name, interleave, read_latency, budget",
+                         budget_cases([None, 2]))
 def test_blockline_replay_matches_slot_plan(name, interleave, read_latency,
                                             budget):
     """Every blockline's bookings equal those of the first blockline of its
@@ -242,10 +251,8 @@ def test_blockline_replay_matches_slot_plan(name, interleave, read_latency,
             assert len(templates) < plan.total_blocklines
 
 
-@pytest.mark.parametrize("name", ["baseline", "type1", "type2"])
-@pytest.mark.parametrize("interleave", list(Interleave))
-@pytest.mark.parametrize("read_latency", [0, 1])
-@pytest.mark.parametrize("budget", [None, 2, 4])
+@pytest.mark.parametrize("name, interleave, read_latency, budget",
+                         budget_cases([None, 2, 4]))
 def test_booking_place_follows_from_its_word(name, interleave, read_latency,
                                              budget):
     """Every booking's slice column and pixel x follow from its word

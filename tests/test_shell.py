@@ -19,7 +19,7 @@ from dbemem.shell import (build_report, buffer_accounting, emit_report,
                           report_to_text, throughput_metrics)
 
 CFG = {
-    "image": {"width": 320, "height": 32, "chroma": "444", "bit_depth": 10},
+    "image": {"width": 320, "height": 32},
     "slices": {"columns": 1, "rows": 1},
     "arch": "type2",
     "clock_mhz": 200,
@@ -52,12 +52,12 @@ def test_recon_accounting_type2_four_slices():
 
 
 def test_throughput_metrics():
-    m = throughput_metrics(200e6, 4, 3840, 2160)
+    m = throughput_metrics(200e6, 3840, 2160)
     assert m["mpixels_per_sec"] == 800.0
     assert m["fps"] == 96.45
-    assert throughput_metrics(200e6, 4, 1920, 1080)["fps"] == 385.80
+    assert throughput_metrics(200e6, 1920, 1080)["fps"] == 385.80
     with pytest.raises(ConfigError):
-        throughput_metrics(0, 4, 3840, 2160)
+        throughput_metrics(0, 3840, 2160)
 
 
 def test_report_roundtrip_and_determinism(tmp_path):
@@ -259,6 +259,13 @@ def test_cli_unknown_flag_exit_two():
     assert e.value.code == 2
 
 
+def test_cli_fps_takes_no_pixels_per_cycle():
+    # the decoder takes 4 pixels per cycle, which is no option
+    with pytest.raises(SystemExit) as e:
+        cli_main(["fps", "--width", "3840", "--height", "2160", "--ppc", "4"])
+    assert e.value.code == 2
+
+
 def test_cli_bad_config_exit_two(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{\"image\": {\"width\": 321, \"height\": 32}}")
@@ -329,8 +336,9 @@ def _fault_cfg(kind, value, arch="type2"):
     *(dict(CFG, arch=name, faults=[{"kind": "flip_word", "buffer": "lower0",
                                     "word_index": 39, "cycle": 100}])
       for name in ("baseline", "type1", "type2")),
-    # an enum or string field takes a JSON string only
+    # chroma is no key (see below), whatever its value
     dict(CFG, image=dict(CFG["image"], chroma=444)),
+    # an enum or string field takes a JSON string only
     dict(CFG, arch={"name": 5}),
     dict(CFG, arch={"residency": {"prev": 5}}),
     # a fault takes only its own kind's fields
@@ -341,6 +349,13 @@ def _fault_cfg(kind, value, arch="type2"):
     dict(CFG, faults=[{"kind": "noop", "value": 1}]),
     # the decoder takes 4 pixels per cycle, which is no config key
     dict(CFG, throughput_ppc=4),
+    # the model has one pixel format, 10-bit 4:4:4, and no key for it
+    dict(CFG, image=dict(CFG["image"], chroma="444")),
+    dict(CFG, image=dict(CFG["image"], bit_depth=10)),
+    # a budget of 0 would book the fetches of 1, and a streaming slot pads
+    # no fetches
+    dict(CFG, arch={"fetch_words_per_slot": 0}),
+    dict(CFG, arch={"fetch_kind": "streaming", "fetch_words_per_slot": 2}),
 ], ids=["capacity_str", "capacity_negative", "bit_depth_str", "chroma_420",
         "interleave_bogus", "window_span_str", "line_buffers_str",
         "height_missing", "fetch_budget_0", "clock_nan", "flip_unused_word",
@@ -349,7 +364,9 @@ def _fault_cfg(kind, value, arch="type2"):
         "clock_bool", "fetch_words_over_slot", "fetch_words_negative",
         "flip_unseen_baseline", "flip_unseen_type1", "flip_unseen_type2",
         "chroma_int", "arch_name_int", "route_int", "banks_with_buffer",
-        "flip_with_value", "noop_with_value", "throughput_ppc_key"])
+        "flip_with_value", "noop_with_value", "throughput_ppc_key",
+        "chroma_444", "bit_depth_10", "fetch_words_0",
+        "streaming_fetch_words_2"])
 def test_cli_malformed_config_exit_two(tmp_path, capsys, data):
     assert cli_main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2
     err = capsys.readouterr().err
@@ -414,9 +431,8 @@ _arch_obj = st.fixed_dictionaries({}, optional={
     "capacity_pixels": _maybe([None, 0, 25, 90, 106])})
 _config = st.fixed_dictionaries({
     "image": _maybe(st.fixed_dictionaries(
-        {"width": _maybe([8, 16, 32, 48, 64]), "height": _maybe([2, 4, 6, 8])},
-        optional={"chroma": _maybe(["444", "422"]),
-                  "bit_depth": _maybe([8, 10, 12])}))},
+        {"width": _maybe([8, 16, 32, 48, 64]),
+         "height": _maybe([2, 4, 6, 8])}))},
     optional={
         "slices": _maybe(st.fixed_dictionaries({}, optional={
             "columns": _maybe([1, 2, 4]), "rows": _maybe([1, 2])})),
@@ -435,7 +451,7 @@ _config = st.fixed_dictionaries({
 def _integers(data):
     """The values of a config that it reads as integers."""
     out = [data[k] for k in ("seed", "sram_read_latency") if k in data]
-    for section, keys in (("image", ("width", "height", "bit_depth")),
+    for section, keys in (("image", ("width", "height")),
                           ("slices", ("columns", "rows")),
                           ("arch", ("line_buffers", "banks_per_buffer",
                                     "fetch_words_per_slot"))):
