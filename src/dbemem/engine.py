@@ -33,7 +33,7 @@ from .oracle import GoldenOracle, ycocg_frame
 from .predwindow import (BLOCK_BITS, FETCH, FORWARDED, RESIDENT, SECTIONS,
                          ReconBufferState, WindowSpec)
 from .sched import (BANK, BLOCK, CYCLE, LINE, PURPOSE, PURPOSES, PX,
-                    SLOT, STREAMING, WORD, ArchPreset, Scheduler,
+                    SLOT, WORD, ArchPreset, Scheduler,
                     preset_baseline, total_frame_cycles)
 
 DETAIL_LIMIT = 16  # violation samples kept per class
@@ -155,7 +155,7 @@ def apply_faults_to_preset(preset: ArchPreset, faults,
         if f.kind not in _OVERRIDES:
             continue
         if f.kind == "capacity_override":
-            # None would restore the policy's own count
+            # None would restore the preset's own count
             require_int(f.value, "capacity_override value", 0)
             current = preset.capacity_for(spec)
         else:
@@ -294,7 +294,7 @@ class Engine:
         self._watches = [_FlipWatch(f) for f in flips]
         self._flips = [(buffers.index(f.buffer) * LINE_WORDS + f.word_index,
                         f.cycle) for f in flips]
-        self._parts = self.preset.residency.parts(self.spec)
+        self._parts = self.preset.parts(self.spec)
         # per section: name, line offset from the blockline's upper row
         # and parts
         self._window = [(s, dy, self._parts[s])
@@ -342,14 +342,9 @@ class Engine:
         self._setup_window()
 
     def _stage_words(self) -> int:
-        words = self.sched.warmup_count + 1
-        if self.preset.fetch_kind == STREAMING:
-            for s, (lo, hi, route) in (
-                    ("prev", self._parts["prev"][0]),
-                    ("row1", self._parts["row1"][0])):
-                if route == FETCH:
-                    words += (hi - lo) // PIXELS_PER_WORD + 2
-        return words
+        return self.sched.warmup_count + 1 + sum(
+            (hi - lo) // PIXELS_PER_WORD + 2 for parts in self._parts.values()
+            for lo, hi, route in parts if route == FETCH)
 
     def stage_key(self, col, line, word):
         """A fetch stage entry's key: slice column, line mod 4, local word."""
@@ -357,14 +352,13 @@ class Engine:
 
     def _setup_residency(self):
         """What `_advance_window` needs besides the stage: every column's
-        recon buffer, the sections the policy keeps pixels of, and where
+        recon buffer, the sections the preset keeps pixels of, and where
         each previous-line pixel x enters the window."""
-        self._recon = [ReconBufferState(self.spec, self.preset.residency,
-                                        self.capacity)
+        self._recon = [ReconBufferState(self.spec, self.preset, self.capacity)
                        for _ in range(self.plan.slices.columns)]
         keep = self._recon[0].keep
         self._resident = [s for s in SECTIONS if keep[s]]
-        self._row_lag = 2 if self.preset.residency.forwarding_enabled else 1
+        self._row_lag = 2 if self.preset.forwarding else 1
         lo, hi = self.spec.prev_line_span
         n, sw = self.plan.words_per_line, self.plan.slice_width
         x = np.arange(sw)
@@ -777,8 +771,6 @@ class Engine:
         (served, misses, mismatches)."""
         first = self.plan.is_first_blockline_of_slice(bl)
         cols = self.plan.slices.columns
-        streaming = self.preset.fetch_kind == STREAMING
-        reconvert = self.preset.residency.reconvert_on_fetch
         counts = []   # per part: (misses, mismatches), each (cols, blocks)
         sections = []
         served = 0
@@ -799,8 +791,7 @@ class Engine:
                     n_bad = np.count_nonzero(ok & bad[:, part["x"]], axis=-1)
             elif route == FORWARDED:
                 ok = np.broadcast_to(inside, (cols,) + inside.shape)
-            elif route == FETCH and streaming and s != "row0" and \
-                    (s == "prev" or reconvert):
+            else:   # FETCH, served from the stage
                 entry = stage.at(
                     self.stage_key(np.arange(cols)[:, None, None], y,
                                    part["words"]),
@@ -808,8 +799,6 @@ class Engine:
                 pe = entry[:, :, part["word_at"]]
                 ok = (stage.line[pe] == y) & inside
                 n_bad = np.count_nonzero(ok & stage.bad(y)[pe], axis=-1)
-            else:
-                ok = np.zeros((cols,) + inside.shape, dtype=bool)
             n_ok = np.count_nonzero(ok, axis=-1)
             counts.append((size - n_ok, n_bad + np.zeros_like(n_ok)))
             sections.append(s)

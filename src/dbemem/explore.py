@@ -13,8 +13,9 @@ from itertools import product
 from .errors import ConfigError, InfeasibleError
 from .geometry import ImageGeometry, Interleave, SliceLayout, build_geometry
 from .membank import SramBankModel
-from .predwindow import FETCH, RESIDENT, ResidencyPolicy, SECTIONS, WindowSpec
-from .sched import ArchPreset, HALF_LINE, REFILL, STREAMING, Scheduler
+from .predwindow import FETCH, RESIDENT, SECTIONS, WindowSpec
+from .sched import (FETCHABLE, HALF_LINE, REFILL, STREAMING, ArchPreset,
+                    Scheduler)
 
 # the width of the explorer's one slice column, in words, unless the
 # previous-line span needs a wider one
@@ -46,43 +47,25 @@ class ExplorerResult:
     routes: dict
 
 
-def _candidate_routes(spec: WindowSpec, budget: FetchBudget, forwarding: bool,
-                      reconvert: bool):
-    """Route assignments to try, cheapest (fewest resident pixels) first.
-
-    The streaming fetch path reaches the lower-buffer lines only (previous
-    line and current lower row); the lower row's pixels are YCoCg-tagged, so
-    streaming them additionally needs the reconvert unit.
-    """
-    if budget.kind != STREAMING:
-        yield {s: RESIDENT for s in SECTIONS}
-        return
-    prev_opts = [FETCH, RESIDENT]
-    row1_opts = [FETCH, RESIDENT] if reconvert else [RESIDENT]
-    combos = []
-    for p, r1 in product(prev_opts, row1_opts):
-        routes = {"prev": p, "row0": RESIDENT, "row1": r1}
-        combos.append(routes)
-
-    def count(routes):
-        pol = ResidencyPolicy(routes=dict(routes), forwarding_enabled=forwarding)
-        return pol.resident_count(spec)
-
-    yield from sorted(combos, key=count)
+def _candidates(spec: WindowSpec, budget: FetchBudget, forwarding: bool,
+                reconvert: bool) -> list[ArchPreset]:
+    """The routings to try, each as a preset, cheapest (fewest resident
+    pixels) first: every section the budget's fetch path reaches
+    (`FETCHABLE`) fetched or resident, the lower row only through the
+    reconvert unit, and the rest resident."""
+    reach = [s for s in FETCHABLE[budget.kind] if s != "row1" or reconvert]
+    presets = [ArchPreset("explorer", HALF_LINE, 2, budget.banks_per_buffer,
+                          budget.kind, 1, dict(zip(SECTIONS, routes)),
+                          forwarding)
+               for routes in product(*([FETCH, RESIDENT] if s in reach
+                                       else [RESIDENT] for s in SECTIONS))]
+    return sorted(presets, key=lambda p: p.capacity_for(spec))
 
 
-def _schedule_feasible(spec: WindowSpec, routes: dict, budget: FetchBudget,
-                       forwarding: bool, reconvert: bool,
+def _schedule_feasible(spec: WindowSpec, preset: ArchPreset,
                        slice_words: int) -> bool:
     """Book one steady-state blockline of traffic on the bank models: it
     is placeable when no booking conflicts under their port law."""
-    policy = ResidencyPolicy(routes=dict(routes), forwarding_enabled=forwarding,
-                             reconvert_on_fetch=reconvert)
-    preset = ArchPreset(
-        name="explorer", line_delay=HALF_LINE, line_buffers=2,
-        banks_per_buffer=budget.banks_per_buffer,
-        fetch_kind=budget.kind,
-        fetch_words_per_slot=1, residency=policy)
     image = ImageGeometry(slice_words * 8, 8)
     # one slice column decodes in the same order under either interleave
     plan = build_geometry(image, SliceLayout(1, 1), Interleave.COLUMN_MAJOR)
@@ -107,16 +90,11 @@ def minimal_resident_set(spec: WindowSpec, budget: FetchBudget,
     slice_words = SLICE_WORDS
     if slice_words * 8 < spec.prev_line_span[1] + 8:
         slice_words = spec.prev_line_span[1] // 8 + 2
-    # candidates are ordered cheapest-first
-    for routes in _candidate_routes(spec, budget, forwarding, reconvert):
-        if _schedule_feasible(spec, routes, budget, forwarding, reconvert,
-                              slice_words):
-            policy = ResidencyPolicy(routes=dict(routes),
-                                     forwarding_enabled=forwarding,
-                                     reconvert_on_fetch=reconvert)
-            positions = policy.resident_positions(spec)
-            count = sum(len(v) for v in positions.values())
-            return ExplorerResult(count, positions, dict(routes))
+    for preset in _candidates(spec, budget, forwarding, reconvert):
+        if _schedule_feasible(spec, preset, slice_words):
+            return ExplorerResult(preset.capacity_for(spec),
+                                  preset.resident_positions(spec),
+                                  dict(preset.residency))
     # nothing placeable even with everything resident
     raise InfeasibleError("no routing satisfies the schedule")
 

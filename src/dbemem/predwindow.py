@@ -1,14 +1,15 @@
-"""Prediction window geometry, residency policies, and the reconstruction buffer.
+"""Prediction window geometry and the reconstruction buffer.
 
 The window around a block has three sections: a span on the previous line
 (kept in RGB) and two spans on the current blockline's rows (kept in YCoCg).
-A ResidencyPolicy routes each section to the reconstruction buffer, the
-block-forwarding path, or per-need line-buffer fetches.  The circular
-reconstruction buffer slides by one block (8 relative positions) per slot;
-both engines keep its residency with `ReconBufferState`.
+An architecture (`sched.ArchPreset`) routes each section to the
+reconstruction buffer, the block-forwarding path, or per-need line-buffer
+fetches.  The circular reconstruction buffer slides by one block (8
+relative positions) per slot; both engines keep its residency with
+`ReconBufferState`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,63 +54,6 @@ class WindowSpec:
                    (self.prev_line_span, self.cur_row0_span, self.cur_row1_span))
 
 
-@dataclass(frozen=True)
-class ResidencyPolicy:
-    """Which window pixels live in the reconstruction buffer.
-
-    `routes` maps each section to RESIDENT or FETCH for its non-forwarded
-    portion.  With forwarding enabled, the rightmost 8 pixels of each
-    current-row span are served from the decode pipe instead of storage.
-    """
-    routes: dict = field(default_factory=lambda: {s: RESIDENT for s in SECTIONS})
-    forwarding_enabled: bool = False
-    reconvert_on_fetch: bool = False
-
-    def __post_init__(self):
-        for s in SECTIONS:
-            if self.routes.get(s) not in (RESIDENT, FETCH):
-                raise ConfigError(f"section {s!r} must be routed resident or fetch")
-
-    def parts(self, spec: WindowSpec) -> dict:
-        """Per section, its span as parts (lo, hi, route): with forwarding,
-        the rightmost block of a current-row span is FORWARDED and the rest
-        keeps the section's route."""
-        out = {}
-        for s in SECTIONS:
-            lo, hi = spec.span(s)
-            split = hi + 1
-            if s != "prev" and self.forwarding_enabled and hi >= -BLOCK_W:
-                split = max(lo, -BLOCK_W)
-            out[s] = [(a, b, route) for a, b, route in (
-                (lo, split - 1, self.routes[s]), (split, hi, FORWARDED))
-                if a <= b]
-        return out
-
-    def resident_positions(self, spec: WindowSpec) -> dict:
-        """Per-section list of relative offsets the policy keeps resident."""
-        return {s: [r for lo, hi, route in parts if route == RESIDENT
-                    for r in range(lo, hi + 1)]
-                for s, parts in self.parts(spec).items()}
-
-    def resident_count(self, spec: WindowSpec) -> int:
-        return sum(len(v) for v in self.resident_positions(spec).values())
-
-
-def policy_full_resident() -> ResidencyPolicy:
-    return ResidencyPolicy()
-
-
-def policy_forwarding() -> ResidencyPolicy:
-    return ResidencyPolicy(forwarding_enabled=True)
-
-
-def policy_streaming() -> ResidencyPolicy:
-    """Only the upper row's non-forwarded pixels stay resident; the previous
-    line and the lower row are fetched from the line buffer on demand."""
-    return ResidencyPolicy(routes={"prev": FETCH, "row0": RESIDENT, "row1": FETCH},
-                           forwarding_enabled=True, reconvert_on_fetch=True)
-
-
 BLOCK_BITS = (1 << BLOCK_W) - 1   # one block of a section's positions
 
 
@@ -135,20 +79,17 @@ class ReconBufferState:
     misses when the window needs them).  The buffer keeps residency only:
     the engines know the values a position holds."""
 
-    def __init__(self, spec: WindowSpec, policy: ResidencyPolicy, capacity: int):
+    def __init__(self, spec: WindowSpec, preset, capacity: int):
         self.capacity = capacity
         self.lo = {s: spec.span(s)[0] for s in SECTIONS}
-        resident = policy.resident_positions(spec)
+        resident = preset.resident_positions(spec)
         self.keep = {s: sum(1 << (r - self.lo[s]) for r in resident[s])
                      for s in SECTIONS}
         self.valid = dict.fromkeys(SECTIONS, 0)
-        # a section the policy keeps nothing of never holds a pixel
+        # a section the preset keeps nothing of never holds a pixel
         self._sliding = [s for s in SECTIONS if self.keep[s]]
         self.peak_occupancy = 0
         self._occ = 0
-
-    def occupancy(self) -> int:
-        return self._occ
 
     def slide(self) -> None:
         valid = self.valid
@@ -166,7 +107,7 @@ class ReconBufferState:
     def admit_run(self, section: str, rel0: int, bits: int) -> int:
         """Admit the positions rel0 + i for the set bits i of `bits`, none
         of which may hold a pixel yet.  Positions outside the section or the
-        policy's resident mask are skipped; overflow beyond the capacity is
+        preset's resident mask are skipped; overflow beyond the capacity is
         rejected from the tail (newest).  Returns how many were admitted."""
         sh = rel0 - self.lo[section]
         cand = (bits << sh if sh >= 0 else bits >> -sh) & self.keep[section]

@@ -16,9 +16,7 @@ from .geometry import BLOCK_W, CYCLES_PER_SLOT, LINE_WORDS, PIXELS_PER_WORD
 from .membank import (VIOLATION_CLASSES, HazardViolation, Purpose,
                       SramBankModel, UnderflowViolation)
 from .oracle import ycocg_frame
-from .predwindow import (FETCH, FORWARDED, RESIDENT, SECTIONS,
-                         ReconBufferState)
-from .sched import STREAMING
+from .predwindow import FORWARDED, RESIDENT, SECTIONS, ReconBufferState
 
 
 def bad_pixels(got: np.ndarray, want: np.ndarray) -> int:
@@ -38,7 +36,7 @@ class _ColumnState:
     """
 
     def __init__(self, spec, preset, capacity, n_words, slice_width):
-        self.recon = ReconBufferState(spec, preset.residency, capacity)
+        self.recon = ReconBufferState(spec, preset, capacity)
         self.values = {s: np.zeros((slice_width, 3), dtype=np.int32)
                        for s in SECTIONS}
         self.stage_vals = np.zeros((4, n_words, PIXELS_PER_WORD, 3),
@@ -80,9 +78,8 @@ class ReferenceEngine(Engine):
                             in zip(self._flips, self._watches))
         self._flipped = set()   # watches whose flip the word still holds
         self._next_display_k = 0   # the raster word the display reads next
-        routes = self.preset.residency.routes
         self._resident_rows = [(s, row) for s, row in (("row0", 0), ("row1", 1))
-                               if routes[s] == RESIDENT]
+                               if self.preset.residency[s] == RESIDENT]
 
     def _drain_bank_violations(self):
         for found in self.undrained:
@@ -284,7 +281,7 @@ class ReferenceEngine(Engine):
             self._admit_prev(b, col, left, base_x, full=False)
         # rows: without forwarding the previous block becomes resident now; with
         # forwarding it is served from the pipe this slot and stored at the next
-        if self.preset.residency.forwarding_enabled:
+        if self.preset.forwarding:
             if len(col.history) == 2:
                 yco2 = col.history[0][1]
                 for section, row in self._resident_rows:
@@ -311,7 +308,7 @@ class ReferenceEngine(Engine):
                 col.values[section][left + rel0 + i] = vals[i]
 
     def _admit_prev(self, b, col, left, base_x, full):
-        if self.preset.residency.routes["prev"] != RESIDENT:
+        if self.preset.residency["prev"] != RESIDENT:
             return
         lo, hi = self.spec.prev_line_span
         prev_y = 2 * b.blockline - 1
@@ -346,7 +343,6 @@ class ReferenceEngine(Engine):
         first = plan.is_first_blockline_of_slice(b.blockline)
         served = misses = mismatches = 0
         y0 = 2 * b.blockline
-        streaming = self.preset.fetch_kind == STREAMING
         for section, dy, parts in self._window:
             if dy < 0:
                 if first:
@@ -377,11 +373,9 @@ class ReferenceEngine(Engine):
                         n_bad = bad_pixels(yrow[offs:offs + m], want)
                     else:
                         n_miss = m
-                elif route == FETCH and streaming and section != "row0":
+                else:   # FETCH, served from the stage
                     n_miss, n_bad = self._serve_fetched(
                         col, section, y, xa, xb, base_x, want)
-                else:
-                    n_miss = m
                 served += m - n_miss - n_bad
                 misses += n_miss
                 mismatches += n_bad
@@ -394,18 +388,17 @@ class ReferenceEngine(Engine):
         return served, misses, mismatches
 
     def _serve_fetched(self, col, section, y, xa, xb, base_x, want):
-        """Serve a contiguous span from the fetch stage (streaming presets),
-        word by word."""
+        """Serve a contiguous span from the fetch stage, word by word: the
+        lower row through the reconvert unit."""
         wa = (xa - base_x) // PIXELS_PER_WORD
         wb = (xb - base_x) // PIXELS_PER_WORD
         s = y & 3
         n_miss = n_bad = 0
-        reconv = self.preset.residency.reconvert_on_fetch
         for w in range(wa, wb + 1):
             x0 = max(xa, base_x + w * PIXELS_PER_WORD)
             x1 = min(xb, base_x + (w + 1) * PIXELS_PER_WORD - 1)
             cnt = x1 - x0 + 1
-            if col.stage_line[s, w] != y or (section != "prev" and not reconv):
+            if col.stage_line[s, w] != y:
                 n_miss += cnt
                 continue
             j = x0 - base_x - w * PIXELS_PER_WORD

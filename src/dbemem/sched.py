@@ -23,18 +23,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, require_int
-from .geometry import (CYCLES_PER_SLOT, BlockCoord, GeometryPlan,
+from .geometry import (BLOCK_W, CYCLES_PER_SLOT, BlockCoord, GeometryPlan,
                        PIXELS_PER_WORD, block_at_slot, decode_position)
 from .membank import AccessRecord, Purpose
-from .predwindow import (FETCH, FORWARDED, ResidencyPolicy, WindowSpec,
-                         policy_forwarding, policy_full_resident,
-                         policy_streaming)
+from .predwindow import FETCH, FORWARDED, RESIDENT, SECTIONS, WindowSpec
 
 ONE_LINE = "one_line"
 HALF_LINE = "half_line"
 
 REFILL = "refill"          # fixed fetch cycle per slot, feeds the resident window
 STREAMING = "streaming"    # fetch on any free lower-bank cycle, serve on demand
+# the window sections each fetch path serves.  A refill fetch tops up the
+# resident window and serves none; the streaming datapath hangs off the
+# lower buffer pair, whose lines are the previous line and the lower row,
+# and serves the lower row through its RGB->YCoCg reconvert unit
+FETCHABLE = {REFILL: (), STREAMING: ("prev", "row1")}
 
 # the rows of `Scheduler.booking_arrays`, and its purpose codes: a purpose's
 # code is its place in PURPOSES
@@ -48,14 +51,20 @@ _CODE = {p: i for i, p in enumerate(PURPOSES)}
 
 @dataclass(frozen=True)
 class ArchPreset:
+    """An architecture.  `residency` routes each window section's
+    non-forwarded pixels RESIDENT (kept in the reconstruction buffer) or
+    FETCH (served from the line buffer by the fetch path, which must reach
+    the section: `FETCHABLE`).  With `forwarding`, the rightmost block of
+    each current-row span is served from the decode pipe instead."""
     name: str
     line_delay: str
     line_buffers: int
     banks_per_buffer: int
     fetch_kind: str
     fetch_words_per_slot: int
-    residency: ResidencyPolicy
-    capacity_pixels: int | None = None  # None -> the policy's count under the window spec
+    residency: dict
+    forwarding: bool
+    capacity_pixels: int | None = None  # None -> the resident count under the window spec
 
     def __post_init__(self):
         if self.line_delay not in (ONE_LINE, HALF_LINE):
@@ -72,23 +81,50 @@ class ArchPreset:
         if self.fetch_kind == STREAMING and self.fetch_words_per_slot != 1:
             raise ConfigError("a streaming preset takes fetch_words_per_slot "
                               f"1, got {self.fetch_words_per_slot}")
+        for s in SECTIONS:
+            if self.residency.get(s) not in (RESIDENT, FETCH):
+                raise ConfigError(f"section {s!r} must be routed resident or fetch")
+        reach = FETCHABLE[self.fetch_kind]
+        unserved = [s for s in SECTIONS
+                    if self.residency[s] == FETCH and s not in reach]
+        if unserved:
+            raise ConfigError(
+                f"the {self.fetch_kind} fetch path serves "
+                f"{', '.join(reach) or 'no section'}, so "
+                f"{', '.join(unserved)} cannot be routed fetch")
         if self.capacity_pixels is not None:
             require_int(self.capacity_pixels, "capacity_pixels", 0)
 
-    # read-only views of the residency policy's flags, for cli.py, the tests
-    # and perfbench/child.py; the engine reads `residency` itself
-    @property
-    def forwarding(self) -> bool:
-        return self.residency.forwarding_enabled
-
     @property
     def reconvert_on_fetch(self) -> bool:
-        return self.residency.reconvert_on_fetch
+        """Whether the reconvert unit is in use: the lower row streams."""
+        return self.residency["row1"] == FETCH
+
+    def parts(self, spec: WindowSpec) -> dict:
+        """Per section, its span as parts (lo, hi, route): with forwarding,
+        the rightmost block of a current-row span is FORWARDED and the rest
+        keeps the section's route."""
+        out = {}
+        for s in SECTIONS:
+            lo, hi = spec.span(s)
+            split = hi + 1
+            if s != "prev" and self.forwarding and hi >= -BLOCK_W:
+                split = max(lo, -BLOCK_W)
+            out[s] = [(a, b, route) for a, b, route in (
+                (lo, split - 1, self.residency[s]), (split, hi, FORWARDED))
+                if a <= b]
+        return out
+
+    def resident_positions(self, spec: WindowSpec) -> dict:
+        """Per-section list of relative offsets kept resident."""
+        return {s: [r for lo, hi, route in parts if route == RESIDENT
+                    for r in range(lo, hi + 1)]
+                for s, parts in self.parts(spec).items()}
 
     def capacity_for(self, spec: WindowSpec) -> int:
         if self.capacity_pixels is not None:
             return self.capacity_pixels
-        return self.residency.resident_count(spec)
+        return sum(map(len, self.resident_positions(spec).values()))
 
     def latency_cycles(self, plan: GeometryPlan) -> int:
         width = plan.image.width
@@ -112,17 +148,20 @@ class ArchPreset:
 
 def preset_baseline() -> ArchPreset:
     return ArchPreset("baseline", ONE_LINE, 3, 1, REFILL, 1,
-                      residency=policy_full_resident())
+                      dict.fromkeys(SECTIONS, RESIDENT), forwarding=False)
 
 
 def preset_type1() -> ArchPreset:
     return ArchPreset("type1", HALF_LINE, 2, 1, REFILL, 1,
-                      residency=policy_forwarding())
+                      dict.fromkeys(SECTIONS, RESIDENT), forwarding=True)
 
 
 def preset_type2() -> ArchPreset:
+    """Only the upper row's non-forwarded pixels stay resident; the previous
+    line and the lower row are fetched from the line buffer on demand."""
     return ArchPreset("type2", HALF_LINE, 2, 2, STREAMING, 1,
-                      residency=policy_streaming())
+                      {"prev": FETCH, "row0": RESIDENT, "row1": FETCH},
+                      forwarding=True)
 
 
 PRESETS = {"baseline": preset_baseline, "type1": preset_type1, "type2": preset_type2}
@@ -195,7 +234,7 @@ class Scheduler:
         # per section, the part of its span that is not forwarded (a
         # section forwarded whole has none)
         self._fetched_span = {
-            s: (lo, hi) for s, parts in preset.residency.parts(spec).items()
+            s: (lo, hi) for s, parts in preset.parts(spec).items()
             for lo, hi, route in parts if route != FORWARDED}
         # (buffer, bank) in commit order within a cycle, and each one's place
         self.bank_keys = [(buf, bk) for buf in preset.buffer_names()
@@ -283,10 +322,10 @@ class Scheduler:
         display reads raster word k at `display_read_cycle(k)`.  Then come
         the slot's fetch demands, in this order: the entering word of the
         previous line's fetched span (not in a slice's first blockline);
-        for the streaming preset with row1 fetched, the entering word of
-        row1's span if it is already decoded; the next blockline's first
-        previous-line words in the last slots (the right-edge clip leaves
-        their fetch cycles idle); and for a refill budget above one word,
+        with row1 fetched (only streaming can, `FETCHABLE`), the entering
+        word of row1's span if it is already decoded; the next blockline's
+        first previous-line words in the last slots (the right-edge clip
+        leaves their fetch cycles idle); and for a refill budget above one word,
         the words after the first demand, wrapping round the slice, up to
         the budget.  Refill presets fetch at offset 2 (a second word in a
         slot lands on the same cycle and shows up as a conflict, which is
@@ -327,11 +366,8 @@ class Scheduler:
         if not self.plan.is_first_blockline_of_slice(bl):
             ok, w = entering("prev")
             demands.append((ok, 2 * bl - 1, w))
-        if self.preset.fetch_kind == STREAMING and "row1" in \
-                self._fetched_span and \
-                self.preset.residency.routes["row1"] == FETCH:
-            # the streaming fetch datapath (with its reconvert unit) hangs
-            # off the lower buffer pair, so only the lower row can stream
+        if self.preset.residency["row1"] == FETCH and \
+                "row1" in self._fetched_span:
             ok, w = entering("row1")
             demands.append((ok & (w <= bx), 2 * bl + 1, w))
         if self._warms_next(bl):

@@ -198,16 +198,14 @@ def _span(value, what: str) -> tuple[int, int]:
 
 def _arch(raw, where: str) -> ArchPreset:
     """A preset's name, or a custom preset: the baseline preset with the
-    keys the object holds, named custom unless it names itself."""
+    keys the object holds, its routes over the baseline's, named custom
+    unless it names itself."""
     if isinstance(raw, str):
         return preset_by_name(raw)
     given = _fields(raw, _ARCH, where)
     base = preset_baseline()
-    routes = {**base.residency.routes, **given.pop("residency", {})}
-    policy = {name: given.pop(key) for key, name in _POLICY_FIELD.items()
-              if key in given}
-    return replace(base, **{"name": "custom", **given},
-                   residency=replace(base.residency, routes=routes, **policy))
+    routes = {**base.residency, **given.get("residency", {})}
+    return replace(base, **{"name": "custom", **given, "residency": routes})
 
 
 def _faults(value, what: str) -> list:
@@ -223,7 +221,6 @@ _IMAGE = {"width": int, "height": int}
 _ARCH = {"name": str, "line_delay": str, "line_buffers": int,
          "banks_per_buffer": int, "fetch_kind": str,
          "fetch_words_per_slot": int, "forwarding": bool,
-         "reconvert_on_fetch": bool,
          "residency": lambda v, key: _fields(v, dict.fromkeys(SECTIONS, str),
                                              key),
          "capacity_pixels": int | None}
@@ -240,11 +237,9 @@ _CONFIG = {
         ("prev_line_span", "cur_row0_span", "cur_row1_span"), _span), key)),
     "faults": _faults,
     "interleave": Interleave, "sram_read_latency": int, "trace": bool}
-# the keys whose SimConfig or ResidencyPolicy field has another name
+# the keys whose SimConfig field has another name
 _SIM_FIELD = {"arch": "preset", "clock_mhz": "clock_hz",
               "window_spec": "window", "trace": "collect_trace"}
-_POLICY_FIELD = {"forwarding": "forwarding_enabled",
-                 "reconvert_on_fetch": "reconvert_on_fetch"}
 
 
 def parse_config(text: str) -> SimConfig:

@@ -324,7 +324,7 @@ def test_custom_window_specs_run_clean(spans):
         cfg = cfg_for(name, width=640, height=32, window=spec)
         res = run_simulation(cfg)
         assert res.passed, (name, spans, res.violations.as_dict())
-        want = preset_by_name(name).residency.resident_count(spec)
+        want = preset_by_name(name).capacity_for(spec)
         assert max(res.peak_recon_per_column) == want
 
 

@@ -3,10 +3,10 @@ import pytest
 from dbemem.engine import Engine, SimConfig
 from dbemem.errors import ConfigError
 from dbemem.geometry import ImageGeometry, SliceLayout
-from dbemem.predwindow import (ReconBufferState, WindowSpec, policy_forwarding,
-                               policy_full_resident, policy_streaming)
+from dbemem.predwindow import ReconBufferState, WindowSpec
 from dbemem.reference import ReferenceEngine
-from dbemem.sched import preset_by_name
+from dbemem.sched import (preset_baseline, preset_by_name, preset_type1,
+                          preset_type2)
 
 PRESETS = ("baseline", "type1", "type2")
 
@@ -86,48 +86,53 @@ def test_forwarded_set():
                                                  (-8, -1, "forwarded")]
     assert all(route != "forwarded" for p in engine_for("baseline")
                ._parts.values() for _, _, route in p)
-    rows = policy_forwarding().resident_positions(WindowSpec())
+    rows = preset_type1().resident_positions(WindowSpec())
     assert max(rows["row0"]) == max(rows["row1"]) == -9
 
 
 def test_policy_resident_counts():
     spec = WindowSpec()
-    assert policy_full_resident().resident_count(spec) == 106
-    assert policy_forwarding().resident_count(spec) == 90
-    assert policy_streaming().resident_count(spec) == 25
+    assert preset_baseline().capacity_for(spec) == 106
+    assert preset_type1().capacity_for(spec) == 90
+    assert preset_type2().capacity_for(spec) == 25
+
+
+def held(state):
+    """How many positions of the buffer hold a pixel."""
+    return sum(v.bit_count() for v in state.valid.values())
 
 
 def test_recon_slide_and_read():
     spec = WindowSpec()
-    state = ReconBufferState(spec, policy_full_resident(), 106)
+    state = ReconBufferState(spec, preset_baseline(), 106)
     assert state.admit_run("row0", -8, 0xFF) == 8
-    assert state.occupancy() == 8
+    assert held(state) == 8
     assert state.valid_at("row0", -33, 33).tolist() == [False] * 25 + [True] * 8
     state.slide()
     assert state.valid_at("row0", -16, 8).all()
     assert not state.valid_at("row0", -8, 8).any()   # slid out, nothing admitted
-    assert state.occupancy() == 8
+    assert held(state) == 8
     # only the set bits are admitted, each at rel0 + its bit index
     assert state.admit_run("row0", -8, 0b101) == 2
     assert state.valid_at("row0", -8, 3).tolist() == [True, False, True]
-    assert state.occupancy() == state.peak_occupancy == 10
+    assert held(state) == state.peak_occupancy == 10
 
 
 def test_recon_capacity_rejects_newest():
     spec = WindowSpec()
-    state = ReconBufferState(spec, policy_streaming(), 24)
+    state = ReconBufferState(spec, preset_type2(), 24)
     # row0 resident span holds 25 positions [-33, -9]; cap 24 rejects one
     for start in (-33, -25, -17):
         state.admit_run("row0", start, 0xFF)
     assert state.admit_run("row0", -9, 0b1) == 0
-    assert state.occupancy() == 24
+    assert held(state) == 24
     assert not state.valid_at("row0", -9, 1).any()
     assert state.valid_at("row0", -33, 24).all()
     state.slide()                    # the rejected pixel stays invalid
     assert not state.valid_at("row0", -17, 1).any()
-    assert state.occupancy() == 16
+    assert held(state) == 16
     # a run that only partly fits keeps its oldest (lowest) positions
-    state = ReconBufferState(spec, policy_streaming(), 20)
+    state = ReconBufferState(spec, preset_type2(), 20)
     state.admit_run("row0", -33, 0xFF)
     state.admit_run("row0", -25, 0xFF)
     assert state.admit_run("row0", -17, 0xFF) == 4
@@ -136,7 +141,7 @@ def test_recon_capacity_rejects_newest():
 
 def test_streaming_policy_ignores_fetch_sections():
     spec = WindowSpec()
-    state = ReconBufferState(spec, policy_streaming(), 25)
+    state = ReconBufferState(spec, preset_type2(), 25)
     kept = state.admit_run("prev", 0, 0xFF)
     assert kept == 0
-    assert state.occupancy() == 0
+    assert held(state) == 0

@@ -41,9 +41,6 @@ def test_preset_structure():
     t2 = preset_type2()
     assert (t2.line_delay, t2.line_buffers, t2.banks_per_buffer) == ("half_line", 2, 2)
     assert t2.forwarding and t2.reconvert_on_fetch
-    for p in (b, t1, t2):   # the flags are the residency policy's
-        assert p.forwarding == p.residency.forwarding_enabled
-        assert p.reconvert_on_fetch == p.residency.reconvert_on_fetch
     with pytest.raises(ConfigError):
         preset_by_name("type3")
 

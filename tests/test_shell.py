@@ -25,6 +25,12 @@ CFG = {
     "clock_mhz": 200,
     "seed": 0,
 }
+# type2's documented fields, spelt out as a custom arch object
+TYPE2_FIELDS = {"name": "type2", "line_delay": "half_line", "line_buffers": 2,
+                "banks_per_buffer": 2, "fetch_kind": "streaming",
+                "fetch_words_per_slot": 1, "forwarding": True,
+                "residency": {"prev": "fetch", "row0": "resident",
+                              "row1": "fetch"}}
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -104,7 +110,7 @@ def test_trace_replay_reproduces_violation_counts(tmp_path):
 
 def test_accounting_identities_random_presets():
     import random
-    from dbemem.predwindow import RESIDENT, ResidencyPolicy, SECTIONS
+    from dbemem.predwindow import RESIDENT, SECTIONS
     from dbemem.sched import ArchPreset
     rng = random.Random(3)
     for _ in range(50):
@@ -114,7 +120,7 @@ def test_accounting_identities_random_presets():
         preset = ArchPreset(
             name="custom", line_delay="one_line", line_buffers=buffers,
             banks_per_buffer=1, fetch_kind="refill", fetch_words_per_slot=1,
-            residency=ResidencyPolicy(routes={s: RESIDENT for s in SECTIONS}),
+            residency=dict.fromkeys(SECTIONS, RESIDENT), forwarding=False,
             capacity_pixels=px)
         acct = buffer_accounting(preset, cols)
         assert acct["line_buffer_bits_total"] == buffers * 480 * 256
@@ -156,12 +162,7 @@ def test_config_unknown_keys_rejected():
 
 def test_config_custom_arch_and_window():
     data = {**CFG,
-            "arch": {"name": "custom", "line_delay": "half_line",
-                     "line_buffers": 2, "banks_per_buffer": 2,
-                     "fetch_kind": "streaming", "forwarding": True,
-                     "reconvert_on_fetch": True,
-                     "residency": {"prev": "fetch", "row0": "resident",
-                                   "row1": "fetch"}},
+            "arch": dict(TYPE2_FIELDS, name="custom"),
             "window_spec": {"prev_line_span": [-8, 32],
                             "cur_row0_span": [-33, -1],
                             "cur_row1_span": [-32, -1]}}
@@ -171,6 +172,17 @@ def test_config_custom_arch_and_window():
     res = run_simulation(cfg)
     assert res.passed
     assert max(res.peak_recon_per_column) == 25
+
+
+def test_custom_arch_spelling_type2_reports_as_type2():
+    """A streaming lower row implies the reconvert unit: type2's fields
+    spelt out, with no key for the unit, are type2, report for report."""
+    named, spelt = (parse_config(json.dumps(
+        {"image": {"width": 640, "height": 128}, "arch": arch}))
+        for arch in ("type2", TYPE2_FIELDS))
+    assert report_to_text(build_report(run_simulation(spelt))) \
+        == report_to_text(build_report(run_simulation(named)))
+    assert spelt == named
 
 
 def test_config_defaults():
@@ -356,6 +368,14 @@ def _fault_cfg(kind, value, arch="type2"):
     # no fetches
     dict(CFG, arch={"fetch_words_per_slot": 0}),
     dict(CFG, arch={"fetch_kind": "streaming", "fetch_words_per_slot": 2}),
+    # the reconvert unit is in use exactly when the lower row streams, so
+    # it has no key
+    dict(CFG, arch={"reconvert_on_fetch": True}),
+    # a refill fetch serves no window section, and the streaming path
+    # reaches the lower buffers' lines only: every pixel of such a route
+    # would be an availability miss
+    dict(CFG, arch={"residency": {"prev": "fetch"}}),
+    dict(CFG, arch=dict(TYPE2_FIELDS, residency={"row0": "fetch"})),
 ], ids=["capacity_str", "capacity_negative", "bit_depth_str", "chroma_420",
         "interleave_bogus", "window_span_str", "line_buffers_str",
         "height_missing", "fetch_budget_0", "clock_nan", "flip_unused_word",
@@ -366,7 +386,8 @@ def _fault_cfg(kind, value, arch="type2"):
         "chroma_int", "arch_name_int", "route_int", "banks_with_buffer",
         "flip_with_value", "noop_with_value", "throughput_ppc_key",
         "chroma_444", "bit_depth_10", "fetch_words_0",
-        "streaming_fetch_words_2"])
+        "streaming_fetch_words_2", "reconvert_on_fetch_key",
+        "refill_fetches_prev", "streaming_fetches_row0"])
 def test_cli_malformed_config_exit_two(tmp_path, capsys, data):
     assert cli_main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2
     err = capsys.readouterr().err
@@ -425,7 +446,7 @@ _arch_obj = st.fixed_dictionaries({}, optional={
     "line_buffers": _maybe([2, 3]), "banks_per_buffer": _maybe([1, 2]),
     "fetch_kind": _maybe(["refill", "streaming"]),
     "fetch_words_per_slot": _maybe([0, 1, 2]),
-    "forwarding": st.booleans(), "reconvert_on_fetch": st.booleans(),
+    "forwarding": st.booleans(),
     "residency": _maybe(st.fixed_dictionaries({}, optional={
         s: _maybe(["resident", "fetch"]) for s in ("prev", "row0", "row1")})),
     "capacity_pixels": _maybe([None, 0, 25, 90, 106])})
