@@ -18,6 +18,7 @@ cycle, and never replays; the tests hold the two equal.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -136,8 +137,10 @@ class EngineResult:
     preset: ArchPreset
     plan: GeometryPlan
     config: SimConfig
-    trace_rows: list = field(default_factory=list)
-    violation_rows: list = field(default_factory=list)
+    # the CSV trace's rows: `PassRows` from Engine, lists of tuples from
+    # reference.ReferenceEngine
+    trace_rows: "PassRows | list" = field(default_factory=list)
+    violation_rows: "PassRows | list" = field(default_factory=list)
     blocklines_replayed: int = 0   # not in the report
 
     @property
@@ -165,6 +168,40 @@ def apply_faults_to_preset(preset: ArchPreset, faults,
                               f"{preset.name} already has")
         preset = replace(preset, **{_OVERRIDES[f.kind]: f.value})
     return preset
+
+
+class PassRows:
+    """Rows of a run's CSV trace, kept pass by pass without a tuple per
+    row: one entry per traced pass, which `rows(*entry)` turns into the
+    pass's rows (an entry of None has none).  Iterating gives every row,
+    pass by pass."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.entries = []
+        self._len = 0
+
+    def append(self, entry, n):
+        self.entries.append(entry)
+        self._len += n
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        for entry in self.entries:
+            if entry is not None:
+                yield from self.rows(*entry)
+
+
+def _violation_rows(keys, cls, v):
+    """The trace rows of drained violations, in drain order: classes `cls`
+    (`VIOLATION_CLASSES`) of bookings `v`, on the banks `keys`."""
+    block = np.where(cls == 2, -1, v[BLOCK])
+    return [(cyc, -1, *keys[k], _DRAIN_OPS[c], word, PURPOSES[p].value, blk)
+            for cyc, k, c, word, p, blk in zip(
+                v[CYCLE].tolist(), v[BANK].tolist(), cls.tolist(),
+                v[WORD].tolist(), v[PURPOSE].tolist(), block.tolist())]
 
 
 _PIXEL = np.arange(PIXELS_PER_WORD)
@@ -272,8 +309,6 @@ class Engine:
         self.capacity = self.preset.capacity_for(self.spec)
         buffers = self.preset.buffer_names()
         self.log = ViolationLog()
-        self.trace_rows = []
-        self.violation_rows = []
         flips = sorted([f for f in cfg.faults if f.kind == "flip_word"],
                        key=lambda f: f.cycle)
         run_cycles = total_frame_cycles(self.preset, self.plan)
@@ -335,6 +370,11 @@ class Engine:
          owed, *self._stage) = np.split(self._carry, np.cumsum(sizes)[:-1])
         self._word_owed = owed.reshape(2, n_wk)
         self._templates = {}   # blockline class -> its first blockline's Pass
+        # a traced pass's grants are its template shifted by d blocklines,
+        # its violations the columns `_drain_bank_violations` returns
+        self.trace_rows = PassRows(Pass.trace_rows)
+        self.violation_rows = PassRows(partial(_violation_rows,
+                                               self.sched.bank_keys))
         # the whole-frame golden RGB, built by the first compare of a word
         # of another line (`_golden`)
         self._rgb = None
@@ -462,27 +502,26 @@ class Engine:
                 pixels_served += served
                 self.log.availability_misses += misses
                 replayed += 1
-                if self.cfg.collect_trace or tm.conflicts or \
-                        any(a.size for a in found):
-                    b = self.sched.shift_bookings(tm.bookings, d)
-                    if self.cfg.collect_trace:
-                        self._trace(tm, b)
-                    self._drain_bank_violations(tm, b, found)
-                continue
-            b = self.sched.shift_bookings(tm.bookings, d) if d else tm.bookings
-            display, staged, found = self._commit_slot(tm, b)
-            far = self._check_display_word(*display)
-            stage = _Stage(self, staged)
-            resident = self._advance_window(bl, stage)
-            served, misses, mismatches = self._serve_window(bl, stage,
-                                                            resident)
-            pixels_served += served
-            self.log.availability_misses += misses
-            self.log.prediction_mismatches += mismatches
-            self._drain_bank_violations(tm, b, found)
-            if not self._flips:
-                known[key] = (self._moved_back(self._carry, bl), served,
-                              misses, found, far - bl * far_unit)
+            else:
+                b = self.sched.shift_bookings(tm.bookings, d) if d \
+                    else tm.bookings
+                display, staged, found = self._commit_slot(tm, b)
+                far = self._check_display_word(*display)
+                stage = _Stage(self, staged)
+                resident = self._advance_window(bl, stage)
+                served, misses, mismatches = self._serve_window(bl, stage,
+                                                                resident)
+                pixels_served += served
+                self.log.availability_misses += misses
+                self.log.prediction_mismatches += mismatches
+                if not self._flips:
+                    known[key] = (self._moved_back(self._carry, bl), served,
+                                  misses, found, far - bl * far_unit)
+            drained = self._drain_bank_violations(tm, d, found)
+            if self.cfg.collect_trace:
+                self.trace_rows.append((tm, d), len(tm.granted))
+                self.violation_rows.append(
+                    drained, len(drained[0]) if drained else 0)
 
         for watch in self._watches:
             watch.reject_unseen()
@@ -527,8 +566,6 @@ class Engine:
                               f"{self._frontier[bank[i]]}")
         np.maximum.at(self._frontier, bank[tm.granted],
                       cycles[tm.granted] + 1)
-        if self.cfg.collect_trace:
-            self._trace(tm, b)
         wk, typ, eb = tm.ev_wk, tm.ev_typ, tm.ev_b
         held = self._word_line[wk]
         written = (tm.last_write >= 0) | (held >= 0)
@@ -582,12 +619,6 @@ class Engine:
         self._word_line[words[has]] = b[LINE][src]
         self._word_cycle[words[has]] = b[CYCLE][src]
         return display, staged, found
-
-    def _trace(self, tm, b):
-        """One trace row per granted booking of `b`, in booking order."""
-        g = tm.granted
-        self.trace_rows.extend(zip(
-            b[CYCLE][g].tolist(), *tm.trace_static, b[BLOCK][g].tolist()))
 
     def _check_display_word(self, k, written, line, parity):
         """The display reads of one pass, of raster words k: a written word
@@ -646,13 +677,15 @@ class Engine:
             ycocg_frame(self._rgb)
         return self._rgb
 
-    def _drain_bank_violations(self, tm, b, found):
-        """Count and log the pass's conflicts, hazards and underflows in
-        drain order: per slot and bank, conflicts in booking order, then
-        hazards, then underflows, each in cycle order."""
+    def _drain_bank_violations(self, tm, d, found):
+        """Count and log the conflicts, hazards and underflows of template
+        `tm`'s pass d blocklines later in drain order: per slot and bank,
+        conflicts in booking order, then hazards, then underflows, each in
+        cycle order.  Returns them in that order as their classes
+        (`VIOLATION_CLASSES`) and bookings, or None when there are none."""
         hz, hz_out, hz_fetch, uf = found
         if not (tm.conflicts or hz.size or uf.size):
-            return
+            return None
         cb = np.array([c[0] for c in tm.conflicts], dtype=np.int64)
         hb, ub = tm.ev_b[hz], tm.ev_b[uf]
         self.log.conflicts += len(cb)
@@ -662,39 +695,32 @@ class Engine:
         cls = np.repeat([0, 1, 2], [len(cb), len(hb), len(ub)])
         which = np.concatenate([np.arange(len(cb)), np.arange(len(hb)),
                                 np.arange(len(ub))])
-        tie = np.where(cls == 0, at, b[CYCLE][at])
-        order = np.lexsort((tie, cls, b[BANK][at], b[SLOT][at]))
-        cls, which, at = cls[order], which[order], at[order]
-        if self.cfg.collect_trace:
-            block = np.where(cls == 2, -1, b[BLOCK][at])
-            keys = self.sched.bank_keys
-            purposes = [p.value for p in PURPOSES]
-            self.violation_rows.extend(
-                (cyc, -1, *keys[k], _DRAIN_OPS[c], word, purposes[p], blk)
-                for cyc, k, c, word, p, blk in zip(
-                    b[CYCLE][at].tolist(), b[BANK][at].tolist(),
-                    cls.tolist(), b[WORD][at].tolist(),
-                    b[PURPOSE][at].tolist(), block.tolist()))
+        t = tm.bookings
+        tie = np.where(cls == 0, at, t[CYCLE][at])
+        order = np.lexsort((tie, cls, t[BANK][at], t[SLOT][at]))
+        cls, which = cls[order], which[order]
+        vb = self.sched.shift_bookings(t[:, at[order]], d)
         # only the detail samples are built, in drain order
         room = [self._room(c) for c in VIOLATION_CLASSES]
-        keep = np.zeros(len(at), dtype=bool)
+        keep = np.zeros(len(cls), dtype=bool)
         for c in range(3):
             keep[np.flatnonzero(cls == c)[:max(room[c], 0)]] = True
-        for c, j, i in zip(cls[keep].tolist(), which[keep].tolist(),
-                           at[keep].tolist()):
-            buf, bank = self.sched.bank_keys[int(b[BANK][i])]
-            cyc, word = int(b[CYCLE][i]), int(b[WORD][i])
-            purpose = PURPOSES[b[PURPOSE][i]]
+        for c, j, (_, cyc, k, p, word, block, *_) in zip(
+                cls[keep].tolist(), which[keep].tolist(),
+                vb[:, keep].T.tolist()):
+            buf, bank = self.sched.bank_keys[k]
+            purpose = PURPOSES[p]
             if c == 0:
                 _, first_purpose, first_word = tm.conflicts[j]
                 v = ConflictViolation(cyc, buf, bank, first_purpose, purpose,
-                                      first_word, word, int(b[BLOCK][i]))
+                                      first_word, word, block)
             elif c == 1:
                 v = HazardViolation(cyc, buf, bank, word, int(hz_out[j]),
-                                    int(hz_fetch[j]), int(b[BLOCK][i]))
+                                    int(hz_fetch[j]), block)
             else:
                 v = UnderflowViolation(cyc, buf, bank, word, purpose)
             self._note(VIOLATION_CLASSES[c], v)
+        return cls, vb
 
     # -- window service ----------------------------------------------------------
 

@@ -57,6 +57,8 @@ class ReferenceEngine(Engine):
     def __init__(self, cfg):
         super().__init__(cfg)
         self.banks = [SramBankModel(buf, bk) for buf, bk in self.sched.bank_keys]
+        self.trace_rows = []
+        self.violation_rows = []
         buffers = self.preset.buffer_names()
         self._word_base = {buf: i * LINE_WORDS for i, buf in enumerate(buffers)}
         n_wk = len(buffers) * LINE_WORDS

@@ -173,7 +173,8 @@ def test_criterion_8_property_suites():
 
     # determinism: two runs produce byte-identical traces
     cfg = small_cfg("type2", collect_trace=True)
-    assert run_simulation(cfg).trace_rows == run_simulation(cfg).trace_rows
+    assert list(run_simulation(cfg).trace_rows) == \
+        list(run_simulation(cfg).trace_rows)
 
     # rate law: the engine's OutputRead trace rows put raster word k at
     # latency + 2k after the read lead, none missing: exactly 4 px/cycle

@@ -1,9 +1,13 @@
 """The engine against the per-cycle reference engine: on every config both
 give the same violation counts and detail samples, pixels served, recon
-peaks, trace rows and violation rows."""
+peaks, trace rows and violation rows, and the engine's CSV trace is the
+reference's rows written one by one in cycle order."""
 
 import json
+import os
+import tempfile
 from dataclasses import replace
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from dbemem.predwindow import WindowSpec
 from dbemem.reference import ReferenceEngine
 from dbemem.sched import (BLOCK, CYCLE, PURPOSE, REFILL, WRITE, Scheduler,
                           preset_by_name)
-from dbemem.shell import parse_config
+from dbemem.shell import TRACE_HEADER, _TRACE_ROW, emit_trace, parse_config
 
 from test_shell import _config
 
@@ -56,8 +60,27 @@ def outputs(res):
             "details": res.violations.details,
             "pixels_served": res.pixels_served,
             "peak_recon_per_column": res.peak_recon_per_column,
-            "trace_rows": res.trace_rows,
-            "violation_rows": res.violation_rows}
+            "trace_rows": list(res.trace_rows),
+            "violation_rows": list(res.violation_rows)}
+
+
+def csv_of_rows(want):
+    """The CSV trace of rows `want` (`outputs`) by the row writer the
+    engine's pass-by-pass writer replaced: a stable sort of the trace rows
+    and then the violation rows by cycle, one `_TRACE_ROW` each."""
+    rows = sorted(want["trace_rows"] + want["violation_rows"],
+                  key=itemgetter(0))
+    return TRACE_HEADER + "\n" + "".join(_TRACE_ROW % r for r in rows)
+
+
+def assert_same_csv(res, want):
+    """`emit_trace` of the engine's result `res` writes the CSV of the
+    reference's rows `want`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        emit_trace(res, path)
+        with open(path) as fh:
+            assert fh.read() == csv_of_rows(want)
 
 
 def assert_same_run(cfg, may_reject=False):
@@ -71,9 +94,12 @@ def assert_same_run(cfg, may_reject=False):
             raise
         assert_same_rejection(cfg)
         return None
-    got = outputs(Engine(cfg).run())
+    res = Engine(cfg).run()
+    got = outputs(res)
     for key in want:
         assert got[key] == want[key], key
+    if cfg.collect_trace:
+        assert_same_csv(res, want)
     return want
 
 
@@ -104,6 +130,8 @@ def assert_same_traced_and_untraced(cfg):
                 assert got[key] == want[key], key
             else:
                 assert got[key] == [], key
+        if trace:
+            assert_same_csv(res, want)
         replayed.append(res.blocklines_replayed)
     return want, min(replayed)
 
@@ -376,7 +404,7 @@ def foreign_or_flipped(draw):
         seed=draw(st.integers(0, 3)),
         sram_read_latency=draw(st.sampled_from([0, 1])), collect_trace=True,
         faults=[FaultSpec(fault[0], value=fault[1])] if fault else [])
-    rows = Engine(cfg).run().trace_rows
+    rows = list(Engine(cfg).run().trace_rows)
     last = rows[-1][0]
     for _ in range(draw(st.integers(0, 2))):
         cycle, _, buffer, _, _, word, _, _ = rows[

@@ -47,7 +47,7 @@ def test_determinism_identical_traces():
     cfg = cfg_for("type2", collect_trace=True)
     r1 = run_simulation(cfg)
     r2 = run_simulation(cfg)
-    assert r1.trace_rows == r2.trace_rows
+    assert list(r1.trace_rows) == list(r2.trace_rows)
     assert r1.violations.as_dict() == r2.violations.as_dict()
 
 
@@ -55,7 +55,8 @@ def test_seed_changes_data_not_schedule():
     a = run_simulation(cfg_for("type1", seed=0, collect_trace=True))
     b = run_simulation(cfg_for("type1", seed=77, collect_trace=True))
     assert a.passed and b.passed
-    assert a.trace_rows == b.trace_rows  # schedule independent of pixel data
+    # schedule independent of pixel data
+    assert list(a.trace_rows) == list(b.trace_rows)
 
 
 def test_display_stream_verifies():
@@ -119,8 +120,8 @@ def test_every_fault_changes_the_run_or_is_rejected(name):
     def outcome(*faults):
         res = run_simulation(cfg_for(name, collect_trace=True,
                                      faults=list(faults)))
-        return (report_to_text(build_report(res)), res.trace_rows,
-                res.violation_rows)
+        return (report_to_text(build_report(res)), list(res.trace_rows),
+                list(res.violation_rows))
 
     base = outcome()
     assert outcome(FaultSpec("noop")) == base

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -8,15 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dbemem.cli import cli_main
-from dbemem.engine import SimConfig, run_simulation
+from dbemem.engine import Engine, FaultSpec, SimConfig, run_simulation
 from dbemem.errors import ConfigError
 from dbemem.geometry import ImageGeometry, Interleave, SliceLayout
 from dbemem.predwindow import WindowSpec
-from dbemem.sched import (preset_baseline, preset_by_name, preset_type1,
-                          preset_type2)
+from dbemem.sched import (CYCLE, preset_baseline, preset_by_name,
+                          preset_type1, preset_type2)
 from dbemem.shell import (build_report, buffer_accounting, emit_report,
                           emit_trace, parse_config, parse_trace,
                           report_to_text, throughput_metrics)
+
+from test_report_digests import NEGATIVE
 
 CFG = {
     "image": {"width": 320, "height": 32},
@@ -106,6 +109,43 @@ def test_trace_replay_reproduces_violation_counts(tmp_path):
     rows = parse_trace(p.read_text())
     replayed = sum(1 for r in rows if r[4] == "conflict")
     assert replayed == res.violations.conflicts > 0
+
+
+@pytest.mark.parametrize("name", ["baseline", "type1", "type2"])
+def test_each_pass_books_after_every_earlier_pass(name):
+    """`emit_trace` orders the file by sorting each pass on its own: every
+    cycle a blockline's pass books lies after every cycle of the passes
+    before it, on every column count, interleave and read latency, with
+    and without a line-buffer override."""
+    override = FaultSpec("line_buffers_override",
+                         value=2 if name == "baseline" else 3)
+    for cols, interleave, latency, faults in itertools.product(
+            (1, 2, 4), Interleave, (0, 1), ([], [override])):
+        sched = Engine(SimConfig(
+            ImageGeometry(320, 32), SliceLayout(cols, 1),
+            preset_by_name(name), interleave=interleave,
+            sram_read_latency=latency, faults=faults)).sched
+        spans = [(b[CYCLE].min(), b[CYCLE].max()) for b in map(
+            sched.booking_arrays, range(sched.plan.total_blocklines))]
+        assert all(hi < lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE))
+def test_trace_row_counts_are_the_csv_rows(tmp_path, name):
+    """The benchmark counts a traced run's rows as len(trace_rows) +
+    len(violation_rows): on each negative run of the digest pins that is
+    the CSV's data-row count, with one violation row per conflict, hazard
+    and underflow, and each length is its rows' count."""
+    res = run_simulation(parse_config(json.dumps(NEGATIVE[name][0])))
+    p = tmp_path / "trace.csv"
+    emit_trace(res, p)
+    rows = parse_trace(p.read_text())
+    assert len(res.trace_rows) + len(res.violation_rows) == len(rows)
+    v = res.violations
+    assert len(res.violation_rows) == v.conflicts + v.hazards + v.underflows
+    assert len(res.violation_rows) > 0
+    for kept in (res.trace_rows, res.violation_rows):
+        assert len(kept) == len(list(kept))
 
 
 def test_accounting_identities_random_presets():
