@@ -9,8 +9,8 @@ golden pixel generator, so scheduling bugs surface as counted violations
 instead of silent corruption.
 """
 
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError
 
-__all__ = ["ConfigError", "InfeasibleError"]
+__all__ = ["ConfigError"]
 
 __version__ = "0.1.0"

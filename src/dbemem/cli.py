@@ -8,7 +8,7 @@ import argparse
 import sys
 
 from .engine import run_simulation
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError
 from .explore import minimal_resident_set, preset_budget
 from .shell import (build_report, emit_report, emit_trace, parse_config,
                     report_to_text, throughput_metrics)
@@ -68,18 +68,14 @@ def _cmd_explore(args) -> int:
     for name in ("baseline", "type1", "type2"):
         preset = preset_by_name(name)
         budget = preset_budget(preset)
-        try:
-            res = minimal_resident_set(cfg.window, budget,
-                                       forwarding=preset.forwarding,
-                                       reconvert=preset.reconvert_on_fetch)
-            routes = ",".join(f"{s}={res.routes[s][0]}" for s in
-                              ("prev", "row0", "row1"))
-            print(f"{name:<10}{budget.kind:<12}{str(preset.forwarding):<12}"
-                  f"{str(preset.reconvert_on_fetch):<11}"
-                  f"{res.resident_count:>12}  {routes}")
-        except InfeasibleError as e:
-            print(f"{name:<10}infeasible: {e}")
-            return 1
+        res = minimal_resident_set(cfg.window, budget,
+                                   forwarding=preset.forwarding,
+                                   reconvert=preset.reconvert_on_fetch)
+        routes = ",".join(f"{s}={res.routes[s][0]}" for s in
+                          ("prev", "row0", "row1"))
+        print(f"{name:<10}{budget.kind:<12}{str(preset.forwarding):<12}"
+              f"{str(preset.reconvert_on_fetch):<11}"
+              f"{res.resident_count:>12}  {routes}")
     return 0
 
 

@@ -18,7 +18,6 @@ cycle, and never replays; the tests hold the two equal.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -33,13 +32,10 @@ from .membank import (VIOLATION_CLASSES, ConflictViolation, HazardViolation,
 from .oracle import GoldenOracle, ycocg_frame
 from .predwindow import (BLOCK_BITS, FETCH, FORWARDED, RESIDENT, SECTIONS,
                          ReconBufferState, WindowSpec)
-from .sched import (BANK, BLOCK, CYCLE, LINE, PURPOSE, PURPOSES, PX,
-                    SLOT, WORD, ArchPreset, Scheduler,
-                    preset_baseline, total_frame_cycles)
+from .sched import (BANK, CYCLE, LINE, PURPOSES, PX, SLOT, ArchPreset,
+                    Scheduler, preset_baseline, total_frame_cycles)
 
 DETAIL_LIMIT = 16  # violation samples kept per class
-# a drained violation's trace-row op, by class (`VIOLATION_CLASSES`)
-_DRAIN_OPS = ("conflict", "hazard", "underflow")
 
 
 # the preset field each override fault kind sets to its value
@@ -172,12 +168,10 @@ def apply_faults_to_preset(preset: ArchPreset, faults,
 
 class PassRows:
     """Rows of a run's CSV trace, kept pass by pass without a tuple per
-    row: one entry per traced pass, which `rows(*entry)` turns into the
-    pass's rows (an entry of None has none).  Iterating gives every row,
-    pass by pass."""
+    row: one entry per traced pass, which `shell.emit_trace` renders (an
+    entry of None has no rows), and the count of rows."""
 
-    def __init__(self, rows):
-        self.rows = rows
+    def __init__(self):
         self.entries = []
         self._len = 0
 
@@ -187,21 +181,6 @@ class PassRows:
 
     def __len__(self):
         return self._len
-
-    def __iter__(self):
-        for entry in self.entries:
-            if entry is not None:
-                yield from self.rows(*entry)
-
-
-def _violation_rows(keys, cls, v):
-    """The trace rows of drained violations, in drain order: classes `cls`
-    (`VIOLATION_CLASSES`) of bookings `v`, on the banks `keys`."""
-    block = np.where(cls == 2, -1, v[BLOCK])
-    return [(cyc, -1, *keys[k], _DRAIN_OPS[c], word, PURPOSES[p].value, blk)
-            for cyc, k, c, word, p, blk in zip(
-                v[CYCLE].tolist(), v[BANK].tolist(), cls.tolist(),
-                v[WORD].tolist(), v[PURPOSE].tolist(), block.tolist())]
 
 
 _PIXEL = np.arange(PIXELS_PER_WORD)
@@ -372,9 +351,8 @@ class Engine:
         self._templates = {}   # blockline class -> its first blockline's Pass
         # a traced pass's grants are its template shifted by d blocklines,
         # its violations the columns `_drain_bank_violations` returns
-        self.trace_rows = PassRows(Pass.trace_rows)
-        self.violation_rows = PassRows(partial(_violation_rows,
-                                               self.sched.bank_keys))
+        self.trace_rows = PassRows()
+        self.violation_rows = PassRows()
         # the whole-frame golden RGB, built by the first compare of a word
         # of another line (`_golden`)
         self._rgb = None
@@ -829,8 +807,6 @@ class Engine:
             counts.append((size - n_ok, n_bad + np.zeros_like(n_ok)))
             sections.append(s)
             served += int(n_ok.sum() - np.sum(n_bad))
-        if not counts:
-            return 0, 0, 0
         misses = sum(int(m.sum()) for m, _ in counts)
         mismatches = sum(int(m.sum()) for _, m in counts)
         spb = self.sched.slots_per_blockline

@@ -1,13 +1,9 @@
-"""Exception types shared across the simulator, and `require_int`, the
-integer check that raises ConfigError."""
+"""ConfigError, the exception shared across the simulator, and
+`require_int`, the integer check that raises it."""
 
 
 class ConfigError(ValueError):
     """Invalid geometry, preset, or config-file contents."""
-
-
-class InfeasibleError(RuntimeError):
-    """No resident set can satisfy the requested schedule."""
 
 
 def require_int(value, what: str, lo: int, hi: int | None = None) -> None:

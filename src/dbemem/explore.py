@@ -10,7 +10,7 @@ pixel counts auditable instead of asserted.
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError
 from .geometry import ImageGeometry, Interleave, SliceLayout, build_geometry
 from .membank import SramBankModel
 from .predwindow import FETCH, RESIDENT, SECTIONS, WindowSpec
@@ -62,10 +62,14 @@ def _candidates(spec: WindowSpec, budget: FetchBudget, forwarding: bool,
     return sorted(presets, key=lambda p: p.capacity_for(spec))
 
 
-def _schedule_feasible(spec: WindowSpec, preset: ArchPreset,
-                       slice_words: int) -> bool:
-    """Book one steady-state blockline of traffic on the bank models: it
-    is placeable when no booking conflicts under their port law."""
+def _schedule_feasible(spec: WindowSpec, preset: ArchPreset) -> bool:
+    """Book one steady-state blockline of traffic on the bank models, on
+    one slice column of SLICE_WORDS words, or wider if the previous-line
+    span needs it: it is placeable when no booking conflicts under their
+    port law."""
+    slice_words = SLICE_WORDS
+    if slice_words * 8 < spec.prev_line_span[1] + 8:
+        slice_words = spec.prev_line_span[1] // 8 + 2
     image = ImageGeometry(slice_words * 8, 8)
     # one slice column decodes in the same order under either interleave
     plan = build_geometry(image, SliceLayout(1, 1), Interleave.COLUMN_MAJOR)
@@ -84,19 +88,14 @@ def minimal_resident_set(spec: WindowSpec, budget: FetchBudget,
 
     Brute-forces the section routing against the budget's placeable fetch
     schedule; pixels that are neither forwarded nor fetch-covered must be
-    resident.  Raises InfeasibleError when not even full residency places
-    its fetch traffic.
+    resident.  The last candidate keeps every section resident, and its
+    traffic is always placeable.
     """
-    slice_words = SLICE_WORDS
-    if slice_words * 8 < spec.prev_line_span[1] + 8:
-        slice_words = spec.prev_line_span[1] // 8 + 2
-    for preset in _candidates(spec, budget, forwarding, reconvert):
-        if _schedule_feasible(spec, preset, slice_words):
-            return ExplorerResult(preset.capacity_for(spec),
-                                  preset.resident_positions(spec),
-                                  dict(preset.residency))
-    # nothing placeable even with everything resident
-    raise InfeasibleError("no routing satisfies the schedule")
+    preset = next(p for p in _candidates(spec, budget, forwarding, reconvert)
+                  if _schedule_feasible(spec, p))
+    return ExplorerResult(preset.capacity_for(spec),
+                          preset.resident_positions(spec),
+                          dict(preset.residency))
 
 
 def preset_budget(preset: ArchPreset) -> FetchBudget:

@@ -10,8 +10,8 @@ import numpy as np
 
 from .geometry import CYCLES_PER_SLOT, LINE_WORDS, PIXELS_PER_WORD
 from .membank import SramBankModel
-from .sched import (BANK, BLOCK, COL, CYCLE, FETCH_READ, LINE, PURPOSE,
-                    PURPOSES, PX, SLOT, WORD, WRITE)
+from .sched import (BANK, COL, CYCLE, FETCH_READ, LINE, PURPOSE, PX, SLOT,
+                    WORD, WRITE)
 
 # ledger event types, in a word's event list: the commit of a granted
 # booking, or a required read armed after its slot's first cycle
@@ -39,9 +39,10 @@ class Pass:
     events."""
 
     def __init__(self, eng, bl):
-        """Book blockline bl's `Scheduler.booking_arrays`, `bookings`."""
+        """Book blockline bl's `Scheduler.booking_arrays`, `bookings`, of
+        the engine's scheduler `sched`."""
         self.bl0 = bl
-        sched = eng.sched
+        self.sched = sched = eng.sched
         self.bookings = b = sched.booking_arrays(bl)
         banks = [SramBankModel(buf, bk) for buf, bk in sched.bank_keys]
         records = sched.access_records(b)
@@ -69,21 +70,6 @@ class Pass:
         granted = np.ones(b.shape[1], dtype=bool)
         granted[[c[0] for c in conflicts]] = False
         self.granted = g = np.flatnonzero(granted)   # in booking order
-        if eng.cfg.collect_trace:
-            # the grants' trace-row fields, in booking order: those a shift
-            # leaves alone, and the cycle and block with their step per
-            # blockline (`Scheduler.shift_bookings`)
-            gb = b[:, g]
-            buf, bank_id = zip(*sched.bank_keys)
-            self.trace_static = [
-                (col, buf[k], bank_id[k], "write" if p == WRITE else "read",
-                 word, PURPOSES[p].value)
-                for col, k, p, word in zip(*gb[[COL, BANK, PURPOSE, WORD]]
-                                           .tolist())]
-            moved = [CYCLE, BLOCK]
-            self.trace_cols = gb[moved].astype(np.int64)
-            self.trace_step = sched.shift_bookings(gb, 1)[moved] - gb[moved]
-
         # commit order: per slot the commits on its first cycle, then the
         # required reads armed by its granted writes and later fetches, then
         # the other commits by cycle, banks in commit order within a cycle
@@ -143,8 +129,3 @@ class Pass:
         o = np.lexsort((rank[f], key))
         self.fetches, self.fetch_key = f[o], key[o]
         self.fetch_slot = b[SLOT][fb][o]
-
-    def trace_rows(self, d):
-        """The grants' trace rows d blocklines later, in booking order."""
-        cycle, block = (self.trace_cols + d * self.trace_step).tolist()
-        return [(c, *s, k) for c, s, k in zip(cycle, self.trace_static, block)]

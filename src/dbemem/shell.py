@@ -18,7 +18,8 @@ from .errors import ConfigError
 from .geometry import (BLOCK_H, BLOCK_W, CYCLES_PER_SLOT, ImageGeometry,
                        Interleave, LINE_WORDS, SliceLayout, WORD_BITS)
 from .predwindow import SECTIONS, WindowSpec
-from .sched import ArchPreset, preset_baseline, preset_by_name
+from .sched import (BANK, BLOCK, COL, CYCLE, PURPOSE, PURPOSES, WORD, WRITE,
+                    ArchPreset, preset_baseline, preset_by_name)
 
 BITS_PER_PIXEL = 30          # accounting convention: 3 x 10-bit components
 # the decoder's throughput: one 16-pixel block per 4-cycle slot
@@ -28,6 +29,8 @@ _TRACE_ROW = "%d,%d,%s,%d,%s,%d,%s,%d\n"
 # a grant's row with the fields a shift leaves alone filled in: the format
 # of its cycle and block
 _GRANT_ROW = "%%d,%d,%s,%d,%s,%d,%s,%%d\n"
+# a drained violation's op, by class (`membank.VIOLATION_CLASSES`)
+_DRAIN_OPS = ("conflict", "hazard", "underflow")
 
 
 @dataclass
@@ -136,25 +139,26 @@ def emit_trace(result: EngineResult, path) -> None:
 
     Written pass by pass: a pass books only cycles after every earlier
     pass's, so the file is each pass's grants in stable cycle order, merged
-    stably with its violations (`engine.PassRows`).  A template's grants
-    become one format string over their cycles and blocks, built once, in
-    bytes, which format faster than text."""
-    drained = result.violation_rows
+    stably with its violations (`engine.PassRows`: per pass its template
+    and shift d, and its drained violations' classes and bookings).  A
+    template's grants become one format string over their cycles and
+    blocks, built once, in bytes, which format faster than text."""
     formats = {}   # template -> its `_grant_format`
     with open(path, "wb") as fh:
         fh.write(TRACE_HEADER.encode() + b"\n")
-        for (tm, d), v in zip(result.trace_rows.entries, drained.entries):
+        for (tm, d), drained in zip(result.trace_rows.entries,
+                                    result.violation_rows.entries):
             if tm not in formats:
                 formats[tm] = _grant_format(tm)
             fmt, values, step = formats[tm]
             moved = values + d * step
             text = fmt % tuple(moved.tolist())
-            if v is not None:
-                rows = drained.rows(*v)
-                lines = text.splitlines(True) + [
-                    (_TRACE_ROW % r).encode() for r in rows]
-                order = np.argsort(np.concatenate(
-                    [moved[::2], [r[0] for r in rows]]), kind="stable")
+            if drained is not None:
+                cls, v = drained
+                lines = text.splitlines(True) + _violation_lines(
+                    tm.sched.bank_keys, cls, v)
+                order = np.argsort(np.concatenate([moved[::2], v[CYCLE]]),
+                                   kind="stable")
                 text = b"".join([lines[i] for i in order.tolist()])
             fh.write(text)
 
@@ -162,12 +166,29 @@ def emit_trace(result: EngineResult, path) -> None:
 def _grant_format(tm):
     """Template `tm`'s grant rows in stable cycle order, as one bytes
     format string, with the (cycle, block) values it takes and their step
-    per blockline, interleaved."""
-    order = np.argsort(tm.trace_cols[0], kind="stable")
-    fmt = "".join([_GRANT_ROW % tm.trace_static[i]
-                   for i in order.tolist()]).encode()
-    return (fmt, tm.trace_cols[:, order].T.ravel(),
-            tm.trace_step[:, order].T.ravel())
+    per blockline (`Scheduler.shift_bookings`), interleaved."""
+    g = tm.bookings[:, tm.granted]
+    g = g[:, np.argsort(g[CYCLE], kind="stable")]
+    buf, bank_id = zip(*tm.sched.bank_keys)
+    fmt = "".join([
+        _GRANT_ROW % (col, buf[k], bank_id[k], "write" if p == WRITE
+                      else "read", word, PURPOSES[p].value)
+        for col, k, p, word in zip(*g[[COL, BANK, PURPOSE, WORD]].tolist())])
+    moved = [CYCLE, BLOCK]
+    values = g[moved].astype(np.int64)
+    step = tm.sched.shift_bookings(g, 1)[moved] - values
+    return fmt.encode(), values.T.ravel(), step.T.ravel()
+
+
+def _violation_lines(keys, cls, v):
+    """The rows of drained violations, in drain order: classes `cls`
+    (`membank.VIOLATION_CLASSES`) of bookings `v`, on the banks `keys`."""
+    block = np.where(cls == 2, -1, v[BLOCK])
+    return [(_TRACE_ROW % (cyc, -1, *keys[k], _DRAIN_OPS[c], word,
+                           PURPOSES[p].value, blk)).encode()
+            for cyc, k, c, word, p, blk in zip(
+                v[CYCLE].tolist(), v[BANK].tolist(), cls.tolist(),
+                v[WORD].tolist(), v[PURPOSE].tolist(), block.tolist())]
 
 
 def parse_trace(text: str):

@@ -20,6 +20,7 @@ from dbemem.sched import Scheduler, preset_by_name, preset_type2
 from dbemem.shell import buffer_accounting, throughput_metrics
 
 from test_sched import display_record
+from test_shell import trace_of
 
 PEAKS = {"baseline": 106, "type1": 90, "type2": 25}
 LATENCY_DIV = {"baseline": 2, "type1": 4, "type2": 4}
@@ -173,8 +174,7 @@ def test_criterion_8_property_suites():
 
     # determinism: two runs produce byte-identical traces
     cfg = small_cfg("type2", collect_trace=True)
-    assert list(run_simulation(cfg).trace_rows) == \
-        list(run_simulation(cfg).trace_rows)
+    assert trace_of(run_simulation(cfg)) == trace_of(run_simulation(cfg))
 
     # rate law: the engine's OutputRead trace rows put raster word k at
     # latency + 2k after the read lead, none missing: exactly 4 px/cycle
@@ -182,8 +182,8 @@ def test_criterion_8_property_suites():
                     preset=preset_by_name("type1"), collect_trace=True)
     eng = Engine(cfg)
     res = eng.run()
-    emitted = [row[0] + eng.sched.read_lead for row in res.trace_rows
-               if row[6] == "OutputRead"]
+    emitted = [row[0] + eng.sched.read_lead for row in trace_of(res)
+               if row[4] == "read" and row[6] == "OutputRead"]
     assert emitted == [res.latency_cycles + 2 * k for k in range(320 * 32 // 8)]
 
     # tiling and addressing bijections on randomized geometries, through

@@ -12,6 +12,7 @@ from dbemem.sched import preset_by_name
 from dbemem.shell import build_report, report_to_text
 
 from test_sched import display_record
+from test_shell import trace_of
 
 PEAKS = {"baseline": 106, "type1": 90, "type2": 25}
 
@@ -47,7 +48,7 @@ def test_determinism_identical_traces():
     cfg = cfg_for("type2", collect_trace=True)
     r1 = run_simulation(cfg)
     r2 = run_simulation(cfg)
-    assert list(r1.trace_rows) == list(r2.trace_rows)
+    assert trace_of(r1) == trace_of(r2)
     assert r1.violations.as_dict() == r2.violations.as_dict()
 
 
@@ -56,7 +57,7 @@ def test_seed_changes_data_not_schedule():
     b = run_simulation(cfg_for("type1", seed=77, collect_trace=True))
     assert a.passed and b.passed
     # schedule independent of pixel data
-    assert list(a.trace_rows) == list(b.trace_rows)
+    assert trace_of(a) == trace_of(b)
 
 
 def test_display_stream_verifies():
@@ -120,8 +121,7 @@ def test_every_fault_changes_the_run_or_is_rejected(name):
     def outcome(*faults):
         res = run_simulation(cfg_for(name, collect_trace=True,
                                      faults=list(faults)))
-        return (report_to_text(build_report(res)), list(res.trace_rows),
-                list(res.violation_rows))
+        return report_to_text(build_report(res)), trace_of(res)
 
     base = outcome()
     assert outcome(FaultSpec("noop")) == base

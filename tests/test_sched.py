@@ -17,6 +17,8 @@ from dbemem.sched import (COL, PX, REFILL, WORD, Scheduler, preset_baseline,
                           preset_by_name, preset_type1, preset_type2,
                           total_frame_cycles)
 
+from test_shell import trace_of
+
 
 def make_plan(width=640, height=64, cols=1, rows=1,
               interleave=Interleave.COLUMN_MAJOR):
@@ -162,7 +164,8 @@ def test_output_timeline_rate_law():
         res = eng.run()
         lead = eng.sched.read_lead
         assert lead == 1 + 2 * read_latency
-        reads = [row[0] for row in res.trace_rows if row[6] == "OutputRead"]
+        reads = [row[0] for row in trace_of(res)
+                 if row[4] == "read" and row[6] == "OutputRead"]
         assert reads == [res.latency_cycles - lead + 2 * k
                          for k in range(256 * 64 // 8)]
         assert reads[-1] + lead + 2 == total_frame_cycles(eng.preset, eng.plan)

@@ -2,6 +2,8 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +30,16 @@ CFG = {
     "clock_mhz": 200,
     "seed": 0,
 }
+
+
+def trace_of(res):
+    """The rows of the CSV trace `emit_trace` writes of run `res`, the
+    engine's one trace output, as `parse_trace` reads them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        emit_trace(res, path)
+        with open(path) as fh:
+            return parse_trace(fh.read())
 # type2's documented fields, spelt out as a custom arch object
 TYPE2_FIELDS = {"name": "type2", "line_delay": "half_line", "line_buffers": 2,
                 "banks_per_buffer": 2, "fetch_kind": "streaming",
@@ -135,7 +147,7 @@ def test_trace_row_counts_are_the_csv_rows(tmp_path, name):
     """The benchmark counts a traced run's rows as len(trace_rows) +
     len(violation_rows): on each negative run of the digest pins that is
     the CSV's data-row count, with one violation row per conflict, hazard
-    and underflow, and each length is its rows' count."""
+    and underflow."""
     res = run_simulation(parse_config(json.dumps(NEGATIVE[name][0])))
     p = tmp_path / "trace.csv"
     emit_trace(res, p)
@@ -144,8 +156,6 @@ def test_trace_row_counts_are_the_csv_rows(tmp_path, name):
     v = res.violations
     assert len(res.violation_rows) == v.conflicts + v.hazards + v.underflows
     assert len(res.violation_rows) > 0
-    for kept in (res.trace_rows, res.violation_rows):
-        assert len(kept) == len(list(kept))
 
 
 def test_accounting_identities_random_presets():
