@@ -77,8 +77,8 @@ def _schedule_feasible(spec: WindowSpec, preset: ArchPreset) -> bool:
     banks = {key: SramBankModel(*key) for key in sched.bank_keys}
     # blockline 1 is steady state: it has a previous line and a successor
     return all(banks[rec.buffer, rec.bank_id].request_access(rec)
-               for slot in sched.blockline_slots(1)
-               for rec in sched.slot_plan(slot).records())
+               for sp in map(sched.slot_plan, sched.blockline_slots(1))
+               for rec in sp.writes + sp.display_reads + sp.fetches)
 
 
 def minimal_resident_set(spec: WindowSpec, budget: FetchBudget,

@@ -48,14 +48,6 @@ class SliceLayout:
 
 
 @dataclass(frozen=True)
-class BlockCoord:
-    slice_col: int
-    block_x: int            # block index within the slice column (8-px units)
-    blockline: int          # global blockline index (2-px-row units)
-    global_block_index: int # position in decode order
-
-
-@dataclass(frozen=True)
 class GeometryPlan:
     image: ImageGeometry
     slices: SliceLayout
@@ -65,9 +57,6 @@ class GeometryPlan:
     total_blocklines: int
     blocklines_per_slice: int
     interleave: Interleave
-
-    def slice_base_x(self, slice_col: int) -> int:
-        return slice_col * self.slice_width
 
     def is_first_blockline_of_slice(self, blockline: int) -> bool:
         return blockline % self.blocklines_per_slice == 0
@@ -117,9 +106,3 @@ def decode_position(plan: GeometryPlan, global_slot):
     else:
         c, bx = divmod(within, n)
     return bl, c, bx
-
-
-def block_at_slot(plan: GeometryPlan, global_slot: int) -> BlockCoord:
-    """The block decoded in a slot (`decode_position`)."""
-    bl, c, bx = decode_position(plan, global_slot)
-    return BlockCoord(c, bx, bl, global_slot)

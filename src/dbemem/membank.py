@@ -34,10 +34,6 @@ class AccessRecord(NamedTuple):
     line: int                # the image line written, displayed or demanded
     px: int                  # x of the word's first pixel on that line
 
-    @property
-    def op(self) -> str:
-        return "write" if self.purpose is Purpose.WRITE_BLOCK_ROW else "read"
-
 
 @dataclass(frozen=True)
 class ConflictViolation:
@@ -49,10 +45,6 @@ class ConflictViolation:
     first_word: int
     second_word: int
     block_id: int
-
-    def trace_row(self) -> tuple:
-        return (self.cycle, -1, self.buffer, self.bank_id, "conflict",
-                self.second_word, self.second_purpose.value, self.block_id)
 
 
 @dataclass(frozen=True)
@@ -66,10 +58,6 @@ class HazardViolation:
     pending_fetch_reads: int
     block_id: int
 
-    def trace_row(self) -> tuple:
-        return (self.cycle, -1, self.buffer, self.bank_id, "hazard",
-                self.word_index, Purpose.WRITE_BLOCK_ROW.value, self.block_id)
-
 
 @dataclass(frozen=True)
 class UnderflowViolation:
@@ -79,10 +67,6 @@ class UnderflowViolation:
     bank_id: int
     word_index: int
     purpose: Purpose
-
-    def trace_row(self) -> tuple:
-        return (self.cycle, -1, self.buffer, self.bank_id, "underflow",
-                self.word_index, self.purpose.value, -1)
 
 
 # the violations of a bank, in drain order, and the ViolationLog counts and

@@ -12,7 +12,8 @@ from collections import deque
 import numpy as np
 
 from .engine import Engine, EngineResult
-from .geometry import BLOCK_W, CYCLES_PER_SLOT, LINE_WORDS, PIXELS_PER_WORD
+from .geometry import (BLOCK_W, CYCLES_PER_SLOT, LINE_WORDS, PIXELS_PER_WORD,
+                       decode_position)
 from .membank import (VIOLATION_CLASSES, HazardViolation, Purpose,
                       SramBankModel, UnderflowViolation)
 from .oracle import ycocg_frame
@@ -22,6 +23,20 @@ from .predwindow import FORWARDED, RESIDENT, SECTIONS, ReconBufferState
 def bad_pixels(got: np.ndarray, want: np.ndarray) -> int:
     """Pixels of `got` that differ from `want` in any component."""
     return int((got != want).any(axis=1).sum())
+
+
+def _violation_row(cls, v) -> tuple:
+    """The trace row of violation `v` of class `cls` (`VIOLATION_CLASSES`):
+    the word, purpose and block of the access that met it, which is a
+    conflict's second booking, a hazard's write or an underflow's read."""
+    if cls == "conflicts":
+        row = ("conflict", v.second_word, v.second_purpose, v.block_id)
+    elif cls == "hazards":
+        row = ("hazard", v.word_index, Purpose.WRITE_BLOCK_ROW, v.block_id)
+    else:
+        row = ("underflow", v.word_index, v.purpose, -1)
+    op, word, purpose, block = row
+    return (v.cycle, -1, v.buffer, v.bank_id, op, word, purpose.value, block)
 
 
 class _ColumnState:
@@ -91,7 +106,7 @@ class ReferenceEngine(Engine):
                 for v in violations:
                     self._note(name, v)
                     if self.cfg.collect_trace:
-                        self.violation_rows.append(v.trace_row())
+                        self.violation_rows.append(_violation_row(name, v))
                 violations.clear()
 
     def run(self) -> EngineResult:
@@ -110,23 +125,23 @@ class ReferenceEngine(Engine):
                 self._book(rec, booked)
             fetch_booked = [rec for rec in sp.fetches
                             if self._book(rec, booked)]
-            self._commit_slot(sp.cycle_base, booked, write_booked,
+            self._commit_slot(CYCLES_PER_SLOT * slot, booked, write_booked,
                               fetch_booked)
             # slide the window and verify availability for this block; the
             # display-only tail after the last decode slot has none
-            b = sp.block
-            if b is not None:
-                col = self.cols[b.slice_col]
-                self._advance_window(b, col)
-                served, misses, mismatches = self._serve_window(b, col)
+            if slot < self.sched.decode_slots:
+                bl, c, bx = decode_position(plan, slot)
+                col = self.cols[c]
+                self._advance_window(bl, c, bx, col)
+                served, misses, mismatches = self._serve_window(slot, bl, c,
+                                                                bx, col)
                 pixels_served += served
                 self.log.availability_misses += misses
                 self.log.prediction_mismatches += mismatches
                 # record the decoded block for forwarding / admission
-                y0 = 2 * b.blockline
-                x0 = plan.slice_base_x(b.slice_col) + BLOCK_W * b.block_x
-                col.history.append((b.block_x,
-                                    yco[y0:y0 + 2, x0:x0 + BLOCK_W]))
+                x0 = c * plan.slice_width + BLOCK_W * bx
+                col.history.append((bx, yco[2 * bl:2 * bl + 2,
+                                            x0:x0 + BLOCK_W]))
             self._drain_bank_violations()
 
         for watch in self._watches:
@@ -146,8 +161,9 @@ class ReferenceEngine(Engine):
             return False
         booked.append((rec.cycle, order))
         if self.cfg.collect_trace:
+            op = "write" if rec.purpose is Purpose.WRITE_BLOCK_ROW else "read"
             self.trace_rows.append(
-                (rec.cycle, rec.slice_col, rec.buffer, rec.bank_id, rec.op,
+                (rec.cycle, rec.slice_col, rec.buffer, rec.bank_id, op,
                  rec.word_index, rec.purpose.value, rec.block_id))
         return True
 
@@ -173,7 +189,7 @@ class ReferenceEngine(Engine):
                     and self.word_line[self._word(rec)] == rec.line:
                 col = self.cols[rec.slice_col]
                 s = rec.line & 3
-                w = (rec.px - self.plan.slice_base_x(rec.slice_col)) \
+                w = (rec.px - rec.slice_col * self.plan.slice_width) \
                     // PIXELS_PER_WORD
                 col.stage_vals[s, w] = vals
                 col.stage_line[s, w] = rec.line
@@ -268,19 +284,21 @@ class ReferenceEngine(Engine):
 
     # -- window service ----------------------------------------------------------
 
-    def _advance_window(self, b, col):
+    def _advance_window(self, bl, c, bx, col):
+        """Slide column c's window to block bx of blockline bl and admit
+        what becomes resident."""
         plan = self.plan
-        base_x = plan.slice_base_x(b.slice_col)
-        left = base_x + BLOCK_W * b.block_x
-        if b.block_x == 0:
+        base_x = c * plan.slice_width
+        left = base_x + BLOCK_W * bx
+        if bx == 0:
             col.recon.clear()
             col.history.clear()
-            if not plan.is_first_blockline_of_slice(b.blockline):
-                self._admit_prev(b, col, left, base_x, full=True)
+            if not plan.is_first_blockline_of_slice(bl):
+                self._admit_prev(bl, col, left, base_x, full=True)
             return
         col.recon.slide()
-        if not plan.is_first_blockline_of_slice(b.blockline):
-            self._admit_prev(b, col, left, base_x, full=False)
+        if not plan.is_first_blockline_of_slice(bl):
+            self._admit_prev(bl, col, left, base_x, full=False)
         # rows: without forwarding the previous block becomes resident now; with
         # forwarding it is served from the pipe this slot and stored at the next
         if self.preset.forwarding:
@@ -309,11 +327,11 @@ class ReferenceEngine(Engine):
             if (new >> i) & 1:
                 col.values[section][left + rel0 + i] = vals[i]
 
-    def _admit_prev(self, b, col, left, base_x, full):
+    def _admit_prev(self, bl, col, left, base_x, full):
         if self.preset.residency["prev"] != RESIDENT:
             return
         lo, hi = self.spec.prev_line_span
-        prev_y = 2 * b.blockline - 1
+        prev_y = 2 * bl - 1
         r0 = max(lo, base_x - left) if full else hi - BLOCK_W + 1
         stage_line = col.stage_line[prev_y & 3]
         stage_vals = col.stage_vals[prev_y & 3]
@@ -335,16 +353,18 @@ class ReferenceEngine(Engine):
                             stage_vals[wloc, j:j + n])
             r += n
 
-    def _serve_window(self, b, col):
-        """Serve every unclipped window pixel by exactly one path and compare
-        the value against the oracle.  Returns (served, misses, mismatches)."""
+    def _serve_window(self, slot, bl, c, bx, col):
+        """Serve every unclipped window pixel of the block decoded in
+        `slot` (block bx of column c in blockline bl) by exactly one path
+        and compare the value against the oracle.  Returns (served,
+        misses, mismatches)."""
         plan = self.plan
-        base_x = plan.slice_base_x(b.slice_col)
-        left = base_x + BLOCK_W * b.block_x
+        base_x = c * plan.slice_width
+        left = base_x + BLOCK_W * bx
         hi_x = base_x + plan.slice_width - 1
-        first = plan.is_first_blockline_of_slice(b.blockline)
+        first = plan.is_first_blockline_of_slice(bl)
         served = misses = mismatches = 0
-        y0 = 2 * b.blockline
+        y0 = 2 * bl
         for section, dy, parts in self._window:
             if dy < 0:
                 if first:
@@ -368,7 +388,7 @@ class ReferenceEngine(Engine):
                     n_bad = bad_pixels(vals[vmask], want[vmask])
                 elif route == FORWARDED:
                     hist_ok = col.history and \
-                        col.history[-1][0] == b.block_x - 1
+                        col.history[-1][0] == bx - 1
                     if hist_ok:
                         yrow = col.history[-1][1][dy]
                         offs = xa - (left - BLOCK_W)
@@ -382,11 +402,10 @@ class ReferenceEngine(Engine):
                 misses += n_miss
                 mismatches += n_bad
                 if n_miss:
-                    self._note("availability_misses",
-                               (b.global_block_index, section, n_miss))
+                    self._note("availability_misses", (slot, section, n_miss))
                 if n_bad:
                     self._note("prediction_mismatches",
-                               (b.global_block_index, section, n_bad))
+                               (slot, section, n_bad))
         return served, misses, mismatches
 
     def _serve_fetched(self, col, section, y, xa, xb, base_x, want):

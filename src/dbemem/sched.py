@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, require_int
-from .geometry import (BLOCK_W, CYCLES_PER_SLOT, BlockCoord, GeometryPlan,
-                       PIXELS_PER_WORD, block_at_slot, decode_position)
+from .geometry import (BLOCK_W, CYCLES_PER_SLOT, GeometryPlan,
+                       PIXELS_PER_WORD, decode_position)
 from .membank import AccessRecord, Purpose
 from .predwindow import FETCH, FORWARDED, RESIDENT, SECTIONS, WindowSpec
 
@@ -176,19 +176,12 @@ def preset_by_name(name: str) -> ArchPreset:
 
 @dataclass
 class BlockSlotPlan:
-    """One slot's bank accesses, each an AccessRecord, by purpose.  A slot
-    past the last decode slot decodes no block and only reads the
-    display."""
-    block: BlockCoord | None
-    cycle_base: int
+    """One slot's bank accesses, each an AccessRecord, by purpose; booked
+    in that order.  A slot past the last decode slot decodes no block and
+    only reads the display."""
     writes: list
     display_reads: list
     fetches: list
-
-    def records(self) -> list:
-        """The slot's records in booking order: writes, display reads,
-        fetches."""
-        return self.writes + self.display_reads + self.fetches
 
 
 # the lowest set bit of a 4-bit mask of free slot offsets; none free -> the
@@ -438,9 +431,7 @@ class Scheduler:
         by = ([], [], [])
         for rec in records[lo:hi]:
             by[_CODE[rec.purpose]].append(rec)
-        block = block_at_slot(self.plan, global_slot) \
-            if global_slot < self.decode_slots else None
-        return BlockSlotPlan(block, CYCLES_PER_SLOT * global_slot, *by)
+        return BlockSlotPlan(*by)
 
     def shift_bookings(self, bookings: np.ndarray, d: int) -> np.ndarray:
         """A blockline's `booking_arrays` moved d blocklines later, within

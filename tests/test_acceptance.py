@@ -13,7 +13,7 @@ import pytest
 from dbemem.engine import Engine, FaultSpec, SimConfig, run_simulation
 from dbemem.explore import FetchBudget, minimal_resident_set, preset_budget
 from dbemem.geometry import (ImageGeometry, Interleave, SliceLayout,
-                             build_geometry)
+                             build_geometry, decode_position)
 from dbemem.oracle import ycocg_frame
 from dbemem.predwindow import WindowSpec
 from dbemem.sched import Scheduler, preset_by_name, preset_type2
@@ -202,12 +202,11 @@ def test_criterion_8_property_suites():
         cover = np.zeros((height, width), dtype=np.int32)
         writes = {}
         for slot in range(sched.slots_per_blockline * plan.total_blocklines):
-            sp = sched.slot_plan(slot)
-            blk = sp.block
-            x0 = plan.slice_base_x(blk.slice_col) + 8 * blk.block_x
-            cover[2 * blk.blockline:2 * blk.blockline + 2, x0:x0 + 8] += 1
-            for rec in sp.writes:
-                y = 2 * blk.blockline + (rec.buffer != "upper")
+            bl, c, bx = decode_position(plan, slot)
+            x0 = c * plan.slice_width + 8 * bx
+            cover[2 * bl:2 * bl + 2, x0:x0 + 8] += 1
+            for rec in sched.slot_plan(slot).writes:
+                y = 2 * bl + (rec.buffer != "upper")
                 assert (y, rec.word_index) not in writes
                 writes[y, rec.word_index] = (rec.buffer, rec.bank_id, x0)
         assert (cover == 1).all()

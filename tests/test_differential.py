@@ -18,11 +18,12 @@ from dbemem.engine import Engine, FaultSpec, SimConfig
 from dbemem.errors import ConfigError
 from dbemem.geometry import (CYCLES_PER_SLOT, ImageGeometry, Interleave,
                              SliceLayout)
+from dbemem.membank import Purpose
 from dbemem.oracle import GoldenOracle
 from dbemem.predwindow import WindowSpec
 from dbemem.reference import ReferenceEngine
-from dbemem.sched import (BLOCK, CYCLE, PURPOSE, REFILL, WRITE, Scheduler,
-                          preset_by_name)
+from dbemem.sched import (BLOCK, CYCLE, HALF_LINE, ONE_LINE, PURPOSE, REFILL,
+                          WRITE, Scheduler, preset_baseline, preset_by_name)
 from dbemem.shell import TRACE_HEADER, _TRACE_ROW, emit_trace, parse_config
 
 from test_shell import _config
@@ -188,6 +189,85 @@ def test_engine_matches_reference_combined_faults(name, faults):
                     faults=[FaultSpec(kind, value=v) for kind, v in faults])
     want = assert_same_run(cfg)
     assert want["counts"]["conflicts"] and want["counts"]["hazards"]
+
+
+def test_fetch_owed_reads_match_reference():
+    """A refill budget of two words on 16 px slices: in each column's first
+    slot the second fetch word wraps round to the slice's other word of
+    line 1, which the next slot writes.  That fetch reads a never-written
+    word, an underflow that pays no owed read, so the write is a hazard
+    owing the fetch read and no display read."""
+    cfg = parse_config(json.dumps({
+        "image": {"width": 64, "height": 20}, "slices": {"columns": 4},
+        "arch": {"line_delay": "half_line", "line_buffers": 2,
+                 "banks_per_buffer": 1, "fetch_words_per_slot": 2},
+        "faults": [{"kind": "banks_override", "value": 2}],
+        "sram_read_latency": 1, "trace": True}))
+    want = assert_same_run(cfg)
+    assert [(h.pending_output_reads, h.pending_fetch_reads)
+            for h in want["details"]["hazards"]] == [(0, 1)] * 4
+    underflows = [u.purpose for u in want["details"]["underflows"]]
+    assert len(underflows) == 5
+    assert underflows.count(Purpose.PREDICT_FETCH) == 4
+
+
+def test_fetch_stage_keeps_only_the_demanded_line():
+    """A refill budget of two words on one 48 px slice: in a blockline's
+    first slot the second fetch word wraps round to word 0 of the previous
+    line, which that slot's block has just overwritten with its lower row.
+    The stage drops such a word, so the frame passes and serves every
+    window pixel."""
+    cfg = parse_config(json.dumps({
+        "image": {"width": 48, "height": 16},
+        "arch": {"line_delay": "half_line", "line_buffers": 2,
+                 "banks_per_buffer": 2, "fetch_words_per_slot": 2},
+        "trace": True}))
+    want = assert_same_run(cfg)
+    assert not any(want["counts"].values())
+    assert want["pixels_served"] == 3102
+
+
+@st.composite
+def refill_budgets(draw):
+    """A refill budget of 2-4 fetch words per slot, as a custom arch or as
+    a refill preset's fetch_budget_override, on 1, 2 or 4 columns of 8-80
+    px slices, with interleave and read latency drawn.  The extra words
+    wrap round a narrow slice onto words not yet written or about to be
+    overwritten: fetch underflows and hazards owing fetch reads."""
+    budget = draw(st.integers(2, 4))
+    faults = []
+    if draw(st.booleans()):
+        preset = replace(
+            preset_baseline(), name="custom",
+            line_delay=draw(st.sampled_from([ONE_LINE, HALF_LINE])),
+            line_buffers=draw(st.sampled_from([2, 3])),
+            banks_per_buffer=draw(st.sampled_from([1, 2])),
+            fetch_words_per_slot=budget, forwarding=draw(st.booleans()))
+    else:
+        preset = preset_by_name(draw(st.sampled_from(["baseline", "type1"])))
+        faults.append(FaultSpec("fetch_budget_override", value=budget))
+    cols = draw(st.sampled_from([1, 2, 4]))
+    return SimConfig(
+        ImageGeometry(cols * 8 * draw(st.integers(1, 10)),
+                      draw(st.sampled_from([8, 12, 16, 20]))),
+        SliceLayout(cols, 1), preset,
+        interleave=draw(st.sampled_from(list(Interleave))),
+        sram_read_latency=draw(st.sampled_from([0, 1])), collect_trace=True,
+        faults=faults)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(cfg=refill_budgets())
+def test_refill_budgets_match_reference_fuzz(cfg):
+    """Fetch words over a refill budget of one give what the reference
+    gives: conflicts, underflows and hazards owing fetch reads."""
+    try:
+        Engine(cfg)
+    except ConfigError:
+        assume(False)
+    assert_same_run(cfg)
 
 
 @pytest.mark.parametrize("name", PRESETS)

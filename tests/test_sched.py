@@ -75,7 +75,7 @@ def test_writes_always_offset_zero():
         for slot in (0, 7, 100, 200):
             sp = sched.slot_plan(slot)
             assert len(sp.writes) == 2
-            assert all(r.cycle == sp.cycle_base for r in sp.writes)
+            assert all(r.cycle == 4 * slot for r in sp.writes)
 
 
 def test_display_reads_on_odd_offsets():
@@ -94,8 +94,9 @@ def test_type1_slot_shape_first_half():
     n = sched.slots_per_blockline
     for slot in range(2 * n + 5, 2 * n + 30):
         sp = sched.slot_plan(slot)
-        lower = sorted((r.cycle - sp.cycle_base, r.purpose)
-                       for r in sp.records() if r.buffer == "lower0")
+        lower = sorted((r.cycle - 4 * slot, r.purpose)
+                       for r in sp.writes + sp.display_reads + sp.fetches
+                       if r.buffer == "lower0")
         assert lower == [(0, Purpose.WRITE_BLOCK_ROW), (1, Purpose.OUTPUT_READ),
                          (2, Purpose.PREDICT_FETCH), (3, Purpose.OUTPUT_READ)]
 
@@ -108,7 +109,7 @@ def test_type1_single_fetch_per_slot():
         sp = sched.slot_plan(slot)
         assert len(sp.fetches) <= 1
         for rec in sp.fetches:
-            assert rec.cycle - sp.cycle_base == 2
+            assert rec.cycle - 4 * slot == 2
 
 
 def test_type2_bank_loads():
@@ -124,7 +125,7 @@ def test_type2_bank_loads():
         sp = sched.slot_plan(slot)
         per_bank = Counter()
         per_cycle = Counter()
-        for r in sp.records():
+        for r in sp.writes + sp.display_reads + sp.fetches:
             per_bank[(r.buffer, r.bank_id)] += 1
             per_cycle[(r.buffer, r.bank_id, r.cycle)] += 1
         assert all(v == 1 for v in per_cycle.values())   # port law
@@ -147,7 +148,7 @@ def test_type2_fetches_every_cycle_offsets():
     for slot in range(2 * n, 3 * n):
         sp = sched.slot_plan(slot)
         for rec in sp.fetches:
-            offsets.add(rec.cycle - sp.cycle_base)
+            offsets.add(rec.cycle - 4 * slot)
     assert len(offsets) >= 3
 
 
@@ -189,8 +190,8 @@ def test_display_tail_is_planned_by_slot_plan(name, read_latency):
     assert sched.decode_slots == 320 * 32 // 16 < sched.total_slots
     tail = [sched.slot_plan(t) for t in range(sched.decode_slots,
                                               sched.total_slots)]
-    assert all(sp.block is None and not sp.writes and not sp.fetches
-               and sp.display_reads for sp in tail)
+    assert all(not sp.writes and not sp.fetches and sp.display_reads
+               for sp in tail)
     last = display_record(sched, sched.total_display_words - 1)
     assert tail[-1].display_reads[-1] == last
     assert sched.blockline_slots(plan.total_blocklines - 1) == range(
