@@ -16,8 +16,13 @@ from .sched import preset_by_name
 
 
 def _load_config(path):
-    with open(path) as fh:
-        return parse_config(fh.read())
+    # JSON text is UTF-8 (RFC 8259), whatever the locale
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config is not UTF-8 text: {e}") from None
+    return parse_config(text)
 
 
 def _cmd_simulate(args) -> int:

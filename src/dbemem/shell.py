@@ -26,9 +26,11 @@ BITS_PER_PIXEL = 30          # accounting convention: 3 x 10-bit components
 PIXELS_PER_CYCLE = BLOCK_W * BLOCK_H // CYCLES_PER_SLOT
 TRACE_HEADER = "cycle,slice,buffer,bank,op,word,purpose,block"
 _TRACE_ROW = "%d,%d,%s,%d,%s,%d,%s,%d\n"
+# characters of trace text that `parse_trace` splits into lines at a time
+_TRACE_CHUNK = 1 << 16
 # a grant's row with the fields a shift leaves alone filled in: the format
-# of its cycle and block
-_GRANT_ROW = "%%d,%d,%s,%d,%s,%d,%s,%%d\n"
+# of its cycle, and its block or the block's format
+_GRANT_ROW = "%%d,%d,%s,%d,%s,%d,%s,%s\n"
 # a drained violation's op, by class (`membank.VIOLATION_CLASSES`)
 _DRAIN_OPS = ("conflict", "hazard", "underflow")
 
@@ -150,14 +152,14 @@ def emit_trace(result: EngineResult, path) -> None:
                                     result.violation_rows.entries):
             if tm not in formats:
                 formats[tm] = _grant_format(tm)
-            fmt, values, step = formats[tm]
+            fmt, values, step, cycles = formats[tm]
             moved = values + d * step
             text = fmt % tuple(moved.tolist())
             if drained is not None:
                 cls, v = drained
                 lines = text.splitlines(True) + _violation_lines(
                     tm.sched.bank_keys, cls, v)
-                order = np.argsort(np.concatenate([moved[::2], v[CYCLE]]),
+                order = np.argsort(np.concatenate([moved[cycles], v[CYCLE]]),
                                    kind="stable")
                 text = b"".join([lines[i] for i in order.tolist()])
             fh.write(text)
@@ -165,19 +167,26 @@ def emit_trace(result: EngineResult, path) -> None:
 
 def _grant_format(tm):
     """Template `tm`'s grant rows in stable cycle order, as one bytes
-    format string, with the (cycle, block) values it takes and their step
-    per blockline (`Scheduler.shift_bookings`), interleaved."""
+    format string, with the values it takes, their step per blockline
+    (`Scheduler.shift_bookings`) and where the rows' cycles lie among them.
+    The values are each row's cycle and then its block, unless the block
+    has no step (a display read's -1), which the string holds instead."""
     g = tm.bookings[:, tm.granted]
     g = g[:, np.argsort(g[CYCLE], kind="stable")]
     buf, bank_id = zip(*tm.sched.bank_keys)
-    fmt = "".join([
-        _GRANT_ROW % (col, buf[k], bank_id[k], "write" if p == WRITE
-                      else "read", word, PURPOSES[p].value)
-        for col, k, p, word in zip(*g[[COL, BANK, PURPOSE, WORD]].tolist())])
     moved = [CYCLE, BLOCK]
     values = g[moved].astype(np.int64)
     step = tm.sched.shift_bookings(g, 1)[moved] - values
-    return fmt.encode(), values.T.ravel(), step.T.ravel()
+    live = step != 0   # every cycle, and every block but a display read's
+    fmt = "".join([
+        _GRANT_ROW % (col, buf[k], bank_id[k], "write" if p == WRITE
+                      else "read", word, PURPOSES[p].value,
+                      "%d" if moves else block)
+        for col, k, p, word, block, moves in zip(
+            *g[[COL, BANK, PURPOSE, WORD, BLOCK]].tolist(), live[1].tolist())])
+    live = live.T.ravel()
+    return (fmt.encode(), values.T.ravel()[live], step.T.ravel()[live],
+            np.cumsum(live)[::2] - 1)
 
 
 def _violation_lines(keys, cls, v):
@@ -192,18 +201,43 @@ def _violation_lines(keys, cls, v):
 
 
 def parse_trace(text: str):
-    lines = text.strip().splitlines()
-    if not lines or lines[0] != TRACE_HEADER:
+    """The rows of CSV trace `text`, as 8-tuples (cycle, slice, buffer,
+    bank, op, word, purpose, block) of int and str, after the header.
+    Surrounding whitespace is ignored; a line that is not 8 fields, or an
+    integer field that is not an integer, is a ConfigError naming its
+    line.
+
+    The text is split into lines a chunk at a time, each chunk cut just
+    after a newline, which ends a line whatever precedes it, so the chunks
+    give the lines `str.splitlines` gives the whole text; and all rows
+    with one buffer, op or purpose hold one string object."""
+    end = len(text)
+    while end and text[end - 1].isspace():
+        end -= 1
+    pos = 0
+    while pos < end and text[pos].isspace():
+        pos += 1
+    body = pos + len(TRACE_HEADER)
+    # the first line, from a prefix long enough to hold the header's end
+    if pos == end or \
+            text[pos:min(body + 2, end)].splitlines()[0] != TRACE_HEADER:
         raise ConfigError("trace file missing the expected header")
-    out = []
-    for n, line in enumerate(lines[1:], start=2):
-        try:
-            cyc, sl, buf, bank, op, word, purpose, block = line.split(",")
-            out.append((int(cyc), int(sl), buf, int(bank), op, int(word),
-                        purpose, int(block)))
-        except ValueError as e:
-            raise ConfigError(f"trace line {n}: {e}") from None
-    return out
+    pos = body + 1 + text.startswith("\r\n", body)
+    rows = []
+    share = {}.setdefault
+    n = 1
+    while pos < end:
+        cut = text.find("\n", pos + _TRACE_CHUNK, end) + 1 or end
+        for n, line in enumerate(text[pos:cut].splitlines(), n + 1):
+            try:
+                cyc, sl, buf, bank, op, word, purpose, block = line.split(",")
+                rows.append((int(cyc), int(sl), share(buf, buf), int(bank),
+                             share(op, op), int(word),
+                             share(purpose, purpose), int(block)))
+            except ValueError as e:
+                raise ConfigError(f"trace line {n}: {e}") from None
+        pos = cut
+    return rows
 
 
 # -- config files ---------------------------------------------------------------
@@ -303,6 +337,8 @@ def parse_config(text: str) -> SimConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
+    except RecursionError:
+        raise ConfigError("config nests too deeply to parse") from None
     given = _fields(raw, _CONFIG, "config", ("image",))
     if "clock_mhz" in given:
         given["clock_mhz"] *= 1e6

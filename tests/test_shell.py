@@ -4,12 +4,14 @@ import itertools
 import json
 import os
 import tempfile
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dbemem import shell
 from dbemem.cli import cli_main
 from dbemem.engine import Engine, FaultSpec, SimConfig, run_simulation
 from dbemem.errors import ConfigError
@@ -17,8 +19,8 @@ from dbemem.geometry import ImageGeometry, Interleave, SliceLayout
 from dbemem.predwindow import WindowSpec
 from dbemem.sched import (CYCLE, preset_baseline, preset_by_name,
                           preset_type1, preset_type2)
-from dbemem.shell import (build_report, buffer_accounting, emit_report,
-                          emit_trace, parse_config, parse_trace,
+from dbemem.shell import (TRACE_HEADER, build_report, buffer_accounting,
+                          emit_report, emit_trace, parse_config, parse_trace,
                           report_to_text, throughput_metrics)
 
 from test_report_digests import NEGATIVE
@@ -151,11 +153,18 @@ def test_trace_row_counts_are_the_csv_rows(tmp_path, name):
     res = run_simulation(parse_config(json.dumps(NEGATIVE[name][0])))
     p = tmp_path / "trace.csv"
     emit_trace(res, p)
-    rows = parse_trace(p.read_text())
+    text = p.read_text()
+    rows = parse_trace(text)
     assert len(res.trace_rows) + len(res.violation_rows) == len(rows)
     v = res.violations
     assert len(res.violation_rows) == v.conflicts + v.hazards + v.underflows
     assert len(res.violation_rows) > 0
+    # the whole file, read back a chunk at a time, gives the line-by-line
+    # reader's rows, typed alike, and one object per distinct text field
+    assert rows == parse_trace_by_line(text)
+    assert {tuple(map(type, row)) for row in rows} == {ROW_TYPES}
+    for k in (2, 4, 6):
+        assert len({id(row[k]) for row in rows}) == len({row[k] for row in rows})
 
 
 def test_accounting_identities_random_presets():
@@ -199,6 +208,162 @@ def test_malformed_trace_row_names_its_line(row, why):
                       good, row, good])
     with pytest.raises(ConfigError, match=f"trace line 3: {why}"):
         parse_trace(text)
+
+
+# -- trace read-back ------------------------------------------------------------
+
+ROW_TYPES = (int, int, str, int, str, int, str, int)
+
+
+def parse_trace_by_line(text: str):
+    """The trace reader that splits the whole text into lines at once: the
+    reference `parse_trace` is pinned to."""
+    lines = text.strip().splitlines()
+    if not lines or lines[0] != TRACE_HEADER:
+        raise ConfigError("trace file missing the expected header")
+    out = []
+    for n, line in enumerate(lines[1:], start=2):
+        try:
+            cyc, sl, buf, bank, op, word, purpose, block = line.split(",")
+            out.append((int(cyc), int(sl), buf, int(bank), op, int(word),
+                        purpose, int(block)))
+        except ValueError as e:
+            raise ConfigError(f"trace line {n}: {e}") from None
+    return out
+
+
+def outcome(parse, text):
+    """What `parse` makes of `text`: its rows, or its ConfigError's text."""
+    try:
+        return parse(text)
+    except ConfigError as e:
+        return str(e)
+
+
+def outcome_within(text, seconds=10.0):
+    """`outcome(parse_trace, text)`, which must come back within `seconds`:
+    a chunk loop that makes no progress never does."""
+    got = []
+    worker = threading.Thread(
+        target=lambda: got.append(outcome(parse_trace, text)), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), "parse_trace did not return"
+    return got[0]
+
+
+@pytest.fixture(scope="module")
+def negative_csv_lines():
+    """The lines of the CSV trace of each negative run of the digest pins."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (config, _, _) in NEGATIVE.items():
+            path = os.path.join(tmp, f"{name}.csv")
+            emit_trace(run_simulation(parse_config(json.dumps(config))), path)
+            with open(path) as fh:
+                out[name] = fh.read().splitlines()
+    return out
+
+
+# every line separator of str.splitlines but "\n" and "\r\n"
+RARE_SEPARATORS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                   "\u2028", "\u2029")
+
+
+def mutated_trace(lines, mutation, at, sep):
+    """CSV text from trace `lines` (its header first) changed by
+    `mutation` at data line `at`; `sep` is a rare line separator."""
+    lines = list(lines)
+    i = 1 + at % max(len(lines) - 1, 1)
+    if mutation == "header_only":
+        lines = lines[:1]
+    elif len(lines) > 1:
+        row = lines[i]
+        edits = {
+            "drop": [], "duplicate": [row, row], "blank": [""],
+            "truncate": [row[:at % len(row)]],
+            "extra_field": [row + ",7"],
+            "non_integer": [row.replace(",", ",x", 1)],
+            "float_field": ["1.5" + row[row.index(","):]],
+            "rare_separator": [row + sep + row],
+            "inner_space": [" " + row.replace(",", " ,", 1)],
+        }
+        if mutation in edits:
+            lines[i:i + 1] = edits[mutation]
+    text = "\r\n".join(lines) if mutation == "crlf" else "\n".join(lines)
+    if mutation == "surrounding_space":
+        return " \t\n" + text + "\t\x0c \n\x0c"
+    return text if mutation == "no_final_newline" else text + "\n"
+
+
+@pytest.mark.parametrize("mutation", [
+    "none", "drop", "duplicate", "blank", "truncate", "extra_field",
+    "non_integer", "float_field", "rare_separator", "inner_space", "crlf",
+    "no_final_newline", "header_only", "surrounding_space"])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(NEGATIVE)), start=st.integers(0, 10**5),
+       length=st.integers(1, 2000), at=st.integers(0, 10**5),
+       sep=st.sampled_from(RARE_SEPARATORS),
+       chunk=st.sampled_from([1, 3, 50, 4096, shell._TRACE_CHUNK]))
+def test_parse_trace_matches_line_by_line_reader_fuzz(
+        negative_csv_lines, name, start, length, mutation, at, sep, chunk):
+    """A stretch of a negative run's CSV, mutated, read a chunk at a time
+    at several chunk sizes: the same rows as the line-by-line reader, or
+    a ConfigError naming the same line."""
+    header, *body = negative_csv_lines[name]
+    start %= len(body)
+    text = mutated_trace([header, *body[start:start + length]], mutation,
+                         at, sep)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shell, "_TRACE_CHUNK", chunk)
+        assert outcome_within(text) == outcome(parse_trace_by_line, text)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 40])
+def test_parse_trace_chunk_boundaries(monkeypatch, chunk):
+    """Chunks shorter than a line: a line longer than every chunk, a last
+    line with no newline and a header alone each come back, and equal the
+    line-by-line reader's."""
+    rows = [f"{c},0,lower{c % 2},0,read,{c},display_read,-1"
+            for c in range(20)]
+    long_row = "5,0," + "lower0" * 50 + ",0,read,3,display_read,-1"
+    texts = [
+        "\n".join([TRACE_HEADER, *rows]),
+        "\n".join([TRACE_HEADER, *rows[:5], long_row, *rows[5:]]) + "\n",
+        "\n".join([TRACE_HEADER, *rows, long_row]),
+        "\r\n".join([TRACE_HEADER, long_row, *rows]),
+        "\n".join([TRACE_HEADER, *rows[:3], "1,2,3", *rows[3:]]),
+        "\n".join([TRACE_HEADER, *rows]) + "\t\x0c \n",
+        TRACE_HEADER,
+        TRACE_HEADER + "\t\x0c \n",
+        "  " + TRACE_HEADER + "x\n" + rows[0],
+        "",
+    ]
+    monkeypatch.setattr(shell, "_TRACE_CHUNK", chunk)
+    got = [outcome_within(text) for text in texts]
+    assert got == [outcome(parse_trace_by_line, text) for text in texts]
+    assert len(got[2]) == 21 and got[2][-1][2] == "lower0" * 50
+    assert got[4] == "trace line 5: not enough values to unpack " \
+                     "(expected 8, got 3)"
+    assert len(got[5]) == 20 and got[6] == got[7] == []
+
+
+def test_parse_trace_shares_text_fields(monkeypatch):
+    """Rows with the same buffer, op or purpose text hold the same string
+    object, across chunks too; a row holds nothing of its line."""
+    monkeypatch.setattr(shell, "_TRACE_CHUNK", 16)
+    rows = parse_trace("\n".join(
+        [TRACE_HEADER] + [f"{c},-1,upper,0,{op},{c},{purpose},-1"
+                          for c, op, purpose in ((4, "read", "display_read"),
+                                                 (8, "conflict", "recon"),
+                                                 (12, "read", "recon"),
+                                                 (16, "conflict",
+                                                  "display_read"))]))
+    assert [tuple(map(type, row)) for row in rows] == [ROW_TYPES] * 4
+    first, second, third, fourth = rows
+    assert first[2] is second[2] is third[2] is fourth[2] == "upper"
+    assert first[4] is third[4] and second[4] is fourth[4]
+    assert first[6] is fourth[6] and second[6] is third[6]
 
 
 def test_config_unknown_keys_rejected():
@@ -332,6 +497,21 @@ def test_cli_bad_config_exit_two(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{\"image\": {\"width\": 321, \"height\": 32}}")
     assert cli_main(["simulate", "--config", str(p)]) == 2
+
+
+@pytest.mark.parametrize("content,why", [
+    (b'\xff\xfe{"image": 1}', "not UTF-8"),
+    (b"[" * 100000 + b"]" * 100000 + b"\n", "nests too deeply"),
+], ids=["not_utf8", "nested_too_deep"])
+def test_cli_unreadable_config_exit_two(tmp_path, capsys, content, why):
+    """A config file that is not UTF-8 text, or JSON nested deeper than
+    the parser can follow, is a config error, not a crash."""
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    assert cli_main(["simulate", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config ") and why in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("fault", [
