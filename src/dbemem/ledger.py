@@ -10,8 +10,8 @@ import numpy as np
 
 from .geometry import CYCLES_PER_SLOT, LINE_WORDS, PIXELS_PER_WORD
 from .membank import SramBankModel
-from .sched import (BANK, COL, CYCLE, FETCH_READ, LINE, PURPOSE, PX, SLOT,
-                    WORD, WRITE)
+from .sched import (BANK, COL, CYCLE, FETCH_READ, LINE, PURPOSE, PURPOSES, PX,
+                    SLOT, WORD, WRITE)
 
 # ledger event types, in a word's event list: the commit of a granted
 # booking, or a required read armed after its slot's first cycle
@@ -32,6 +32,38 @@ def owed_reads(step, start, seg, head):
     return q - np.minimum(low, 0)
 
 
+def _frontiers(b, n_banks):
+    """Per slot of bookings `b` and per bank, the bank's frontier when the
+    slot books: 1 + the latest cycle booked on it in an earlier slot, or 0.
+    Every booked cycle is granted to its first booking and committed at
+    the end of its slot, so this is the bank model's own `frontier`."""
+    latest = np.full((int(b[SLOT][-1]) + 2, n_banks), -1, dtype=np.int64)
+    np.maximum.at(latest, (b[SLOT] + 1, b[BANK]), b[CYCLE])
+    return np.maximum.accumulate(latest, axis=0) + 1
+
+
+def _book_slot(sched, b, frontier):
+    """The booking protocol for one slot's bookings `b` on fresh bank
+    models whose frontiers are `frontier`: book the slot (the first booking
+    of a (bank, cycle) wins, a later one is a conflict and is not granted),
+    then commit its grants in cycle and bank order; a booking behind its
+    bank's frontier is a ConfigError.  Returns the conflicts as (position,
+    winner's position) in the slot."""
+    banks = [SramBankModel(buf, bk) for buf, bk in sched.bank_keys]
+    for model, f in zip(banks, frontier.tolist()):
+        model.frontier = f
+    first, lost = {}, []
+    for i, (rec, k) in enumerate(zip(sched.access_records(b),
+                                     b[BANK].tolist())):
+        if banks[k].request_access(rec):
+            first[rec.cycle, k] = i
+        else:
+            lost.append((i, first[rec.cycle, k]))
+    for cyc, k in sorted(first):
+        banks[k].commit_cycle(cyc)
+    return lost
+
+
 class Pass:
     """The bookings of a blockline's slots (`Scheduler.blockline_slots`)
     with what stays fixed when the blockline is replayed d blocklines
@@ -44,28 +76,32 @@ class Pass:
         self.bl0 = bl
         self.sched = sched = eng.sched
         self.bookings = b = sched.booking_arrays(bl)
-        banks = [SramBankModel(buf, bk) for buf, bk in sched.bank_keys]
-        records = sched.access_records(b)
-        bank_of = b[BANK].tolist()
+        slot, cycle, bank, word = b[SLOT], b[CYCLE], b[BANK], b[WORD]
+        frontier = _frontiers(b, len(sched.bank_keys))
+        # a slot's verdict depends, per booking in booking order, on its
+        # bank, its cycle from the slot's first cycle, whether it is behind
+        # its bank's frontier and whether its word is outside the buffer;
+        # a slot's key is those rows' bytes
+        s0 = sched.blockline_slots(bl).start
+        codes = np.stack([bank, cycle - CYCLES_PER_SLOT * (slot + s0),
+                          cycle < frontier[slot, bank],
+                          (word < 0) | (word >= LINE_WORDS)],
+                         axis=1).astype(np.int32)
+        row, keys = codes.strides[0], codes.tobytes()
+        purpose_of, word_of = b[PURPOSE].tolist(), word.tolist()
+        verdicts = {}    # slot key -> its conflicts: (position, winner's)
         conflicts = []   # (booking index, first purpose, first word)
-        # the booking protocol on the bank models, slot by slot: book the
-        # slot (the first booking of a (bank, cycle) wins, a later one is a
-        # conflict and is not granted), then commit its grants in cycle and
-        # bank order; a booking behind a cycle its bank has committed is a
-        # ConfigError
-        ends = (np.flatnonzero(np.diff(b[SLOT])) + 1).tolist()
-        for lo, hi in zip([0, *ends], [*ends, len(records)]):
-            grants = []
-            for i in range(lo, hi):
-                k = bank_of[i]
-                if banks[k].request_access(records[i]):
-                    grants.append((records[i].cycle, k))
-                else:
-                    v = banks[k].conflicts[-1]
-                    conflicts.append((i, v.first_purpose, v.first_word))
-            grants.sort()
-            for cyc, k in grants:
-                banks[k].commit_cycle(cyc)
+        # the first slot of each key, in slot order, is booked for real,
+        # so a ConfigError comes from the earliest slot that would raise
+        ends = (np.flatnonzero(np.diff(slot)) + 1).tolist()
+        for lo, hi in zip([0, *ends], [*ends, len(word_of)]):
+            key = keys[row * lo:row * hi]
+            lost = verdicts.get(key)
+            if lost is None:
+                lost = verdicts[key] = _book_slot(sched, b[:, lo:hi],
+                                                  frontier[slot[lo]])
+            conflicts += [(lo + j, PURPOSES[purpose_of[lo + w]],
+                           word_of[lo + w]) for j, w in lost]
         self.conflicts = conflicts
         granted = np.ones(b.shape[1], dtype=bool)
         granted[[c[0] for c in conflicts]] = False

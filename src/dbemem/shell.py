@@ -88,7 +88,8 @@ def throughput_metrics(clock_hz: float, width: int, height: int) -> dict:
     # NaN fails the comparison too
     if not (0 < clock_hz < math.inf and width > 0 and height > 0):
         raise ConfigError("throughput metrics need positive inputs and a "
-                          f"finite clock, got {clock_hz} Hz")
+                          f"finite clock, got {clock_hz} Hz, width {width} "
+                          f"and height {height}")
     mpix = clock_hz * PIXELS_PER_CYCLE / 1e6
     fps = clock_hz * PIXELS_PER_CYCLE / (width * height)
     return {"mpixels_per_sec": round(mpix, 2), "fps": round(fps, 2)}

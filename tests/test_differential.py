@@ -23,7 +23,8 @@ from dbemem.oracle import GoldenOracle
 from dbemem.predwindow import WindowSpec
 from dbemem.reference import ReferenceEngine
 from dbemem.sched import (BLOCK, CYCLE, HALF_LINE, ONE_LINE, PURPOSE, REFILL,
-                          WRITE, Scheduler, preset_baseline, preset_by_name)
+                          WORD, WRITE, Scheduler, preset_baseline,
+                          preset_by_name)
 from dbemem.shell import TRACE_HEADER, _TRACE_ROW, emit_trace, parse_config
 
 from test_shell import _config
@@ -510,6 +511,21 @@ def test_foreign_words_and_flips_match_reference_fuzz(cfg):
     assert_same_run(cfg, may_reject=True)
 
 
+def edit_first_write(monkeypatch, slot, field, edit):
+    """Make both engines' planner apply `edit` to `field` of the first
+    write of the block decoded in `slot`."""
+    planned = Scheduler.booking_arrays
+
+    def edited(self, bl):
+        b = planned(self, bl)
+        i = np.flatnonzero((b[BLOCK] == slot) & (b[PURPOSE] == WRITE))
+        if i.size:
+            b[field, i[0]] = edit(b[field, i[0]])
+        return b
+
+    monkeypatch.setattr(Scheduler, "booking_arrays", edited)
+
+
 @pytest.mark.parametrize("name", PRESETS)
 @pytest.mark.parametrize("slot", [3, 40])
 def test_booking_behind_a_bank_frontier_rejected(monkeypatch, name, slot):
@@ -518,16 +534,37 @@ def test_booking_behind_a_bank_frontier_rejected(monkeypatch, name, slot):
     within a blockline (slot 3) and across blocklines (slot 40 opens
     blockline 1 at 320 pixels wide).  The slot's first write moves two
     slots back in the planner both engines read."""
-    planned = Scheduler.booking_arrays
-
-    def moved(self, bl):
-        b = planned(self, bl)
-        i = np.flatnonzero((b[BLOCK] == slot) & (b[PURPOSE] == WRITE))
-        if i.size:
-            b[CYCLE, i[0]] -= 2 * CYCLES_PER_SLOT
-        return b
-
-    monkeypatch.setattr(Scheduler, "booking_arrays", moved)
+    edit_first_write(monkeypatch, slot, CYCLE,
+                     lambda c: c - 2 * CYCLES_PER_SLOT)
     cfg = SimConfig(ImageGeometry(320, 32), SliceLayout(1, 1),
                     preset_by_name(name))
     assert "behind frontier" in assert_same_rejection(cfg)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize("slot", [3, 40])
+def test_booking_ahead_puts_the_next_bookings_behind(monkeypatch, name,
+                                                     slot):
+    """A write moved two slots later stays in its own slot, whose cycles
+    it books ahead of: the bookings of its bank in the next slots, each
+    planned as usual, fall behind the frontier its commit leaves, and both
+    engines reject the run with the same message."""
+    edit_first_write(monkeypatch, slot, CYCLE,
+                     lambda c: c + 2 * CYCLES_PER_SLOT)
+    cfg = SimConfig(ImageGeometry(320, 32), SliceLayout(1, 1),
+                    preset_by_name(name))
+    assert assert_same_rejection(cfg).endswith(
+        f"behind frontier {CYCLES_PER_SLOT * (slot + 2) + 1}")
+
+
+@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize("slot", [3, 40])
+def test_booking_outside_the_buffer_rejected(monkeypatch, name, slot):
+    """A write to word 480, one past a line buffer's last word, is a
+    ConfigError with the same message in both engines, in a slot that is
+    otherwise planned like others of its blockline (slot 3) and in the
+    slot that opens blockline 1 (slot 40)."""
+    edit_first_write(monkeypatch, slot, WORD, lambda w: 480)
+    cfg = SimConfig(ImageGeometry(320, 32), SliceLayout(1, 1),
+                    preset_by_name(name))
+    assert assert_same_rejection(cfg) == "word 480 outside 0..479"

@@ -441,6 +441,19 @@ def test_cli_fps_non_finite_clock_exit_two(capsys, mhz):
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+@pytest.mark.parametrize("width, height", [(0, 10), (3840, -1)])
+def test_cli_fps_bad_frame_names_every_input(capsys, width, height):
+    """A frame with no pixels has no frame rate; the message names the
+    clock, the width and the height."""
+    assert cli_main(["fps", "--width", str(width), "--height", str(height)]) \
+        == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: throughput metrics need positive inputs and a finite clock, "
+        f"got 200000000.0 Hz, width {width} and height {height}\n")
+
+
 def test_cli_simulate_pass(tmp_path, capsys):
     cfg = write_cfg(tmp_path, CFG)
     rep = tmp_path / "r.json"
