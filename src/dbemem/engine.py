@@ -106,9 +106,7 @@ class ViolationLog:
     details: dict = field(default_factory=dict)
 
     def total(self) -> int:
-        return (self.conflicts + self.hazards + self.underflows
-                + self.availability_misses + self.output_mismatches
-                + self.prediction_mismatches)
+        return sum(self.as_dict().values())
 
     def passed(self) -> bool:
         return self.total() == 0
@@ -313,7 +311,9 @@ class Engine:
         # and parts
         self._window = [(s, dy, self._parts[s])
                         for s, dy in zip(SECTIONS, (-1, 0, 1))]
-        self._stage_words_static = self._stage_words()
+        self._stage_words_static = self.sched.warmup_count + 1 + sum(
+            (hi - lo) // PIXELS_PER_WORD + 2 for parts in self._parts.values()
+            for lo, hi, route in parts if route == FETCH)
 
     def _setup_passes(self):
         """The array state a run starts from: the decode order within a
@@ -358,11 +358,6 @@ class Engine:
         self._rgb = None
         self._setup_residency()
         self._setup_window()
-
-    def _stage_words(self) -> int:
-        return self.sched.warmup_count + 1 + sum(
-            (hi - lo) // PIXELS_PER_WORD + 2 for parts in self._parts.values()
-            for lo, hi, route in parts if route == FETCH)
 
     def stage_key(self, col, line, word):
         """A fetch stage entry's key: slice column, line mod 4, local word."""
@@ -414,9 +409,8 @@ class Engine:
     # -- bookkeeping helpers -------------------------------------------------
 
     def _note(self, cls, item):
-        self.log.details.setdefault(cls, [])
-        if len(self.log.details[cls]) < DETAIL_LIMIT:
-            self.log.details[cls].append(item)
+        if self._room(cls) > 0:
+            self.log.details.setdefault(cls, []).append(item)
 
     def _room(self, cls) -> int:
         return DETAIL_LIMIT - len(self.log.details.get(cls, ()))
@@ -441,46 +435,34 @@ class Engine:
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> EngineResult:
-        plan = self.plan
         self._setup_passes()
-        spb = self.sched.slots_per_blockline
         # how far a display word of another line moves per blockline: its
         # line and parity, and its raster word
-        far_unit = np.array([[2], [0], [2 * spb]])
+        far_unit = np.array([[2], [0], [2 * self.sched.slots_per_blockline]])
         pixels_served = replayed = 0
-        # per class, per carried state moved back bl blocklines: the
-        # carried state after the pass, moved back likewise, the pixels it
-        # served, its availability misses, its bank violations (`found`,
-        # event indices of the template) and its display reads of words of
-        # another line (`far`, moved back likewise).  None of these depends
-        # on a golden value: a word of its place's line matches or
-        # mismatches by its flip parity alone, so a replay re-checks only
-        # the values of the `far` words.  Never kept in a run with a flip,
-        # whose parities can change any word's value
+        # `key` is blockline bl's start state moved back bl blocklines.  Per
+        # class and key a record: the next blockline's key, the pixels the
+        # pass served, its availability misses, the drain order of its bank
+        # violations and its display reads of words of another line (`far`,
+        # moved back likewise).  None of these depends on a golden value: a
+        # word of its place's line matches or mismatches by its flip parity
+        # alone, so a replay checks only the `far` words' values again and
+        # touches no carried array.  Never kept in a run with a flip, whose
+        # parities can change any word's value
         seen = {}
-        for bl in range(plan.total_blocklines):
-            # no window reads a line below 2 bl - 1 again: its stage entries
-            # become never staged, so that they keep no two start states
-            # of a class apart
-            line, parity = self._stage
-            stale = line < 2 * bl - 1
-            line[stale], parity[stale] = -1, 0
+        key = self._moved_back(self._carry, 0)
+        for bl in range(self.plan.total_blocklines):
             tm, d = self._template(bl)
-            known = seen.setdefault(tm.bl0, {})
-            key = self._moved_back(self._carry, bl)
-            rec = known.get(key)
+            rec = seen.get((tm.bl0, key))
             # a miss's detail sample names its slot, which only a check gives
             if rec and not (rec[2] and self._room("availability_misses") > 0):
-                end, served, misses, found, far = rec
-                end = np.frombuffer(end, dtype=np.int64)
-                self._carry[:] = np.where(end == _NEVER, -1,
-                                          end + bl * self._carry_unit)
-                if far.size:
-                    self._compare_display(*(far + bl * far_unit))
-                pixels_served += served
-                self.log.availability_misses += misses
+                if rec[4].size:
+                    self._compare_display(*(rec[4] + bl * far_unit))
                 replayed += 1
             else:
+                start = np.frombuffer(key, dtype=np.int64)
+                self._carry[:] = np.where(start == _NEVER, -1,
+                                          start + bl * self._carry_unit)
                 b = self.sched.shift_bookings(tm.bookings, d) if d \
                     else tm.bookings
                 display, staged, found = self._commit_slot(tm, b)
@@ -489,13 +471,21 @@ class Engine:
                 resident = self._advance_window(bl, stage)
                 served, misses, mismatches = self._serve_window(bl, stage,
                                                                 resident)
-                pixels_served += served
-                self.log.availability_misses += misses
                 self.log.prediction_mismatches += mismatches
+                # no window of a later blockline reads a line below 2 bl + 1
+                # again: its stage entries become never staged, so that they
+                # keep no two start states of a class apart
+                line, parity = self._stage
+                stale = line < 2 * bl + 1
+                line[stale], parity[stale] = -1, 0
+                rec = (self._moved_back(self._carry, bl + 1), served, misses,
+                       self._drain_order(tm, found), far - bl * far_unit)
                 if not self._flips:
-                    known[key] = (self._moved_back(self._carry, bl), served,
-                                  misses, found, far - bl * far_unit)
-            drained = self._drain_bank_violations(tm, d, found)
+                    seen[tm.bl0, key] = rec
+            key, served, misses, order, _ = rec
+            pixels_served += served
+            self.log.availability_misses += misses
+            drained = self._drain_bank_violations(tm, d, order)
             if self.cfg.collect_trace:
                 self.trace_rows.append((tm, d), len(tm.granted))
                 self.violation_rows.append(
@@ -655,34 +645,44 @@ class Engine:
             ycocg_frame(self._rgb)
         return self._rgb
 
-    def _drain_bank_violations(self, tm, d, found):
-        """Count and log the conflicts, hazards and underflows of template
-        `tm`'s pass d blocklines later in drain order: per slot and bank,
-        conflicts in booking order, then hazards, then underflows, each in
-        cycle order.  Returns them in that order as their classes
-        (`VIOLATION_CLASSES`) and bookings, or None when there are none."""
+    def _drain_order(self, tm, found):
+        """Template `tm`'s conflicts and its pass's hazards and underflows
+        `found` in drain order, which holds in every pass of the class with
+        the same `found`: per slot and bank, conflicts in booking order,
+        then hazards, then underflows, each in cycle order.  Returns the
+        counts per class, each one's class, index within it and template
+        booking, and the hazards' owed reads; None when there are none."""
         hz, hz_out, hz_fetch, uf = found
         if not (tm.conflicts or hz.size or uf.size):
             return None
         cb = np.array([c[0] for c in tm.conflicts], dtype=np.int64)
-        hb, ub = tm.ev_b[hz], tm.ev_b[uf]
-        self.log.conflicts += len(cb)
-        self.log.hazards += len(hb)
-        self.log.underflows += len(ub)
-        at = np.concatenate([cb, hb, ub])
-        cls = np.repeat([0, 1, 2], [len(cb), len(hb), len(ub)])
-        which = np.concatenate([np.arange(len(cb)), np.arange(len(hb)),
-                                np.arange(len(ub))])
+        at = np.concatenate([cb, tm.ev_b[hz], tm.ev_b[uf]])
+        n = [len(cb), len(hz), len(uf)]
+        cls = np.repeat([0, 1, 2], n)
+        which = np.concatenate([np.arange(k) for k in n])
         t = tm.bookings
         tie = np.where(cls == 0, at, t[CYCLE][at])
         order = np.lexsort((tie, cls, t[BANK][at], t[SLOT][at]))
-        cls, which = cls[order], which[order]
-        vb = self.sched.shift_bookings(t[:, at[order]], d)
-        # only the detail samples are built, in drain order
-        room = [self._room(c) for c in VIOLATION_CLASSES]
+        return n, cls[order], which[order], at[order], hz_out, hz_fetch
+
+    def _drain_bank_violations(self, tm, d, order):
+        """Count and log the bank violations of template `tm`'s pass d
+        blocklines later, in their drain order `order` (`_drain_order`).
+        Returns them in that order as their classes and bookings, or None
+        when there are none."""
+        if order is None:
+            return None
+        n, cls, which, at, hz_out, hz_fetch = order
+        self.log.conflicts += n[0]
+        self.log.hazards += n[1]
+        self.log.underflows += n[2]
+        vb = self.sched.shift_bookings(tm.bookings[:, at], d)
+        # only the detail samples are built, in drain order, while their
+        # class has room
+        room = [max(self._room(c), 0) for c in VIOLATION_CLASSES]
         keep = np.zeros(len(cls), dtype=bool)
-        for c in range(3):
-            keep[np.flatnonzero(cls == c)[:max(room[c], 0)]] = True
+        for c in np.flatnonzero(room).tolist():
+            keep[np.flatnonzero(cls == c)[:room[c]]] = True
         for c, j, (_, cyc, k, p, word, block, *_) in zip(
                 cls[keep].tolist(), which[keep].tolist(),
                 vb[:, keep].T.tolist()):
@@ -818,12 +818,8 @@ class Engine:
             # (slot, part) in decode order
             per = np.stack([c[k] for c in counts])[
                 :, self._slot_col, self._slot_bx].T
-            for t, p in zip(*np.nonzero(per)):
-                if room <= 0:
-                    break
-                self._note(name, (bl * spb + int(t), sections[p],
-                                  int(per[t, p])))
-                room -= 1
+            for t, p in np.argwhere(per)[:room].tolist():
+                self._note(name, (bl * spb + t, sections[p], int(per[t, p])))
         return served, misses, mismatches
 
 

@@ -343,4 +343,7 @@ def parse_config(text: str) -> SimConfig:
     given = _fields(raw, _CONFIG, "config", ("image",))
     if "clock_mhz" in given:
         given["clock_mhz"] *= 1e6
+        if not 0 < given["clock_mhz"] < math.inf:   # NaN fails too
+            raise ConfigError(f"clock_mhz must be positive and finite, "
+                              f"got {raw['clock_mhz']}")
     return SimConfig(**{_SIM_FIELD.get(k, k): v for k, v in given.items()})

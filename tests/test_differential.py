@@ -321,15 +321,18 @@ def test_replayed_blocklines_match_reference(name, shape):
         assert replayed > 0
 
 
-@pytest.mark.parametrize("name,fault", [
-    ("type1", "fetch_budget"), ("type2", "banks"), ("baseline", "capacity"),
-    ("type1", "capacity"), ("type2", "capacity")])
-def test_blocklines_with_violations_replay(name, fault):
+@pytest.mark.parametrize("name,fault,cols", [
+    *(pytest.param(name, fault, 1, id=f"{name}-{fault}") for name, fault in (
+        ("type1", "fetch_budget"), ("type2", "banks"), ("baseline", "capacity"),
+        ("type1", "capacity"), ("type2", "capacity"))),
+    ("type1", "fetch_budget", 4), ("type2", "banks", 4)])
+def test_blocklines_with_violations_replay(name, fault, cols):
     """Conflicts, hazards, underflows and availability misses follow from
     the class and the carried state, so a 320x128 run that logs them in
     every blockline still replays, traced and untraced, and gives what the
-    reference gives."""
-    cfg = SimConfig(ImageGeometry(320, 128), SliceLayout(1, 1),
+    reference gives.  On 4 columns every replayed pass drains its class's
+    conflicts in the drain order its record keeps."""
+    cfg = SimConfig(ImageGeometry(320, 128), SliceLayout(cols, 1),
                     preset_by_name(name), collect_trace=True,
                     faults=[FAULTS[fault](name)])
     want, replayed = assert_same_traced_and_untraced(cfg)

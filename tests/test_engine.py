@@ -421,6 +421,24 @@ def test_blocklines_replayed_on_benchmark_configs(run):
     assert run_simulation(cfg_for(*shape, **kw)).blocklines_replayed == want
 
 
+@pytest.mark.parametrize("run", sorted(REPLAYED))
+def test_replayed_blocklines_touch_no_carried_array(run, monkeypatch):
+    """A replay takes the next blockline's key from its record: the carried
+    state is moved back only for the first key and after each checked
+    pass, and only a checked pass works out its drain order."""
+    calls = dict.fromkeys(("_moved_back", "_drain_order"), 0)
+    for name in calls:
+        def spy(self, *args, _name=name, _method=getattr(Engine, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(Engine, name, spy)
+    shape, kw, want = REPLAYED[run]
+    res = run_simulation(cfg_for(*shape, **kw))
+    checked = res.plan.total_blocklines - res.blocklines_replayed
+    assert res.blocklines_replayed == want
+    assert calls == {"_moved_back": checked + 1, "_drain_order": checked}
+
+
 def test_golden_frame_built_only_for_words_from_another_place(monkeypatch):
     """A word of its place's line needs no golden pixel, so clean
     runs of every preset build no golden frame.  A run that displays words

@@ -637,6 +637,18 @@ def test_cli_malformed_config_exit_two(tmp_path, capsys, data):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("mhz", [1e308, 0, -5.5])
+def test_cli_clock_mhz_message_names_the_configured_value(tmp_path, capsys,
+                                                          mhz):
+    """A clock_mhz whose Hz value is not positive and finite exits 2 with a
+    message naming the key and the value as configured, not the Hz value:
+    1e308 MHz overflows to inf Hz."""
+    path = write_cfg(tmp_path, dict(CFG, clock_mhz=mhz))
+    assert cli_main(["simulate", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: clock_mhz must be positive and finite, got {mhz}\n")
+
+
 def test_override_faults_validated_by_kind():
     from dbemem.engine import Engine, FaultSpec, SimConfig
     from dbemem.geometry import ImageGeometry, SliceLayout
