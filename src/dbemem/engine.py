@@ -235,12 +235,12 @@ class _Stage:
 
 
 class _FlipWatch:
-    """What a run did to the word of one flip_word fault: whether a read
-    returned the flipped value (`seen`), and the cycles of the word's
-    writes and of its reads of a written word."""
+    """What a run did to the word of one flip_word fault, ledger index wk:
+    whether a read returned the flipped value (`seen`), and the cycles of
+    the word's writes and of its reads of a written word."""
 
-    def __init__(self, fault):
-        self.fault = fault
+    def __init__(self, fault, wk):
+        self.fault, self.wk = fault, wk
         self.seen = False
         self.writes, self.reads = [], []
 
@@ -303,9 +303,9 @@ class Engine:
                                  for base in self.plan.partition_bases)
                 raise ConfigError(f"flip_word word {f.word_index} is used by "
                                   f"no slice column (they use {used})")
-        self._watches = [_FlipWatch(f) for f in flips]
-        self._flips = [(buffers.index(f.buffer) * LINE_WORDS + f.word_index,
-                        f.cycle) for f in flips]
+        self._watches = [
+            _FlipWatch(f, buffers.index(f.buffer) * LINE_WORDS + f.word_index)
+            for f in flips]
         self._parts = self.preset.parts(self.spec)
         # per section: name, line offset from the blockline's upper row
         # and parts
@@ -329,24 +329,22 @@ class Engine:
         self._slot_of[self._slot_col, self._slot_bx] = t
         # carried from pass to pass, in one array so that it can be keyed
         # and restored whole: per bank the cycle after its last commit; per
-        # (buffer, word) the line it holds (-1: never written), its last
-        # write cycle, and the display and fetch reads it still owes; per
-        # stage key the staged line (-1: none) and its flip parity.  Per
-        # part: size, how far it moves per blockline, and whether -1 in it
-        # means never written
+        # (buffer, word) the line it holds (-1: never written) and the
+        # display and fetch reads it still owes; per stage key the staged
+        # line (-1: none) and its flip parity.  Per part: size, how far it
+        # moves per blockline, and whether -1 in it means never written
         n_wk = len(self.preset.buffer_names()) * LINE_WORDS
         n_st = cols * 4 * n
         per_bl = CYCLES_PER_SLOT * spb
         sizes, unit, never = zip(
             (len(self.sched.bank_keys), per_bl, False), (n_wk, 2, True),
-            (n_wk, per_bl, True), (2 * n_wk, 0, False),
-            (n_st, 2, True), (n_st, 0, False))
+            (2 * n_wk, 0, False), (n_st, 2, True), (n_st, 0, False))
         self._carry = np.zeros(sum(sizes), dtype=np.int64)
         self._carry_unit = np.repeat(unit, sizes)
         self._carry_never = np.repeat(never, sizes)
         self._carry[self._carry_never] = -1
-        (self._frontier, self._word_line, self._word_cycle,
-         owed, *self._stage) = np.split(self._carry, np.cumsum(sizes)[:-1])
+        (self._frontier, self._word_line, owed, *self._stage) = np.split(
+            self._carry, np.cumsum(sizes)[:-1])
         self._word_owed = owed.reshape(2, n_wk)
         self._templates = {}   # blockline class -> its first blockline's Pass
         # a traced pass's grants are its template shifted by d blocklines,
@@ -436,28 +434,28 @@ class Engine:
 
     def run(self) -> EngineResult:
         self._setup_passes()
+        spb = self.sched.slots_per_blockline
         # how far a display word of another line moves per blockline: its
         # line and parity, and its raster word
-        far_unit = np.array([[2], [0], [2 * self.sched.slots_per_blockline]])
+        far_unit = np.array([[2], [0], [2 * spb]])
         pixels_served = replayed = 0
         # `key` is blockline bl's start state moved back bl blocklines.  Per
-        # class and key a record: the next blockline's key, the pixels the
-        # pass served, its availability misses, the drain order of its bank
-        # violations and its display reads of words of another line (`far`,
-        # moved back likewise).  None of these depends on a golden value: a
-        # word of its place's line matches or mismatches by its flip parity
-        # alone, so a replay checks only the `far` words' values again and
-        # touches no carried array.  Never kept in a run with a flip, whose
-        # parities can change any word's value
+        # class and key a record: the next blockline's key, what the pass
+        # served, missed and mispredicted with its samples, the drain order
+        # of its bank violations and its display reads of words of another
+        # line (`far`, moved back likewise).  None of these depends on a
+        # golden value: a word of its place's line matches or mismatches by
+        # its flip parity alone, so a replay checks only the `far` words'
+        # values again and touches no carried array.  No record is kept of
+        # a pass that a flip can still reach (`_commit_slot`)
         seen = {}
         key = self._moved_back(self._carry, 0)
         for bl in range(self.plan.total_blocklines):
             tm, d = self._template(bl)
             rec = seen.get((tm.bl0, key))
-            # a miss's detail sample names its slot, which only a check gives
-            if rec and not (rec[2] and self._room("availability_misses") > 0):
-                if rec[4].size:
-                    self._compare_display(*(rec[4] + bl * far_unit))
+            if rec:
+                if rec[6].size:
+                    self._compare_display(*(rec[6] + bl * far_unit))
                 replayed += 1
             else:
                 start = np.frombuffer(key, dtype=np.int64)
@@ -465,26 +463,28 @@ class Engine:
                                           start + bl * self._carry_unit)
                 b = self.sched.shift_bookings(tm.bookings, d) if d \
                     else tm.bookings
-                display, staged, found = self._commit_slot(tm, b)
+                display, staged, found, live = self._commit_slot(tm, b)
                 far = self._check_display_word(*display)
                 stage = _Stage(self, staged)
                 resident = self._advance_window(bl, stage)
-                served, misses, mismatches = self._serve_window(bl, stage,
-                                                                resident)
-                self.log.prediction_mismatches += mismatches
+                served = self._serve_window(bl, stage, resident)
                 # no window of a later blockline reads a line below 2 bl + 1
                 # again: its stage entries become never staged, so that they
                 # keep no two start states of a class apart
                 line, parity = self._stage
                 stale = line < 2 * bl + 1
                 line[stale], parity[stale] = -1, 0
-                rec = (self._moved_back(self._carry, bl + 1), served, misses,
+                rec = (self._moved_back(self._carry, bl + 1), *served,
                        self._drain_order(tm, found), far - bl * far_unit)
-                if not self._flips:
+                if not live:
                     seen[tm.bl0, key] = rec
-            key, served, misses, order, _ = rec
+            key, served, misses, mismatches, samples, order, _ = rec
             pixels_served += served
             self.log.availability_misses += misses
+            self.log.prediction_mismatches += mismatches
+            # room only shrinks: these are the samples a check would note
+            for name, t, s, n in samples:
+                self._note(name, (bl * spb + t, s, n))
             drained = self._drain_bank_violations(tm, d, order)
             if self.cfg.collect_trace:
                 self.trace_rows.append((tm, d), len(tm.granted))
@@ -521,9 +521,10 @@ class Engine:
         clears them.  A read of a never-written word is an underflow.  A
         flip fault lands before the commits of its cycle.  Returns the
         display reads in commit order, with the raster word each reads, the
-        fetches that staged their word
-        (the bank then held the demanded line) and the pass's hazards and
-        underflows.  Like a bank model, a pass that books a bank behind a
+        fetches that staged their word (the bank then held the demanded
+        line), the pass's hazards and underflows, and whether a flip can
+        reach the pass: its word's last write before it is before the
+        flip.  Like a bank model, a pass that books a bank behind a
         cycle an earlier pass committed on it is a ConfigError (the pass's
         own slots are held to this by `ledger.Pass`)."""
         bank, cycles = b[BANK], b[CYCLE]
@@ -552,16 +553,19 @@ class Engine:
         line = np.where(mine, b[LINE][wb], held)
         cycle = b[CYCLE][eb]
         parity = np.zeros(len(wk), dtype=np.int64)
-        if self._flips:
-            w_cycle = np.where(mine, b[CYCLE][wb], self._word_cycle[wk])
+        live = False
+        for watch in self._watches:
+            # a carried-in source write is the last the watch recorded, as
+            # every pass is checked until a write at or after the flip
+            fc, last = watch.fault.cycle, (watch.writes or [-1])[-1]
+            live |= last < fc
+            on = wk == watch.wk
+            hit = on & (np.where(mine, b[CYCLE][wb], last) < fc) & (fc <= cycle)
+            parity ^= hit
             value_read = (typ >= READ_DISPLAY) & written
-            for (fwk, fc), watch in zip(self._flips, self._watches):
-                on = wk == fwk
-                hit = on & (w_cycle < fc) & (fc <= cycle)
-                parity ^= hit
-                watch.seen |= bool((hit & value_read).any())
-                watch.writes += cycle[on & (typ == WRITE_EVENT)].tolist()
-                watch.reads += cycle[on & value_read].tolist()
+            watch.seen |= bool((hit & value_read).any())
+            watch.writes += cycle[on & (typ == WRITE_EVENT)].tolist()
+            watch.reads += cycle[on & value_read].tolist()
 
         w = tm.writes
         hazards = w[(owed[0][w] > 0) | (owed[1][w] > 0)]
@@ -585,8 +589,7 @@ class Engine:
         has = tm.tail_write >= 0
         src = eb[tm.tail_write[has]]
         self._word_line[words[has]] = b[LINE][src]
-        self._word_cycle[words[has]] = b[CYCLE][src]
-        return display, staged, found
+        return display, staged, found, live
 
     def _check_display_word(self, k, written, line, parity):
         """The display reads of one pass, of raster words k: a written word
@@ -712,14 +715,12 @@ class Engine:
         window pixels are resident at every block.  Returns, per section,
         the admitted x and (for the previous line) which of them hold a
         wrong value."""
-        if not self._resident:
-            return {}
         n, sw = self.plan.words_per_line, self.plan.slice_width
         cols = self.plan.slices.columns
         out = {}
         lo, hi = self.spec.prev_line_span
         codes = None
-        if self._resident[0] == "prev" and \
+        if self._resident[:1] == ["prev"] and \
                 not self.plan.is_first_blockline_of_slice(bl):
             prev_y = 2 * bl - 1
             x = np.arange(sw)
@@ -772,7 +773,8 @@ class Engine:
     def _serve_window(self, bl, stage, resident):
         """Serve every unclipped window pixel of the blockline's blocks by
         exactly one path and compare the value against the oracle.  Returns
-        (served, misses, mismatches)."""
+        (served, misses, mismatches, samples), a sample being (class, slot
+        from the pass start, section, count) while its class has room."""
         first = self.plan.is_first_blockline_of_slice(bl)
         cols = self.plan.slices.columns
         counts = []   # per part: (misses, mismatches), each (cols, blocks)
@@ -809,7 +811,7 @@ class Engine:
             served += int(n_ok.sum() - np.sum(n_bad))
         misses = sum(int(m.sum()) for m, _ in counts)
         mismatches = sum(int(m.sum()) for _, m in counts)
-        spb = self.sched.slots_per_blockline
+        samples = []
         for k, name in ((0, "availability_misses"),
                         (1, "prediction_mismatches")):
             room = self._room(name)
@@ -818,9 +820,9 @@ class Engine:
             # (slot, part) in decode order
             per = np.stack([c[k] for c in counts])[
                 :, self._slot_col, self._slot_bx].T
-            for t, p in np.argwhere(per)[:room].tolist():
-                self._note(name, (bl * spb + t, sections[p], int(per[t, p])))
-        return served, misses, mismatches
+            samples += [(name, t, sections[p], int(per[t, p]))
+                        for t, p in np.argwhere(per)[:room].tolist()]
+        return served, misses, mismatches, samples
 
 
 def run_simulation(cfg: SimConfig) -> EngineResult:

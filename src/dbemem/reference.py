@@ -90,9 +90,7 @@ class ReferenceEngine(Engine):
                                   self.plan.words_per_line,
                                   self.plan.slice_width)
                      for _ in range(cfg.slices.columns)]
-        # pending flips, in cycle order: (word, cycle, watch)
-        self._flips = deque((wk, c, watch) for (wk, c), watch
-                            in zip(self._flips, self._watches))
+        self._flips = deque(self._watches)   # pending flips, in cycle order
         self._flipped = set()   # watches whose flip the word still holds
         self._next_display_k = 0   # the raster word the display reads next
         self._resident_rows = [(s, row) for s, row in (("row0", 0), ("row1", 1))
@@ -246,9 +244,9 @@ class ReferenceEngine(Engine):
         """Land the pending flips of cycles up to `last` on the word
         ledger."""
         flips = self._flips
-        while flips and flips[0][1] <= last:
-            wk, _, watch = flips.popleft()
-            self.word_px[wk] ^= 1
+        while flips and flips[0].fault.cycle <= last:
+            watch = flips.popleft()
+            self.word_px[watch.wk] ^= 1
             self._flipped.add(watch)
 
     def _watch(self, rec, vals):

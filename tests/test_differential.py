@@ -163,7 +163,12 @@ def test_engine_matches_reference(name, cols, fault):
 @pytest.mark.parametrize("shape", [
     dict(cols=2, rows=2), dict(cols=4, interleave=Interleave.ROUND_ROBIN),
     dict(sram_read_latency=1), dict(height=64, capacity=10),
-    dict(window=WindowSpec((0, 24), (-25, -1), (-8, -1)))])
+    dict(window=WindowSpec((0, 24), (-25, -1), (-8, -1))),
+    # a previous-line span 64 px or wider, whose block 0 admits the whole
+    # span from its left edge (peaks 194, 178 and 25, clean)
+    dict(window=WindowSpec((-64, 64), (-33, -1), (-32, -1))),
+    # type2 keeps no pixel of this window resident
+    dict(window=WindowSpec((-8, 32), (-8, -1), (-32, -1)))])
 def test_engine_matches_reference_shapes(name, shape):
     shape = dict(shape)
     faults = []
@@ -287,18 +292,35 @@ def test_unseen_flip_rejected_by_both_engines(name):
 
 
 @pytest.mark.parametrize("name", PRESETS)
-def test_late_flip_matches_reference(name):
+def test_late_flip_matches_reference(monkeypatch, name):
     """A flip in blockline 7 of a 320x64 frame, shifted six blocklines from
-    flip_182, lands where the clean run already replays its class: a run
-    with a flip checks every blockline and matches the reference."""
+    flip_182, lands where the clean run already replays its class.  A pass
+    that the flip can still reach keeps no record, so the run checks every
+    blockline up to the one that rewrites the flipped word (blockline 8),
+    then replays 20 of its 32 blocklines, and matches the reference."""
     cfg = SimConfig(ImageGeometry(320, 64), SliceLayout(1, 1),
                     preset_by_name(name), collect_trace=True)
     assert Engine(cfg).run().blocklines_replayed > 0
+    flip = 182 + 6 * 160
     cfg.faults = [FaultSpec("flip_word", buffer="lower0", word_index=5,
-                            cycle=182 + 6 * 160)]
+                            cycle=flip)]
     want = assert_same_run(cfg)
     assert want["counts"]["output_mismatches"] > 0
-    assert Engine(cfg).run().blocklines_replayed == 0
+    checked = []   # the blocklines served by a check, not a replay
+    serve = Engine._serve_window
+
+    def spy(self, bl, *args):
+        checked.append(bl)
+        return serve(self, bl, *args)
+
+    monkeypatch.setattr(Engine, "_serve_window", spy)
+    eng = Engine(cfg)
+    res = eng.run()
+    rewrite = min(c for c in eng._watches[0].writes if c >= flip)
+    rewrite_bl = rewrite // (CYCLES_PER_SLOT * eng.sched.slots_per_blockline)
+    assert rewrite_bl == 8
+    assert checked[:rewrite_bl + 1] == list(range(rewrite_bl + 1))
+    assert res.blocklines_replayed == 20
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -371,19 +393,20 @@ def test_foreign_word_faults_replay_matching_reference(name, fault):
     assert replayed > 0
 
 
-def test_availability_misses_replay_only_once_their_samples_are_full():
-    """A miss sample names its slot, so a blockline with misses is checked
-    while the 16 detail samples have room.  With no recon capacity an 8x12
-    baseline frame misses in 5 slots, one per blockline after the first:
-    the samples never fill, no blockline replays, and the samples equal
-    the reference's."""
+def test_availability_misses_replay_with_their_samples():
+    """A miss sample names its slot from the pass start, and a record keeps
+    its pass's samples, so a replay notes them at its own slots while the
+    16 detail samples have room.  With no recon capacity an 8x12 baseline
+    frame misses in 5 slots, one per blockline after the first: the
+    samples never fill, one blockline replays, and the samples equal the
+    reference's."""
     cfg = SimConfig(ImageGeometry(8, 12), SliceLayout(1, 1),
                     preset_by_name("baseline"), collect_trace=True,
                     faults=[FaultSpec("capacity_override", value=0)])
     want = assert_same_run(cfg)
     assert [t for t, _, _ in want["details"]["availability_misses"]] == \
         [1, 2, 3, 4, 5]
-    assert Engine(cfg).run().blocklines_replayed == 0
+    assert Engine(cfg).run().blocklines_replayed == 1
 
 
 @pytest.mark.parametrize("name", PRESETS)

@@ -619,6 +619,11 @@ def _fault_cfg(kind, value, arch="type2"):
     # would be an availability miss
     dict(CFG, arch={"residency": {"prev": "fetch"}}),
     dict(CFG, arch=dict(TYPE2_FIELDS, residency={"row0": "fetch"})),
+    # an integer outside its range, and a string outside its choices
+    dict(CFG, sram_read_latency=2),
+    dict(CFG, slices={"rows": 0}),
+    dict(CFG, arch={"fetch_kind": "bogus"}),
+    dict(CFG, arch={"residency": {"prev": "bogus"}}),
 ], ids=["capacity_str", "capacity_negative", "bit_depth_str", "chroma_420",
         "interleave_bogus", "window_span_str", "line_buffers_str",
         "height_missing", "fetch_budget_0", "clock_nan", "flip_unused_word",
@@ -630,7 +635,8 @@ def _fault_cfg(kind, value, arch="type2"):
         "flip_with_value", "noop_with_value", "throughput_ppc_key",
         "chroma_444", "bit_depth_10", "fetch_words_0",
         "streaming_fetch_words_2", "reconvert_on_fetch_key",
-        "refill_fetches_prev", "streaming_fetches_row0"])
+        "refill_fetches_prev", "streaming_fetches_row0", "latency_2",
+        "slice_rows_0", "fetch_kind_bogus", "route_bogus"])
 def test_cli_malformed_config_exit_two(tmp_path, capsys, data):
     assert cli_main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2
     err = capsys.readouterr().err
