@@ -165,20 +165,17 @@ def apply_faults_to_preset(preset: ArchPreset, faults,
 
 
 class PassRows:
-    """Rows of a run's CSV trace, kept pass by pass without a tuple per
-    row: one entry per traced pass, which `shell.emit_trace` renders (an
-    entry of None has no rows), and the count of rows."""
+    """A count of rows of a run's CSV trace, kept without a tuple per row,
+    and the traced passes that hold them (`entries`), which
+    `shell.emit_trace` renders: one (template, shift d, drain order) per
+    pass, the order being its record's `Engine._drain_order`."""
 
     def __init__(self):
         self.entries = []
-        self._len = 0
-
-    def append(self, entry, n):
-        self.entries.append(entry)
-        self._len += n
+        self.rows = 0
 
     def __len__(self):
-        return self._len
+        return self.rows
 
 
 _PIXEL = np.arange(PIXELS_PER_WORD)
@@ -347,8 +344,9 @@ class Engine:
             self._carry, np.cumsum(sizes)[:-1])
         self._word_owed = owed.reshape(2, n_wk)
         self._templates = {}   # blockline class -> its first blockline's Pass
-        # a traced pass's grants are its template shifted by d blocklines,
-        # its violations the columns `_drain_bank_violations` returns
+        # a traced pass's rows are its template's grants and its drain
+        # order's bookings shifted by d blocklines; `violation_rows` counts
+        # the latter, and `trace_rows` holds the passes
         self.trace_rows = PassRows()
         self.violation_rows = PassRows()
         # the whole-frame golden RGB, built by the first compare of a word
@@ -485,11 +483,11 @@ class Engine:
             # room only shrinks: these are the samples a check would note
             for name, t, s, n in samples:
                 self._note(name, (bl * spb + t, s, n))
-            drained = self._drain_bank_violations(tm, d, order)
+            self._drain_bank_violations(tm, d, order)
             if self.cfg.collect_trace:
-                self.trace_rows.append((tm, d), len(tm.granted))
-                self.violation_rows.append(
-                    drained, len(drained[0]) if drained else 0)
+                self.trace_rows.entries.append((tm, d, order))
+                self.trace_rows.rows += len(tm.granted)
+                self.violation_rows.rows += sum(order[0]) if order else 0
 
         for watch in self._watches:
             watch.reject_unseen()
@@ -670,25 +668,25 @@ class Engine:
 
     def _drain_bank_violations(self, tm, d, order):
         """Count and log the bank violations of template `tm`'s pass d
-        blocklines later, in their drain order `order` (`_drain_order`).
-        Returns them in that order as their classes and bookings, or None
-        when there are none."""
+        blocklines later, in their drain order `order` (`_drain_order`):
+        only the detail samples their classes still have room for are
+        shifted and built."""
         if order is None:
-            return None
+            return
         n, cls, which, at, hz_out, hz_fetch = order
         self.log.conflicts += n[0]
         self.log.hazards += n[1]
         self.log.underflows += n[2]
-        vb = self.sched.shift_bookings(tm.bookings[:, at], d)
-        # only the detail samples are built, in drain order, while their
-        # class has room
-        room = [max(self._room(c), 0) for c in VIOLATION_CLASSES]
-        keep = np.zeros(len(cls), dtype=bool)
-        for c in np.flatnonzero(room).tolist():
-            keep[np.flatnonzero(cls == c)[:room[c]]] = True
+        room = [min(max(self._room(c), 0), k)
+                for c, k in zip(VIOLATION_CLASSES, n)]
+        if not any(room):
+            return
+        keep = np.concatenate([np.flatnonzero(cls == c)[:r]
+                               for c, r in enumerate(room) if r])
+        keep.sort()   # drain order
+        vb = self.sched.shift_bookings(tm.bookings[:, at[keep]], d)
         for c, j, (_, cyc, k, p, word, block, *_) in zip(
-                cls[keep].tolist(), which[keep].tolist(),
-                vb[:, keep].T.tolist()):
+                cls[keep].tolist(), which[keep].tolist(), vb.T.tolist()):
             buf, bank = self.sched.bank_keys[k]
             purpose = PURPOSES[p]
             if c == 0:
@@ -701,7 +699,6 @@ class Engine:
             else:
                 v = UnderflowViolation(cyc, buf, bank, word, purpose)
             self._note(VIOLATION_CLASSES[c], v)
-        return cls, vb
 
     # -- window service ----------------------------------------------------------
 

@@ -221,9 +221,8 @@ class Scheduler:
         self.total_slots = self.display_read_cycle(
             self.total_display_words - 1) // CYCLES_PER_SLOT + 1
         prev_hi = spec.prev_line_span[1]
-        self.prev_hi_words = prev_hi // PIXELS_PER_WORD  # floor
-        self.warmup_count = min(self.prev_hi_words + 1, self.n_words) \
-            if prev_hi >= 0 else 0
+        self.warmup_count = min(prev_hi // PIXELS_PER_WORD + 1,
+                                self.n_words) if prev_hi >= 0 else 0
         # per section, the part of its span that is not forwarded (a
         # section forwarded whole has none)
         self._fetched_span = {
@@ -359,8 +358,7 @@ class Scheduler:
         if not self.plan.is_first_blockline_of_slice(bl):
             ok, w = entering("prev")
             demands.append((ok, 2 * bl - 1, w))
-        if self.preset.residency["row1"] == FETCH and \
-                "row1" in self._fetched_span:
+        if self.preset.reconvert_on_fetch and "row1" in self._fetched_span:
             ok, w = entering("row1")
             demands.append((ok & (w <= bx), 2 * bl + 1, w))
         if self._warms_next(bl):

@@ -25,14 +25,14 @@ BITS_PER_PIXEL = 30          # accounting convention: 3 x 10-bit components
 # the decoder's throughput: one 16-pixel block per 4-cycle slot
 PIXELS_PER_CYCLE = BLOCK_W * BLOCK_H // CYCLES_PER_SLOT
 TRACE_HEADER = "cycle,slice,buffer,bank,op,word,purpose,block"
-_TRACE_ROW = "%d,%d,%s,%d,%s,%d,%s,%d\n"
 # characters of trace text that `parse_trace` splits into lines at a time
 _TRACE_CHUNK = 1 << 16
-# a grant's row with the fields a shift leaves alone filled in: the format
-# of its cycle, and its block or the block's format
-_GRANT_ROW = "%%d,%d,%s,%d,%s,%d,%s,%s\n"
-# a drained violation's op, by class (`membank.VIOLATION_CLASSES`)
-_DRAIN_OPS = ("conflict", "hazard", "underflow")
+# a row with the fields a shift leaves alone filled in: the format of its
+# cycle, and its block or the block's format
+_ROW_FORMAT = "%%d,%d,%s,%d,%s,%d,%s,%s\n"
+# a row's op by its kind: a violation's class (`membank.VIOLATION_CLASSES`)
+# or, counted from the end, a granted read or write
+_OPS = ("conflict", "hazard", "underflow", "read", "write")
 
 
 @dataclass
@@ -60,12 +60,10 @@ def line_buffer_bits(preset: ArchPreset) -> int:
     return preset.line_buffers * LINE_WORDS * WORD_BITS
 
 
-def buffer_accounting(preset: ArchPreset, columns: int,
-                      spec: WindowSpec | None = None,
-                      recon_pixels: int | None = None) -> dict:
-    """Static buffer sizes and reductions versus the baseline preset."""
-    spec = spec or WindowSpec()
-    px = recon_pixels if recon_pixels is not None else preset.capacity_for(spec)
+def buffer_accounting(preset: ArchPreset, columns: int, spec: WindowSpec,
+                      px: int) -> dict:
+    """Static buffer sizes, with `px` recon pixels per slice, and reductions
+    versus the baseline preset under window spec `spec`."""
     base_px = spec.total_pixels()
     lb = line_buffer_bits(preset)
     lb_base = 3 * LINE_WORDS * WORD_BITS
@@ -100,7 +98,7 @@ def build_report(result: EngineResult) -> SimReport:
     plan = result.plan
     cols = plan.slices.columns
     px = max(result.peak_recon_per_column)
-    acct = buffer_accounting(result.preset, cols, cfg.window, recon_pixels=px)
+    acct = buffer_accounting(result.preset, cols, cfg.window, px)
     thr = throughput_metrics(cfg.clock_hz, plan.image.width, plan.image.height)
     footnotes = {
         "recon_capacity_pixels": result.recon_capacity,
@@ -141,64 +139,53 @@ def emit_trace(result: EngineResult, path) -> None:
     reproduces the run's violation tallies.
 
     Written pass by pass: a pass books only cycles after every earlier
-    pass's, so the file is each pass's grants in stable cycle order, merged
-    stably with its violations (`engine.PassRows`: per pass its template
-    and shift d, and its drained violations' classes and bookings).  A
-    template's grants become one format string over their cycles and
-    blocks, built once, in bytes, which format faster than text."""
-    formats = {}   # template -> its `_grant_format`
+    pass's, so the file is each pass's rows (`engine.PassRows`: per pass
+    its template, shift d and drain order) in stable cycle order.  A shift
+    moves every cycle alike, so that order is the same in every pass of one
+    template and drain order, and their rows become one format string over
+    the cycles and blocks, built once, in bytes, which format faster than
+    text.  The key is the drain order's content, which a checked pass
+    builds anew."""
+    formats = {}   # (template, drain order) -> its `_pass_format`
     with open(path, "wb") as fh:
         fh.write(TRACE_HEADER.encode() + b"\n")
-        for (tm, d), drained in zip(result.trace_rows.entries,
-                                    result.violation_rows.entries):
-            if tm not in formats:
-                formats[tm] = _grant_format(tm)
-            fmt, values, step, cycles = formats[tm]
-            moved = values + d * step
-            text = fmt % tuple(moved.tolist())
-            if drained is not None:
-                cls, v = drained
-                lines = text.splitlines(True) + _violation_lines(
-                    tm.sched.bank_keys, cls, v)
-                order = np.argsort(np.concatenate([moved[cycles], v[CYCLE]]),
-                                   kind="stable")
-                text = b"".join([lines[i] for i in order.tolist()])
-            fh.write(text)
+        for tm, d, order in result.trace_rows.entries:
+            key = tm, order and (order[1].tobytes(), order[3].tobytes())
+            if key not in formats:
+                formats[key] = _pass_format(tm, order)
+            fmt, values, step = formats[key]
+            fh.write(fmt % tuple((values + d * step).tolist()))
 
 
-def _grant_format(tm):
-    """Template `tm`'s grant rows in stable cycle order, as one bytes
-    format string, with the values it takes, their step per blockline
-    (`Scheduler.shift_bookings`) and where the rows' cycles lie among them.
-    The values are each row's cycle and then its block, unless the block
-    has no step (a display read's -1), which the string holds instead."""
-    g = tm.bookings[:, tm.granted]
-    g = g[:, np.argsort(g[CYCLE], kind="stable")]
+def _pass_format(tm, order):
+    """The rows of template `tm`'s grants and of the bank violations in
+    drain order `order` (`engine.Engine._drain_order`), in stable cycle
+    order, as one bytes format string, with the values it takes and their
+    step per blockline (`Scheduler.shift_bookings`).  The values are each
+    row's cycle and then its block, unless the block has no step (a display
+    read's -1, or an underflow's), which the string holds instead."""
+    cls, at = (order[1], order[3]) if order else (np.empty(0, int),) * 2
+    grant = np.where(tm.bookings[PURPOSE, tm.granted] == WRITE, -1, -2)
+    b = tm.bookings[:, np.concatenate([tm.granted, at])]
+    o = np.argsort(b[CYCLE], kind="stable")
+    b, kind = b[:, o], np.concatenate([grant, cls])[o]
     buf, bank_id = zip(*tm.sched.bank_keys)
     moved = [CYCLE, BLOCK]
-    values = g[moved].astype(np.int64)
-    step = tm.sched.shift_bookings(g, 1)[moved] - values
-    live = step != 0   # every cycle, and every block but a display read's
+    values = b[moved].astype(np.int64)
+    step = tm.sched.shift_bookings(b, 1)[moved] - values
+    underflow = kind == 2
+    values[1, underflow], step[1, underflow] = -1, 0
+    # every cycle moves, and every block but a display read's or an
+    # underflow's
+    live = step != 0
     fmt = "".join([
-        _GRANT_ROW % (col, buf[k], bank_id[k], "write" if p == WRITE
-                      else "read", word, PURPOSES[p].value,
-                      "%d" if moves else block)
-        for col, k, p, word, block, moves in zip(
-            *g[[COL, BANK, PURPOSE, WORD, BLOCK]].tolist(), live[1].tolist())])
+        _ROW_FORMAT % (col if c < 0 else -1, buf[k], bank_id[k], _OPS[c],
+                       word, PURPOSES[p].value, "%d" if moves else block)
+        for c, col, k, p, word, block, moves in zip(
+            kind.tolist(), *b[[COL, BANK, PURPOSE, WORD]].tolist(),
+            values[1].tolist(), live[1].tolist())])
     live = live.T.ravel()
-    return (fmt.encode(), values.T.ravel()[live], step.T.ravel()[live],
-            np.cumsum(live)[::2] - 1)
-
-
-def _violation_lines(keys, cls, v):
-    """The rows of drained violations, in drain order: classes `cls`
-    (`membank.VIOLATION_CLASSES`) of bookings `v`, on the banks `keys`."""
-    block = np.where(cls == 2, -1, v[BLOCK])
-    return [(_TRACE_ROW % (cyc, -1, *keys[k], _DRAIN_OPS[c], word,
-                           PURPOSES[p].value, blk)).encode()
-            for cyc, k, c, word, p, blk in zip(
-                v[CYCLE].tolist(), v[BANK].tolist(), cls.tolist(),
-                v[WORD].tolist(), v[PURPOSE].tolist(), block.tolist())]
+    return fmt.encode(), values.T.ravel()[live], step.T.ravel()[live]
 
 
 def parse_trace(text: str):

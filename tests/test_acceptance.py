@@ -57,9 +57,10 @@ def test_criterion_1_throughput_arithmetic():
 
 
 def test_criterion_2_line_buffer_accounting():
-    base = buffer_accounting(preset_by_name("baseline"), 1)
-    t1 = buffer_accounting(preset_by_name("type1"), 1)
-    t2 = buffer_accounting(preset_by_name("type2"), 1)
+    spec = WindowSpec()
+    base, t1, t2 = (
+        buffer_accounting(p, 1, spec, p.capacity_for(spec))
+        for p in map(preset_by_name, ("baseline", "type1", "type2")))
     assert base["line_buffer_bits_total"] == 3 * 480 * 256
     assert t1["line_buffer_bits_total"] == t2["line_buffer_bits_total"] \
         == 2 * 480 * 256
@@ -75,7 +76,8 @@ def test_criterion_3_recon_buffer_counts(regression_results, full_4k_result):
         res = regression_results[name, 1]
         assert max(res.peak_recon_per_column) == want, name
     assert max(full_4k_result.peak_recon_per_column) == 25
-    acct = buffer_accounting(preset_by_name("type2"), 4)
+    t2 = preset_by_name("type2")
+    acct = buffer_accounting(t2, 4, WindowSpec(), t2.capacity_for(WindowSpec()))
     assert abs(acct["recon_bytes_total"] - 376) <= 1     # 375 B by pixel math
     assert acct["recon_bytes_per_slice_rounded"] == 94
     assert abs(acct["reductions_vs_baseline"]["recon_pct"] - 77.3) <= 1.0

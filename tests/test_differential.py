@@ -25,7 +25,7 @@ from dbemem.reference import ReferenceEngine
 from dbemem.sched import (BLOCK, CYCLE, HALF_LINE, ONE_LINE, PURPOSE, REFILL,
                           WORD, WRITE, Scheduler, preset_baseline,
                           preset_by_name)
-from dbemem.shell import TRACE_HEADER, _TRACE_ROW, emit_trace, parse_config
+from dbemem.shell import TRACE_HEADER, emit_trace, parse_config
 
 from test_shell import _config
 
@@ -69,12 +69,16 @@ def outputs(res):
             "violation_rows": len(res.violation_rows)}
 
 
+# one CSV trace row, from a reference row tuple
+TRACE_ROW = "%d,%d,%s,%d,%s,%d,%s,%d\n"
+
+
 def csv_of_rows(ref):
     """The CSV trace of the reference's result `ref` by the row writer
     the engine's pass-by-pass writer replaced: a stable sort of the trace
-    rows and then the violation rows by cycle, one `_TRACE_ROW` each."""
+    rows and then the violation rows by cycle, one `TRACE_ROW` each."""
     rows = sorted(ref.trace_rows + ref.violation_rows, key=itemgetter(0))
-    return TRACE_HEADER + "\n" + "".join(_TRACE_ROW % r for r in rows)
+    return TRACE_HEADER + "\n" + "".join(TRACE_ROW % r for r in rows)
 
 
 def assert_same_csv(res, ref):

@@ -6,9 +6,10 @@ import pytest
 from dbemem.engine import Engine, FaultSpec, SimConfig, _Stage, run_simulation
 from dbemem.errors import ConfigError
 from dbemem.geometry import ImageGeometry, Interleave, LINE_WORDS, SliceLayout
+from dbemem.membank import VIOLATION_CLASSES
 from dbemem.oracle import GoldenOracle, ycocg_frame
 from dbemem.reference import ReferenceEngine
-from dbemem.sched import preset_by_name
+from dbemem.sched import Scheduler, preset_by_name
 from dbemem.shell import build_report, report_to_text
 
 from test_sched import display_record
@@ -437,6 +438,35 @@ def test_replayed_blocklines_touch_no_carried_array(run, monkeypatch):
     checked = res.plan.total_blocklines - res.blocklines_replayed
     assert res.blocklines_replayed == want
     assert calls == {"_moved_back": checked + 1, "_drain_order": checked}
+
+
+def test_full_detail_samples_shift_no_violation_booking(monkeypatch):
+    """Once every class a pass violates has its detail samples full,
+    draining the pass's bank violations only counts them: it shifts no
+    booking."""
+    state = dict(full=False, full_drains=0, shifts=0)
+    drain, shift = Engine._drain_bank_violations, Scheduler.shift_bookings
+
+    def drain_spy(self, tm, d, order):
+        state["full"] = order is not None and all(
+            self._room(c) <= 0
+            for c, n in zip(VIOLATION_CLASSES, order[0]) if n)
+        state["full_drains"] += state["full"]
+        try:
+            return drain(self, tm, d, order)
+        finally:
+            state["full"] = False
+
+    def shift_spy(self, bookings, d):
+        state["shifts"] += state["full"]
+        return shift(self, bookings, d)
+
+    monkeypatch.setattr(Engine, "_drain_bank_violations", drain_spy)
+    monkeypatch.setattr(Scheduler, "shift_bookings", shift_spy)
+    res = run_simulation(cfg_for("type1", 640, 128, **_faults(
+        "fetch_budget_override", 2)))
+    assert res.violations.conflicts > 0
+    assert state["full_drains"] > 0 and state["shifts"] == 0
 
 
 def test_golden_frame_built_only_for_words_from_another_place(monkeypatch):

@@ -57,16 +57,19 @@ def write_cfg(tmp_path, data, name="cfg.json"):
 
 
 def test_line_buffer_accounting():
-    base = buffer_accounting(preset_baseline(), 1)
+    base = buffer_accounting(preset_baseline(), 1, WindowSpec(),
+                             preset_baseline().capacity_for(WindowSpec()))
     assert base["line_buffer_bits_total"] == 3 * 480 * 256 == 368640
-    t1 = buffer_accounting(preset_type1(), 1)
+    t1 = buffer_accounting(preset_type1(), 1, WindowSpec(),
+                           preset_type1().capacity_for(WindowSpec()))
     assert t1["line_buffer_bits_total"] == 2 * 480 * 256 == 245760
     assert t1["reductions_vs_baseline"]["line_buffer_pct"] == 33.33
     assert base["line_buffer_bits_total"] - t1["line_buffer_bits_total"] == 122880
 
 
 def test_recon_accounting_type2_four_slices():
-    acct = buffer_accounting(preset_type2(), 4)
+    acct = buffer_accounting(preset_type2(), 4, WindowSpec(),
+                             preset_type2().capacity_for(WindowSpec()))
     assert acct["recon_pixels_per_slice"] == 25
     assert acct["recon_bits_total"] == 4 * 25 * 30 == 3000
     assert acct["recon_bytes_total"] == 375.0
@@ -125,6 +128,31 @@ def test_trace_replay_reproduces_violation_counts(tmp_path):
     assert replayed == res.violations.conflicts > 0
 
 
+def test_trace_format_built_once_per_template_and_drain_order(monkeypatch):
+    """A flip after its word's last write stays live, so every pass is
+    checked and works out a drain order of its own; the trace still builds
+    one format string per template and drain order content, not per
+    pass."""
+    data = {"image": {"width": 640, "height": 128}, "arch": "type1",
+            "trace": True, "faults": [
+                {"kind": "fetch_budget_override", "value": 2},
+                # lower0 word 5 is last written at 20180, displayed at 20489
+                {"kind": "flip_word", "buffer": "lower0", "word_index": 5,
+                 "cycle": 20200}]}
+    res = run_simulation(parse_config(json.dumps(data)))
+    entries = res.trace_rows.entries
+    assert res.blocklines_replayed == 0 and res.violations.conflicts > 0
+    built = []
+    build = shell._pass_format
+    monkeypatch.setattr(shell, "_pass_format", lambda tm, order: (
+        built.append(tm), build(tm, order))[1])
+    rows = trace_of(res)
+    assert len(rows) == len(res.trace_rows) + len(res.violation_rows)
+    distinct = {(tm, order and (order[1].tobytes(), order[3].tobytes()))
+                for tm, _, order in entries}
+    assert len(built) == len(distinct) < len(entries)
+
+
 @pytest.mark.parametrize("name", ["baseline", "type1", "type2"])
 def test_each_pass_books_after_every_earlier_pass(name):
     """`emit_trace` orders the file by sorting each pass on its own: every
@@ -181,7 +209,8 @@ def test_accounting_identities_random_presets():
             banks_per_buffer=1, fetch_kind="refill", fetch_words_per_slot=1,
             residency=dict.fromkeys(SECTIONS, RESIDENT), forwarding=False,
             capacity_pixels=px)
-        acct = buffer_accounting(preset, cols)
+        acct = buffer_accounting(preset, cols, WindowSpec(),
+                                 preset.capacity_for(WindowSpec()))
         assert acct["line_buffer_bits_total"] == buffers * 480 * 256
         assert acct["recon_bits_per_slice"] == px * 30
         assert acct["recon_bits_total"] == cols * px * 30
