@@ -331,7 +331,7 @@ class Engine:
         # line (-1: none) and its flip parity.  Per part: size, how far it
         # moves per blockline, and whether -1 in it means never written
         n_wk = len(self.preset.buffer_names()) * LINE_WORDS
-        n_st = cols * 4 * n
+        n_st = cols * 2 * n
         per_bl = CYCLES_PER_SLOT * spb
         sizes, unit, never = zip(
             (len(self.sched.bank_keys), per_bl, False), (n_wk, 2, True),
@@ -343,7 +343,12 @@ class Engine:
         (self._frontier, self._word_line, owed, *self._stage) = np.split(
             self._carry, np.cumsum(sizes)[:-1])
         self._word_owed = owed.reshape(2, n_wk)
-        self._templates = {}   # blockline class -> its first blockline's Pass
+        # blockline class -> its first blockline's Pass; the two parities
+        # of a class share one where a shift by one blockline keeps every
+        # line's buffer, as with two line buffers
+        self._templates = {}
+        buf = self.preset.buffer_for_line
+        self._parity_free = all(buf(y) == buf(y + 2) for y in range(4))
         # a traced pass's rows are its template's grants and its drain
         # order's bookings shifted by d blocklines; `violation_rows` counts
         # the latter, and `trace_rows` holds the passes
@@ -355,17 +360,21 @@ class Engine:
         self._setup_residency()
         self._setup_window()
 
-    def stage_key(self, col, line, word):
-        """A fetch stage entry's key: slice column, line mod 4, local word."""
-        return (col * 4 + (line & 3)) * self.plan.words_per_line + word
+    def stage_key(self, col, rel, word):
+        """A fetch stage entry's key in blockline bl's pass: slice column,
+        line relative to the pass (rel 0: line 2 bl - 1, rel 1: line
+        2 bl + 1, the only lines a pass fetches), local word."""
+        return (col * 2 + rel) * self.plan.words_per_line + word
 
     def _setup_residency(self):
-        """What `_advance_window` needs besides the stage: every column's
-        recon buffer, the sections the preset keeps pixels of, and where
-        each previous-line pixel x enters the window."""
-        self._recon = [ReconBufferState(self.spec, self.preset, self.capacity)
-                       for _ in range(self.plan.slices.columns)]
-        keep = self._recon[0].keep
+        """What `_advance_window` needs besides the stage: a recon buffer,
+        each column's peak, the admissions worked out so far, the sections
+        the preset keeps pixels of, and where each previous-line pixel x
+        enters the window."""
+        self._recon = ReconBufferState(self.spec, self.preset, self.capacity)
+        self._peaks = [0] * self.plan.slices.columns
+        self._admitted = {}   # entry codes -> (admitted x, blockline peak)
+        keep = self._recon.keep
         self._resident = [s for s in SECTIONS if keep[s]]
         self._row_lag = 2 if self.preset.forwarding else 1
         lo, hi = self.spec.prev_line_span
@@ -466,12 +475,11 @@ class Engine:
                 stage = _Stage(self, staged)
                 resident = self._advance_window(bl, stage)
                 served = self._serve_window(bl, stage, resident)
-                # no window of a later blockline reads a line below 2 bl + 1
-                # again: its stage entries become never staged, so that they
-                # keep no two start states of a class apart
-                line, parity = self._stage
-                stale = line < 2 * bl + 1
-                line[stale], parity[stale] = -1, 0
+                # no window of a later blockline reads line 2 bl - 1 again,
+                # and line 2 bl + 1 is the next pass's rel 0
+                for a, none in zip(self._stage, (-1, 0)):
+                    a = a.reshape(-1, 2, self.plan.words_per_line)
+                    a[:, 0], a[:, 1] = a[:, 1], none
                 rec = (self._moved_back(self._carry, bl + 1), *served,
                        self._drain_order(tm, found), far - bl * far_unit)
                 if not live:
@@ -493,8 +501,7 @@ class Engine:
             watch.reject_unseen()
         # a replayed pass admits what its recorded one did, so the recon
         # peaks are already reached
-        return self._result(pixels_served,
-                            [r.peak_occupancy for r in self._recon], replayed)
+        return self._result(pixels_served, self._peaks, replayed)
 
     def _moved_back(self, carry, bl):
         """The carried state `carry` moved back bl blocklines, as bytes; a
@@ -507,6 +514,8 @@ class Engine:
         """The pass of blockline bl's class, and how many blocklines bl
         lies after it."""
         key = self.sched._blockline_class(bl)
+        if self._parity_free and isinstance(key, tuple):
+            key = key[1:]
         tm = self._templates.get(key)
         if tm is None:
             tm = self._templates[key] = Pass(self, bl)
@@ -709,9 +718,11 @@ class Engine:
         (if their word is staged with that line), then the resident rows of
         the block decoded `_row_lag` blocks back.  A section admits each
         pixel x at most once per blockline, so the admitted x say which
-        window pixels are resident at every block.  Returns, per section,
-        the admitted x and (for the previous line) which of them hold a
-        wrong value."""
+        window pixels are resident at every block.  They and the
+        blockline's peak follow from the column's entry codes alone, so
+        each distinct set of codes is admitted once per run.  Returns, per
+        section, the admitted x and (for the previous line) which of them
+        hold a wrong value."""
         n, sw = self.plan.words_per_line, self.plan.slice_width
         cols = self.plan.slices.columns
         out = {}
@@ -722,7 +733,7 @@ class Engine:
             prev_y = 2 * bl - 1
             x = np.arange(sw)
             entry = stage.at(
-                self.stage_key(np.arange(cols)[:, None], prev_y,
+                self.stage_key(np.arange(cols)[:, None], 0,
                                x // PIXELS_PER_WORD),
                 self._slot_of[:, self._enter_slot_bx])
             cand = self._enter_ok & (stage.line[entry] == prev_y)
@@ -739,24 +750,31 @@ class Engine:
         lag = self._row_lag
         row_rel = -lag * BLOCK_W
         admitted = {s: [] for s in self._resident}
-        for c, recon in enumerate(self._recon):
-            valid, span_lo = recon.valid, recon.lo
-            adm = dict.fromkeys(self._resident, 0)
-            for bx in range(n):
-                if bx:
-                    recon.slide()
-                else:
-                    recon.clear()
-                if codes is not None:
-                    recon.admit_run("prev", hi - BLOCK_W + 1 if bx else lo,
-                                    codes[c][bx])
-                if bx >= lag:
-                    for s in rows:
-                        recon.admit_run(s, row_rel, BLOCK_BITS)
-                # a held position keeps its pixel x while it slides, so the
-                # positions held after each block are the admitted x
-                for s in adm:
-                    adm[s] |= _at_x(valid[s], BLOCK_W * bx + span_lo[s])
+        recon = self._recon
+        valid, span_lo = recon.valid, recon.lo
+        for c in range(cols):
+            key = None if codes is None else tuple(codes[c])
+            if key not in self._admitted:
+                recon.peak_occupancy = 0
+                adm = dict.fromkeys(self._resident, 0)
+                for bx in range(n):
+                    if bx:
+                        recon.slide()
+                    else:
+                        recon.clear()
+                    if key is not None:
+                        recon.admit_run("prev", hi - BLOCK_W + 1 if bx else lo,
+                                        key[bx])
+                    if bx >= lag:
+                        for s in rows:
+                            recon.admit_run(s, row_rel, BLOCK_BITS)
+                    # a held position keeps its pixel x while it slides, so
+                    # the positions held after each block are the admitted x
+                    for s in adm:
+                        adm[s] |= _at_x(valid[s], BLOCK_W * bx + span_lo[s])
+                self._admitted[key] = adm, recon.peak_occupancy
+            adm, peak = self._admitted[key]
+            self._peaks[c] = max(self._peaks[c], peak)
             for s in self._resident:
                 admitted[s].append(adm[s])
         nbytes = -(-sw // 8)
@@ -796,8 +814,8 @@ class Engine:
                 ok = np.broadcast_to(inside, (cols,) + inside.shape)
             else:   # FETCH, served from the stage
                 entry = stage.at(
-                    self.stage_key(np.arange(cols)[:, None, None], y,
-                                   part["words"]),
+                    self.stage_key(np.arange(cols)[:, None, None],
+                                   (dy + 1) // 2, part["words"]),
                     self._slot_of[:, :, None])
                 pe = entry[:, :, part["word_at"]]
                 ok = (stage.line[pe] == y) & inside

@@ -155,11 +155,11 @@ class Pass:
         self.reads = np.flatnonzero(self.ev_typ >= READ_DISPLAY)
         dsp = np.flatnonzero(self.ev_typ == READ_DISPLAY)
         self.display = dsp[np.argsort(rank[dsp])]
-        # fetches by stage key, then commit order; a shift by whole
-        # blocklines keeps line & 3, so the keys are fixed
+        # fetches by stage key, then commit order; a key's line is relative
+        # to the pass, so a shift by whole blocklines keeps it
         f = np.flatnonzero(self.ev_typ == READ_FETCH)
         fb = self.ev_b[f]
-        key = eng.stage_key(b[COL][fb], b[LINE][fb],
+        key = eng.stage_key(b[COL][fb], (b[LINE][fb] + 1) // 2 - bl,
                             b[PX][fb] // PIXELS_PER_WORD
                             - b[COL][fb] * eng.plan.words_per_line)
         o = np.lexsort((rank[f], key))

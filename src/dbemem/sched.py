@@ -434,8 +434,8 @@ class Scheduler:
     def shift_bookings(self, bookings: np.ndarray, d: int) -> np.ndarray:
         """A blockline's `booking_arrays` moved d blocklines later, within
         its class: cycles by d * 4 * slots_per_blockline, block ids by
-        d * slots_per_blockline and lines by 2 * d.  d is even, so every
-        line keeps its buffer."""
+        d * slots_per_blockline and lines by 2 * d.  Every line keeps its
+        buffer when d is even, and for every d with two line buffers."""
         spb = self.slots_per_blockline
         out = bookings.copy()
         out[CYCLE] += CYCLES_PER_SLOT * spb * d

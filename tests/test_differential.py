@@ -20,11 +20,11 @@ from dbemem.geometry import (CYCLES_PER_SLOT, ImageGeometry, Interleave,
                              SliceLayout)
 from dbemem.membank import Purpose
 from dbemem.oracle import GoldenOracle
-from dbemem.predwindow import WindowSpec
+from dbemem.predwindow import FETCH, RESIDENT, WindowSpec
 from dbemem.reference import ReferenceEngine
 from dbemem.sched import (BLOCK, CYCLE, HALF_LINE, ONE_LINE, PURPOSE, REFILL,
-                          WORD, WRITE, Scheduler, preset_baseline,
-                          preset_by_name)
+                          STREAMING, WORD, WRITE, ArchPreset, Scheduler,
+                          preset_baseline, preset_by_name)
 from dbemem.shell import TRACE_HEADER, emit_trace, parse_config
 
 from test_shell import _config
@@ -295,14 +295,19 @@ def test_unseen_flip_rejected_by_both_engines(name):
         "next write: cycle 156)")
 
 
-@pytest.mark.parametrize("name", PRESETS)
-def test_late_flip_matches_reference(monkeypatch, name):
+@pytest.mark.parametrize("name,cols", [
+    pytest.param(name, cols, id=name if cols == 1 else f"{name}-cols{cols}")
+    for cols in (1, 2) for name in PRESETS])
+def test_late_flip_matches_reference(monkeypatch, name, cols):
     """A flip in blockline 7 of a 320x64 frame, shifted six blocklines from
     flip_182, lands where the clean run already replays its class.  A pass
     that the flip can still reach keeps no record, so the run checks every
     blockline up to the one that rewrites the flipped word (blockline 8),
-    then replays 20 of its 32 blocklines, and matches the reference."""
-    cfg = SimConfig(ImageGeometry(320, 64), SliceLayout(1, 1),
+    then replays 20 of its 32 blocklines (21 with two line buffers, whose
+    blockline parities share one class template), and matches the
+    reference.  With 2 columns, the columns of a checked pass and the
+    checked passes share admissions worked out once."""
+    cfg = SimConfig(ImageGeometry(320, 64), SliceLayout(cols, 1),
                     preset_by_name(name), collect_trace=True)
     assert Engine(cfg).run().blocklines_replayed > 0
     flip = 182 + 6 * 160
@@ -324,7 +329,7 @@ def test_late_flip_matches_reference(monkeypatch, name):
     rewrite_bl = rewrite // (CYCLES_PER_SLOT * eng.sched.slots_per_blockline)
     assert rewrite_bl == 8
     assert checked[:rewrite_bl + 1] == list(range(rewrite_bl + 1))
-    assert res.blocklines_replayed == 20
+    assert res.blocklines_replayed == (20 if name == "baseline" else 21)
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -375,6 +380,23 @@ def test_stale_fetch_stage_entries_do_not_stop_replay():
     cfg = SimConfig(ImageGeometry(320, 128), SliceLayout(4, 1),
                     preset_by_name("type2"), collect_trace=True,
                     faults=[FAULTS["banks"]("type2")])
+    want, replayed = assert_same_traced_and_untraced(cfg)
+    assert want["counts"]["conflicts"] > 0
+    assert replayed > 0
+
+
+def test_columns_of_a_pass_admit_their_own_entries():
+    """A streaming arch that keeps the previous line resident, with one
+    bank per buffer and a one-line delay, on 2 columns: conflicts deny
+    some previous-line fetches of one column and not of the other, so the
+    columns of a pass admit different entries, each looked up by its own
+    entry codes.  The 320x32 run, traced and untraced, gives what the
+    reference gives."""
+    preset = ArchPreset("custom", ONE_LINE, 2, 1, STREAMING, 1,
+                        {"prev": RESIDENT, "row0": RESIDENT, "row1": FETCH},
+                        forwarding=True)
+    cfg = SimConfig(ImageGeometry(320, 32), SliceLayout(2, 1), preset,
+                    collect_trace=True)
     want, replayed = assert_same_traced_and_untraced(cfg)
     assert want["counts"]["conflicts"] > 0
     assert replayed > 0

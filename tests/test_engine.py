@@ -8,6 +8,7 @@ from dbemem.errors import ConfigError
 from dbemem.geometry import ImageGeometry, Interleave, LINE_WORDS, SliceLayout
 from dbemem.membank import VIOLATION_CLASSES
 from dbemem.oracle import GoldenOracle, ycocg_frame
+from dbemem.predwindow import ReconBufferState
 from dbemem.reference import ReferenceEngine
 from dbemem.sched import Scheduler, preset_by_name
 from dbemem.shell import build_report, report_to_text
@@ -402,17 +403,17 @@ def _faults(kind, value):
 # run time.  Two line buffers on the baseline and round-robin type1 display
 # words from another place, whose values a replay checks again
 REPLAYED = {
-    "type2_3840x32_c4": (("type2", 3840, 32, 4), {}, 12),
+    "type2_3840x32_c4": (("type2", 3840, 32, 4), {}, 13),
     "baseline_640x128": (("baseline", 640, 128), {}, 59),
-    "type1_640x128": (("type1", 640, 128), {}, 60),
-    "type2_640x128": (("type2", 640, 128), {}, 60),
-    "type2_banks1": (("type2", 640, 128), _faults("banks_override", 1), 59),
+    "type1_640x128": (("type1", 640, 128), {}, 61),
+    "type2_640x128": (("type2", 640, 128), {}, 61),
+    "type2_banks1": (("type2", 640, 128), _faults("banks_override", 1), 60),
     "type1_fetch2": (("type1", 640, 128),
-                     _faults("fetch_budget_override", 2), 60),
+                     _faults("fetch_budget_override", 2), 61),
     "baseline_lb2": (("baseline", 640, 128),
-                     _faults("line_buffers_override", 2), 59),
+                     _faults("line_buffers_override", 2), 60),
     "type1_rr_c4": (("type1", 640, 128, 4),
-                    dict(interleave=Interleave.ROUND_ROBIN), 59),
+                    dict(interleave=Interleave.ROUND_ROBIN), 60),
 }
 
 
@@ -438,6 +439,30 @@ def test_replayed_blocklines_touch_no_carried_array(run, monkeypatch):
     checked = res.plan.total_blocklines - res.blocklines_replayed
     assert res.blocklines_replayed == want
     assert calls == {"_moved_back": checked + 1, "_drain_order": checked}
+
+
+@pytest.mark.parametrize("run, patterns", [("type2_3840x32_c4", 1),
+                                           ("type1_rr_c4", 2)])
+def test_admission_runs_once_per_entry_pattern(monkeypatch, run, patterns):
+    """A column's residency over a blockline follows from its previous-line
+    entry codes alone, so the admission loop, which clears the recon
+    buffer once per run of it, runs at most once per distinct codes: once
+    on the type2 band, which keeps no previous line, of 3 checked passes
+    of 4 columns; and at most twice on round-robin type1 with 4 columns,
+    whose slice-opening blockline admits no previous line and whose other
+    blocklines admit one pattern."""
+    calls = []
+    clear = ReconBufferState.clear
+
+    def spy(self):
+        calls.append(self)
+        return clear(self)
+
+    monkeypatch.setattr(ReconBufferState, "clear", spy)
+    shape, kw, _ = REPLAYED[run]
+    res = run_simulation(cfg_for(*shape, **kw))
+    checked = res.plan.total_blocklines - res.blocklines_replayed
+    assert 0 < len(calls) <= patterns < checked * res.plan.slices.columns
 
 
 def test_full_detail_samples_shift_no_violation_booking(monkeypatch):

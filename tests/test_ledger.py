@@ -15,8 +15,9 @@ from dbemem.geometry import (CYCLES_PER_SLOT, ImageGeometry, Interleave,
 from dbemem.ledger import Pass
 from dbemem.membank import SramBankModel
 from dbemem.predwindow import FETCH, RESIDENT, SECTIONS
-from dbemem.sched import (BANK, CYCLE, HALF_LINE, ONE_LINE, REFILL, SLOT,
-                          STREAMING, ArchPreset, preset_by_name)
+from dbemem.sched import (BANK, CYCLE, FETCH_READ, HALF_LINE, LINE, ONE_LINE,
+                          PURPOSE, REFILL, SLOT, STREAMING, ArchPreset,
+                          preset_by_name)
 from dbemem.shell import parse_config
 
 from test_report_digests import NEGATIVE
@@ -130,6 +131,18 @@ def test_draw_covers_every_kind():
     assert {2, 3, 4} <= budgets
     eng = Engine(CONFIGS[-1])
     assert any(Pass(eng, bl).conflicts for bl in class_blocklines(eng))
+
+
+def test_fetches_demand_the_lines_around_their_blockline():
+    """Blockline bl's fetches demand line 2 bl - 1 or 2 bl + 1, the two
+    lines of the engine's fetch stage relative to the pass
+    (`Engine.stage_key`)."""
+    for cfg in CONFIGS:
+        sched = Engine(cfg).sched
+        for bl in range(sched.plan.total_blocklines):
+            b = sched.booking_arrays(bl)
+            line = b[LINE][b[PURPOSE] == FETCH_READ]
+            assert np.isin(line, (2 * bl - 1, 2 * bl + 1)).all()
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=range(len(CONFIGS)))

@@ -1,6 +1,7 @@
 import hashlib
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -232,24 +233,36 @@ def test_blockline_replay_matches_slot_plan(name, interleave, read_latency,
     """Every blockline's bookings equal those of the first blockline of its
     class, shifted by whole blocklines: the replay the engine runs is
     the blockline's own plan, field by field (cycle, bank, purpose, word,
-    block, column, line and pixel x)."""
+    block, column, line and pixel x).  With two line buffers, the baseline
+    with two included, a steady blockline also equals the first blockline
+    of its class's other parity shifted by an odd count, which the engine
+    replays; with three, no odd shift reproduces one."""
     preset = preset_by_name(name)
     if budget is not None:
         preset = replace(preset, fetch_words_per_slot=budget)
-    for cols in (1, 2, 4):
-        for rows in (1, 2):
-            plan = make_plan(320, 32, cols, rows, interleave)
-            sched = Scheduler(preset, WindowSpec(), plan,
-                              read_latency=read_latency)
-            templates = {}
-            for bl in range(plan.total_blocklines):
-                direct = sched.booking_arrays(bl)
-                bl0, template = templates.setdefault(
-                    sched._blockline_class(bl), (bl, direct))
-                assert np.array_equal(
-                    sched.shift_bookings(template, bl - bl0), direct)
-            # replay happens: fewer classes than blocklines
-            assert len(templates) < plan.total_blocklines
+    presets = [preset]
+    if preset.line_buffers == 3:
+        presets.append(replace(preset, line_buffers=2))
+    for preset, cols, rows in product(presets, (1, 2, 4), (1, 2)):
+        plan = make_plan(320, 32, cols, rows, interleave)
+        sched = Scheduler(preset, WindowSpec(), plan,
+                          read_latency=read_latency)
+        templates = {}
+        odd = []   # per steady blockline after its other parity's first
+        for bl in range(plan.total_blocklines):
+            direct = sched.booking_arrays(bl)
+            key = sched._blockline_class(bl)
+            bl0, template = templates.setdefault(key, (bl, direct))
+            assert np.array_equal(
+                sched.shift_bookings(template, bl - bl0), direct)
+            if isinstance(key, tuple) and (1 - key[0], *key[1:]) in templates:
+                bl1, other = templates[1 - key[0], *key[1:]]
+                odd.append(np.array_equal(
+                    sched.shift_bookings(other, bl - bl1), direct))
+        # replay happens: fewer classes than blocklines
+        assert len(templates) < plan.total_blocklines
+        assert odd and (all(odd) if preset.line_buffers == 2
+                        else not any(odd))
 
 
 @pytest.mark.parametrize("name, interleave, read_latency, budget",
