@@ -179,6 +179,8 @@ class PassRows:
 
 
 _PIXEL = np.arange(PIXELS_PER_WORD)
+# a window pixel's provenance: absent, or CLEAN plus its flip parity
+UNSTAGED, CLEAN, FLIPPED = range(3)
 # "never written" in a carried state moved by whole blocklines, where a
 # moved line or cycle can itself be -1
 _NEVER = np.iinfo(np.int64).min
@@ -192,43 +194,33 @@ def _at_x(bits: int, x0: int) -> int:
 class _Stage:
     """Every column's fetch stage during one pass: the fetches staged in
     the pass, found by (stage key, slot), over the stage carried in.  An
-    entry is one staged word: its line and the flip parity since that
-    line's write.  A fetch stages a word only when the word holds the
-    demanded line, so an entry's line is also its place's."""
+    entry is a code: UNSTAGED, or CLEAN plus the staged word's flip
+    parity.  A fetch stages a word only when it holds the demanded line,
+    its key's (`Engine.stage_key`), so FLIPPED means a wrong value: the
+    flip changes every pixel, as read and after the reconvert."""
 
     def __init__(self, eng, staged):
-        keys, slots, line, parity = staged
-        carried = eng._stage
-        self._n = len(carried[0])
+        keys, slots, self._code = staged
+        self._carried = eng._stage.copy()
         self._spb = eng.sched.slots_per_blockline
         self._keys = keys
         self._at = keys * self._spb + slots
-        self.line = np.concatenate([carried[0], line])
-        self._parity = np.concatenate([carried[1], parity])
         # carry out the last staged word of each key
         if len(keys):
             last = np.ones(len(keys), dtype=bool)
             last[:-1] = keys[1:] != keys[:-1]
-            for arr, vals in zip(carried, (line, parity)):
-                arr[keys[last]] = vals[last]
+            eng._stage[keys[last]] = self._code[last]
 
     def at(self, keys, slots):
-        """The entry each stage key holds at the end of each slot (slots
+        """The code each stage key holds at the end of each slot (slots
         counted from the pass start)."""
         if not len(self._keys):
-            return keys
+            return self._carried[keys]
         i = np.searchsorted(self._at, keys * self._spb + slots,
                             side="right") - 1
         i0 = np.maximum(i, 0)
         hit = (i >= 0) & (self._keys[i0] == keys)
-        return np.where(hit, self._n + i0, keys)
-
-    def bad(self, y: int):
-        """Per entry: it holds line y with a wrong value.  An entry holds
-        its place's line, so it differs on every pixel exactly when its
-        flip parity is 1, as read and after the reconvert: the flip changes
-        each component, and the lifting transform is injective."""
-        return (self.line == y) & (self._parity != 0)
+        return np.where(hit, self._code[i0], self._carried[keys])
 
 
 class _FlipWatch:
@@ -327,20 +319,19 @@ class Engine:
         # carried from pass to pass, in one array so that it can be keyed
         # and restored whole: per bank the cycle after its last commit; per
         # (buffer, word) the line it holds (-1: never written) and the
-        # display and fetch reads it still owes; per stage key the staged
-        # line (-1: none) and its flip parity.  Per part: size, how far it
-        # moves per blockline, and whether -1 in it means never written
+        # display and fetch reads it still owes; per stage key its code
+        # (`_Stage`).  Per part: size, how far it moves per blockline, and
+        # whether -1 in it means never written
         n_wk = len(self.preset.buffer_names()) * LINE_WORDS
-        n_st = cols * 2 * n
         per_bl = CYCLES_PER_SLOT * spb
         sizes, unit, never = zip(
             (len(self.sched.bank_keys), per_bl, False), (n_wk, 2, True),
-            (2 * n_wk, 0, False), (n_st, 2, True), (n_st, 0, False))
+            (2 * n_wk, 0, False), (cols * 2 * n, 0, False))
         self._carry = np.zeros(sum(sizes), dtype=np.int64)
         self._carry_unit = np.repeat(unit, sizes)
         self._carry_never = np.repeat(never, sizes)
         self._carry[self._carry_never] = -1
-        (self._frontier, self._word_line, owed, *self._stage) = np.split(
+        (self._frontier, self._word_line, owed, self._stage) = np.split(
             self._carry, np.cumsum(sizes)[:-1])
         self._word_owed = owed.reshape(2, n_wk)
         # blockline class -> its first blockline's Pass; the two parities
@@ -363,7 +354,8 @@ class Engine:
     def stage_key(self, col, rel, word):
         """A fetch stage entry's key in blockline bl's pass: slice column,
         line relative to the pass (rel 0: line 2 bl - 1, rel 1: line
-        2 bl + 1, the only lines a pass fetches), local word."""
+        2 bl + 1, the only lines a pass fetches), local word.  The key
+        names the entry's line, so the entry holds only its code."""
         return (col * 2 + rel) * self.plan.words_per_line + word
 
     def _setup_residency(self):
@@ -373,7 +365,7 @@ class Engine:
         enters the window."""
         self._recon = ReconBufferState(self.spec, self.preset, self.capacity)
         self._peaks = [0] * self.plan.slices.columns
-        self._admitted = {}   # entry codes -> (admitted x, blockline peak)
+        self._admitted = {}   # entering bits -> (admitted x, peak)
         keep = self._recon.keep
         self._resident = [s for s in SECTIONS if keep[s]]
         self._row_lag = 2 if self.preset.forwarding else 1
@@ -477,9 +469,8 @@ class Engine:
                 served = self._serve_window(bl, stage, resident)
                 # no window of a later blockline reads line 2 bl - 1 again,
                 # and line 2 bl + 1 is the next pass's rel 0
-                for a, none in zip(self._stage, (-1, 0)):
-                    a = a.reshape(-1, 2, self.plan.words_per_line)
-                    a[:, 0], a[:, 1] = a[:, 1], none
+                a = self._stage.reshape(-1, 2, self.plan.words_per_line)
+                a[:, 0], a[:, 1] = a[:, 1], UNSTAGED
                 rec = (self._moved_back(self._carry, bl + 1), *served,
                        self._drain_order(tm, found), far - bl * far_unit)
                 if not live:
@@ -585,7 +576,7 @@ class Engine:
         f = tm.fetches
         ok = written[f] & (line[f] == b[LINE][eb[f]])
         f = f[ok]
-        staged = (tm.fetch_key[ok], tm.fetch_slot[ok], line[f], parity[f])
+        staged = (tm.fetch_key[ok], tm.fetch_slot[ok], CLEAN + parity[f])
 
         # carry out each word's state after its last event
         t = tm.tail
@@ -715,36 +706,35 @@ class Engine:
         """The recon buffers' residency over one blockline, column by
         column: per block in decode order, clear at block 0 or else slide
         by one block, admit the previous line's pixels entering the window
-        (if their word is staged with that line), then the resident rows of
-        the block decoded `_row_lag` blocks back.  A section admits each
-        pixel x at most once per blockline, so the admitted x say which
-        window pixels are resident at every block.  They and the
-        blockline's peak follow from the column's entry codes alone, so
-        each distinct set of codes is admitted once per run.  Returns, per
-        section, the admitted x and (for the previous line) which of them
-        hold a wrong value."""
+        (if their word is staged), then the resident rows of the block
+        decoded `_row_lag` blocks back.  A section admits each pixel x at
+        most once per blockline, so the admitted x say which window pixels
+        are resident at every block.  They and the blockline's peak follow
+        from the column's entering bits alone, so each distinct set of bits
+        is admitted once per run.  Returns, per section, each column's code
+        per pixel x: UNSTAGED unless admitted, else for the previous line
+        the stage code its word had on entering, and CLEAN for a row: a row
+        pixel is a decoded block's, which the model takes as golden."""
         n, sw = self.plan.words_per_line, self.plan.slice_width
         cols = self.plan.slices.columns
-        out = {}
         lo, hi = self.spec.prev_line_span
-        codes = None
+        src = dict.fromkeys(self._resident, CLEAN)
+        enter = None
         if self._resident[:1] == ["prev"] and \
                 not self.plan.is_first_blockline_of_slice(bl):
-            prev_y = 2 * bl - 1
             x = np.arange(sw)
-            entry = stage.at(
+            src["prev"] = stage.at(
                 self.stage_key(np.arange(cols)[:, None], 0,
                                x // PIXELS_PER_WORD),
                 self._slot_of[:, self._enter_slot_bx])
-            cand = self._enter_ok & (stage.line[entry] == prev_y)
-            out["prev"] = [None, stage.bad(prev_y)[entry]]
+            cand = self._enter_ok & (src["prev"] != UNSTAGED)
             # per block, the 8 previous-line pixels entering from hi - 7;
             # at block 0 the whole span from lo
             bits = cand[:, self._enter_x] & self._enter_in
-            codes = (bits.astype(np.int64) << np.arange(BLOCK_W)).sum(-1) \
+            enter = (bits.astype(np.int64) << np.arange(BLOCK_W)).sum(-1) \
                 .tolist()
             for c in range(cols):
-                codes[c][0] = sum(1 << (p - lo) for p in
+                enter[c][0] = sum(1 << (p - lo) for p in
                                   self._full_x[cand[c, self._full_x]].tolist())
         rows = [s for s in self._resident if s != "prev"]
         lag = self._row_lag
@@ -752,8 +742,9 @@ class Engine:
         admitted = {s: [] for s in self._resident}
         recon = self._recon
         valid, span_lo = recon.valid, recon.lo
+        nbytes = -(-sw // 8)
         for c in range(cols):
-            key = None if codes is None else tuple(codes[c])
+            key = None if enter is None else tuple(enter[c])
             if key not in self._admitted:
                 recon.peak_occupancy = 0
                 adm = dict.fromkeys(self._resident, 0)
@@ -772,24 +763,25 @@ class Engine:
                     # the positions held after each block are the admitted x
                     for s in adm:
                         adm[s] |= _at_x(valid[s], BLOCK_W * bx + span_lo[s])
-                self._admitted[key] = adm, recon.peak_occupancy
+                self._admitted[key] = {s: np.unpackbits(
+                    np.frombuffer(m.to_bytes(nbytes, "little"), np.uint8),
+                    bitorder="little")[:sw].astype(bool)
+                    for s, m in adm.items()}, recon.peak_occupancy
             adm, peak = self._admitted[key]
             self._peaks[c] = max(self._peaks[c], peak)
             for s in self._resident:
                 admitted[s].append(adm[s])
-        nbytes = -(-sw // 8)
-        for s, masks in admitted.items():
-            raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-            adm = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                                bitorder="little").reshape(cols, -1)[:, :sw]
-            out.setdefault(s, [None, None])[0] = adm.astype(bool)
-        return out
+        return {s: np.where(np.stack(adm), src[s], UNSTAGED)
+                for s, adm in admitted.items()}
 
     def _serve_window(self, bl, stage, resident):
         """Serve every unclipped window pixel of the blockline's blocks by
-        exactly one path and compare the value against the oracle.  Returns
-        (served, misses, mismatches, samples), a sample being (class, slot
-        from the pass start, section, count) while its class has room."""
+        exactly one path, which gives it a code: a resident pixel its
+        admission's, a forwarded one CLEAN (the decoded block is golden)
+        and a fetched one its stage entry's.  A pixel is served unless
+        UNSTAGED, and mispredicted if FLIPPED.  Returns (served, misses,
+        mismatches, samples), a sample being (class, slot from the pass
+        start, section, count) while its class has room."""
         first = self.plan.is_first_blockline_of_slice(bl)
         cols = self.plan.slices.columns
         counts = []   # per part: (misses, mismatches), each (cols, blocks)
@@ -799,31 +791,22 @@ class Engine:
             s, dy, route = part["section"], part["dy"], part["route"]
             if dy < 0 and first:
                 continue
-            y = 2 * bl + dy
-            inside, size = part["inside"], part["size"]
-            n_bad = 0
+            inside = part["inside"]
             if route == RESIDENT:
-                # only previous-line pixels can hold a wrong value: a current
-                # row's pixels are the decoded block's YCoCg, which the
-                # model takes from the golden frame
-                adm, bad = resident[s]
-                ok = adm[:, part["x"]] & inside
-                if bad is not None:
-                    n_bad = np.count_nonzero(ok & bad[:, part["x"]], axis=-1)
+                code = resident[s][:, part["x"]]
             elif route == FORWARDED:
-                ok = np.broadcast_to(inside, (cols,) + inside.shape)
-            else:   # FETCH, served from the stage
-                entry = stage.at(
+                code = np.full((cols,) + inside.shape, CLEAN)
+            else:   # FETCH
+                code = stage.at(
                     self.stage_key(np.arange(cols)[:, None, None],
                                    (dy + 1) // 2, part["words"]),
-                    self._slot_of[:, :, None])
-                pe = entry[:, :, part["word_at"]]
-                ok = (stage.line[pe] == y) & inside
-                n_bad = np.count_nonzero(ok & stage.bad(y)[pe], axis=-1)
+                    self._slot_of[:, :, None])[:, :, part["word_at"]]
+            ok = (code != UNSTAGED) & inside
             n_ok = np.count_nonzero(ok, axis=-1)
-            counts.append((size - n_ok, n_bad + np.zeros_like(n_ok)))
+            n_bad = np.count_nonzero(ok & (code == FLIPPED), axis=-1)
+            counts.append((part["size"] - n_ok, n_bad))
             sections.append(s)
-            served += int(n_ok.sum() - np.sum(n_bad))
+            served += int(n_ok.sum() - n_bad.sum())
         misses = sum(int(m.sum()) for m, _ in counts)
         mismatches = sum(int(m.sum()) for _, m in counts)
         samples = []

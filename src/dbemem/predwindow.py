@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import BLOCK_W
+from .geometry import BLOCK_W, LINE_WORDS, PIXELS_PER_WORD
 
 SECTIONS = ("prev", "row0", "row1")
 
@@ -36,10 +36,12 @@ class WindowSpec:
     cur_row1_span: tuple[int, int] = (-32, -1)
 
     def __post_init__(self):
+        reach = LINE_WORDS * PIXELS_PER_WORD   # no slice is wider
         for name in ("prev_line_span", "cur_row0_span", "cur_row1_span"):
             lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ConfigError(f"{name} has lo > hi: ({lo}, {hi})")
+            if not -reach < lo <= hi < reach:
+                raise ConfigError(f"{name} must be lo <= hi within the widest"
+                                  f" slice, ({-reach}, {reach}): ({lo}, {hi})")
         for name in ("cur_row0_span", "cur_row1_span"):
             if getattr(self, name)[1] >= 0:
                 raise ConfigError(f"{name} must lie strictly left of the block")

@@ -197,11 +197,9 @@ class Scheduler:
     def __init__(self, preset: ArchPreset, spec: WindowSpec, plan: GeometryPlan,
                  read_latency: int = 0):
         self.preset = preset
-        self.spec = spec
         self.plan = plan
         self.n_words = plan.words_per_line
-        self.cols = plan.slices.columns
-        self.slots_per_blockline = self.cols * self.n_words
+        self.slots_per_blockline = plan.slices.columns * self.n_words
         self.latency = preset.latency_cycles(plan)
         # display words are read ahead of emission through the output register;
         # registered SRAM outputs cost two extra lead cycles (stays on odd

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dbemem.engine import Engine, FaultSpec, SimConfig, _Stage, run_simulation
+from dbemem.engine import (CLEAN, FLIPPED, UNSTAGED, Engine, FaultSpec,
+                           SimConfig, _Stage, run_simulation)
 from dbemem.errors import ConfigError
 from dbemem.geometry import ImageGeometry, Interleave, LINE_WORDS, SliceLayout
 from dbemem.membank import VIOLATION_CLASSES
@@ -256,7 +257,7 @@ def test_mismatch_equals_a_per_pixel_compare(seed):
     eng._setup_passes()
     full = eng.oracle.golden_frame(w, h)
     # a fetch stage entry is decided by its parity after the reconvert
-    # too (`_Stage.bad`): a flipped pixel differs in YCoCg as well
+    # too (`_Stage`): a flipped pixel differs in YCoCg as well
     assert (ycocg_frame(full ^ 1) != ycocg_frame(full)).any(axis=-1).all()
     rgb = full & 1
     eng.oracle.golden_frame = lambda width, height: rgb
@@ -373,25 +374,43 @@ def test_custom_window_specs_run_clean(spans):
 
 def test_stage_lookup_sees_fetches_of_the_serving_slot():
     """A window at slot t sees a word fetched within slot t; at t - 1 it
-    sees the entry carried in, and other keys are untouched."""
+    sees the code carried in, and other keys are untouched."""
     eng = Engine(SimConfig(ImageGeometry(320, 32), SliceLayout(1, 1),
                            preset_by_name("type2")))
     eng._setup_passes()
     key, t = 12, 5
     one = np.array([1])
-    # staged: key 12 at slots 5 and 9, line 3 then line 7
+    eng._stage[key + 1] = FLIPPED
+    # staged: key 12 at slots 5 and 9, clean then flipped
     stage = _Stage(eng, (np.array([key, key]), np.array([t, 9]),
-                         np.array([3, 7]), np.array([0, 1])))
-    n = len(eng._stage[0])
-    assert stage.at(key * one, t * one).tolist() == [n]
-    assert stage.line[n] == 3
-    assert stage.at(key * one, (t - 1) * one).tolist() == [key]
-    assert stage.line[key] == -1
-    assert stage.at(key * one, 8 * one).tolist() == [n]
-    assert stage.at(key * one, 9 * one).tolist() == [n + 1]
-    assert stage.at((key + 1) * one, t * one).tolist() == [key + 1]
-    # the last staged entry of each key is carried out of the pass
-    assert eng._stage[0][key] == 7 and eng._stage[1][key] == 1
+                         np.array([CLEAN, FLIPPED])))
+    assert stage.at(key * one, t * one).tolist() == [CLEAN]
+    assert stage.at(key * one, (t - 1) * one).tolist() == [UNSTAGED]
+    assert stage.at(key * one, 8 * one).tolist() == [CLEAN]
+    assert stage.at(key * one, 9 * one).tolist() == [FLIPPED]
+    assert stage.at((key + 1) * one, t * one).tolist() == [FLIPPED]
+    # the last staged code of each key is carried out of the pass
+    assert eng._stage[key] == FLIPPED
+
+
+def test_a_checked_pass_leaves_rel_1_unstaged():
+    """A checked pass ends by moving its rel-1 stage entries, line
+    2 bl + 1, to the next pass's rel 0 and leaving rel 1 UNSTAGED, so an
+    entry's key names its line.  Seen after every checked pass of a type2
+    run, whose row1 fetches stage rel-1 entries, with a flip among them."""
+    eng = Engine(cfg_for("type2", width=320, height=32, cols=2, faults=[
+        FaultSpec("flip_word", buffer="lower0", word_index=5, cycle=182)]))
+    moved_back, rel0 = eng._moved_back, set()
+
+    def check(carry, bl):
+        stage = eng._stage.reshape(-1, 2, eng.plan.words_per_line)
+        assert (stage[:, 1] == UNSTAGED).all()
+        rel0.update(stage[:, 0].ravel().tolist())
+        return moved_back(carry, bl)
+
+    eng._moved_back = check
+    eng.run()
+    assert rel0 == {UNSTAGED, CLEAN, FLIPPED}
 
 
 def _faults(kind, value):

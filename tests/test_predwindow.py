@@ -50,6 +50,13 @@ def test_spans_validate():
         WindowSpec(cur_row0_span=(-4, 0))   # must stay left of the block
     with pytest.raises(ConfigError):
         WindowSpec(prev_line_span=(5, 2))
+    # no offset at or past the widest slice's 3,840 pixels lands in a slice
+    for span in ((-8, 3840), (-3840, 32), (-8, 1000000)):
+        with pytest.raises(ConfigError, match="widest slice"):
+            WindowSpec(prev_line_span=span)
+    with pytest.raises(ConfigError, match="widest slice"):
+        WindowSpec(cur_row0_span=(-3840, -1))
+    WindowSpec((-3839, 3839), (-3839, -1), (-3839, -1))
 
 
 def test_interior_window_is_106(window_px):

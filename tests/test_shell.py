@@ -653,6 +653,8 @@ def _fault_cfg(kind, value, arch="type2"):
     dict(CFG, slices={"rows": 0}),
     dict(CFG, arch={"fetch_kind": "bogus"}),
     dict(CFG, arch={"residency": {"prev": "bogus"}}),
+    # no offset past the widest slice lands in any slice
+    dict(CFG, arch="baseline", window_spec={"prev_line_span": [-8, 1000000]}),
 ], ids=["capacity_str", "capacity_negative", "bit_depth_str", "chroma_420",
         "interleave_bogus", "window_span_str", "line_buffers_str",
         "height_missing", "fetch_budget_0", "clock_nan", "flip_unused_word",
@@ -665,7 +667,8 @@ def _fault_cfg(kind, value, arch="type2"):
         "chroma_444", "bit_depth_10", "fetch_words_0",
         "streaming_fetch_words_2", "reconvert_on_fetch_key",
         "refill_fetches_prev", "streaming_fetches_row0", "latency_2",
-        "slice_rows_0", "fetch_kind_bogus", "route_bogus"])
+        "slice_rows_0", "fetch_kind_bogus", "route_bogus",
+        "window_span_too_wide"])
 def test_cli_malformed_config_exit_two(tmp_path, capsys, data):
     assert cli_main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2
     err = capsys.readouterr().err
