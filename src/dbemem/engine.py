@@ -146,11 +146,17 @@ def apply_faults_to_preset(preset: ArchPreset, faults,
                            spec: WindowSpec) -> ArchPreset:
     """The preset with the override faults applied.  ArchPreset checks the
     overridden fields; the checks here reject values it would accept but
-    that leave the run unchanged, among them a value equal to the one in
-    force (the recon capacity's under the window spec)."""
+    that leave the run unchanged: a value equal to the one in force (the
+    recon capacity's under the window spec), and a kind given twice, whose
+    earlier value the later one replaces."""
+    given = set()
     for f in faults:
         if f.kind not in _OVERRIDES:
             continue
+        if f.kind in given:
+            raise ConfigError(f"{f.kind} is given twice; the later value "
+                              f"would replace the earlier")
+        given.add(f.kind)
         if f.kind == "capacity_override":
             # None would restore the preset's own count
             require_int(f.value, "capacity_override value", 0)
@@ -279,6 +285,7 @@ class Engine:
                        key=lambda f: f.cycle)
         run_cycles = total_frame_cycles(self.preset, self.plan)
         n = self.plan.words_per_line
+        given = set()
         for f in flips:
             if f.buffer not in buffers:
                 raise ConfigError(
@@ -292,6 +299,12 @@ class Engine:
                                  for base in self.plan.partition_bases)
                 raise ConfigError(f"flip_word word {f.word_index} is used by "
                                   f"no slice column (they use {used})")
+            if (f.buffer, f.word_index, f.cycle) in given:
+                raise ConfigError(
+                    f"flip_word {f.buffer} word {f.word_index} at cycle "
+                    f"{f.cycle} is given twice; the second would undo the "
+                    f"first")
+            given.add((f.buffer, f.word_index, f.cycle))
         self._watches = [
             _FlipWatch(f, buffers.index(f.buffer) * LINE_WORDS + f.word_index)
             for f in flips]
@@ -386,7 +399,8 @@ class Engine:
 
     def _setup_window(self):
         """Per window part, the block x positions its pixels cover: which
-        lie in the slice, their pixel places and stage words."""
+        lie in the slice, their pixel places and stage words, and per
+        (block, stage word) the word's pixels of the part in the slice."""
         n, sw = self.plan.words_per_line, self.plan.slice_width
         bx = np.arange(n)[:, None]
         self._window_parts = []
@@ -395,13 +409,14 @@ class Engine:
                 r = np.arange(plo, phi + 1)
                 x = BLOCK_W * bx + r
                 inside = (x >= 0) & (x < sw)
-                words = np.clip(bx + np.arange(plo // PIXELS_PER_WORD,
-                                               phi // PIXELS_PER_WORD + 1),
-                                0, n - 1)
+                w = np.arange(plo // PIXELS_PER_WORD,
+                              phi // PIXELS_PER_WORD + 1)
+                of_word = r[:, None] // PIXELS_PER_WORD == w
                 self._window_parts.append(dict(
                     section=s, dy=dy, route=route, x=np.clip(x, 0, sw - 1),
-                    inside=inside, size=inside.sum(axis=1), words=words,
-                    word_at=r // PIXELS_PER_WORD - plo // PIXELS_PER_WORD))
+                    inside=inside, size=inside.sum(axis=1),
+                    words=np.clip(bx + w, 0, n - 1),
+                    weight=inside.astype(np.int64) @ of_word))
 
     # -- bookkeeping helpers -------------------------------------------------
 
@@ -460,9 +475,7 @@ class Engine:
                 start = np.frombuffer(key, dtype=np.int64)
                 self._carry[:] = np.where(start == _NEVER, -1,
                                           start + bl * self._carry_unit)
-                b = self.sched.shift_bookings(tm.bookings, d) if d \
-                    else tm.bookings
-                display, staged, found, live = self._commit_slot(tm, b)
+                display, staged, found, live = self._commit_slot(tm, d)
                 far = self._check_display_word(*display)
                 stage = _Stage(self, staged)
                 resident = self._advance_window(bl, stage)
@@ -512,27 +525,32 @@ class Engine:
             tm = self._templates[key] = Pass(self, bl)
         return tm, bl - tm.bl0
 
-    def _commit_slot(self, tm, b):
-        """Commit one pass's granted bookings `b` on the line buffers, word
-        by word in commit order.  A write overwriting a word that still owes
-        display or fetch reads is a hazard; it records both counts and
-        clears them.  A read of a never-written word is an underflow.  A
-        flip fault lands before the commits of its cycle.  Returns the
-        display reads in commit order, with the raster word each reads, the
-        fetches that staged their word (the bank then held the demanded
-        line), the pass's hazards and underflows, and whether a flip can
-        reach the pass: its word's last write before it is before the
-        flip.  Like a bank model, a pass that books a bank behind a
-        cycle an earlier pass committed on it is a ConfigError (the pass's
-        own slots are held to this by `ledger.Pass`)."""
+    def _commit_slot(self, tm, d):
+        """Commit the granted bookings of template `tm`'s pass d blocklines
+        later on the line buffers, word by word in commit order.  A write
+        overwriting a word that still owes display or fetch reads is a
+        hazard; it records both counts and clears them.  A read of a
+        never-written word is an underflow.  A flip fault lands before the
+        commits of its cycle.  Returns the display reads in commit order,
+        with the raster word each reads, the fetches that staged their word
+        (the bank then held the demanded line), the pass's hazards and
+        underflows, and whether a flip can reach the pass: its word's last
+        write before it is before the flip.  Like a bank model, a pass that
+        books a bank behind a cycle an earlier pass committed on it is a
+        ConfigError (the pass's own slots are held to this by
+        `ledger.Pass`)."""
+        b = self.sched.shift_bookings(tm.bookings, d) if d else tm.bookings
         bank, cycles = b[BANK], b[CYCLE]
         behind = np.flatnonzero(cycles < self._frontier[bank])
         if behind.size:
             i = behind[0]
             raise ConfigError(f"access at cycle {cycles[i]} behind frontier "
                               f"{self._frontier[bank[i]]}")
-        np.maximum.at(self._frontier, bank[tm.granted],
-                      cycles[tm.granted] + 1)
+        # a bank the template books takes its frontier, moved d blocklines
+        spb = self.sched.slots_per_blockline
+        moved = np.where(tm.frontier > 0,
+                         tm.frontier + CYCLES_PER_SLOT * spb * d, 0)
+        np.maximum(self._frontier, moved, out=self._frontier)
         wk, typ, eb = tm.ev_wk, tm.ev_typ, tm.ev_b
         held = self._word_line[wk]
         written = (tm.last_write >= 0) | (held >= 0)
@@ -779,11 +797,12 @@ class Engine:
         exactly one path, which gives it a code: a resident pixel its
         admission's, a forwarded one CLEAN (the decoded block is golden)
         and a fetched one its stage entry's.  A pixel is served unless
-        UNSTAGED, and mispredicted if FLIPPED.  Returns (served, misses,
-        mismatches, samples), a sample being (class, slot from the pass
-        start, section, count) while its class has room."""
+        UNSTAGED, and mispredicted if FLIPPED; a fetched part is counted
+        per stage word, whose pixels share its code.  Returns (served,
+        misses, mismatches, samples), a sample being (class, slot from the
+        pass start, section, count) while its class has room."""
         first = self.plan.is_first_blockline_of_slice(bl)
-        cols = self.plan.slices.columns
+        cols, n = self.plan.slices.columns, self.plan.words_per_line
         counts = []   # per part: (misses, mismatches), each (cols, blocks)
         sections = []
         served = 0
@@ -791,19 +810,21 @@ class Engine:
             s, dy, route = part["section"], part["dy"], part["route"]
             if dy < 0 and first:
                 continue
-            inside = part["inside"]
             if route == RESIDENT:
                 code = resident[s][:, part["x"]]
+                ok = (code != UNSTAGED) & part["inside"]
+                n_ok = np.count_nonzero(ok, axis=-1)
+                n_bad = np.count_nonzero(ok & (code == FLIPPED), axis=-1)
             elif route == FORWARDED:
-                code = np.full((cols,) + inside.shape, CLEAN)
-            else:   # FETCH
+                n_ok = np.broadcast_to(part["size"], (cols, n))
+                n_bad = np.zeros((cols, n), dtype=np.int64)
+            else:   # FETCH: per stage word, its pixels in the slice
                 code = stage.at(
                     self.stage_key(np.arange(cols)[:, None, None],
                                    (dy + 1) // 2, part["words"]),
-                    self._slot_of[:, :, None])[:, :, part["word_at"]]
-            ok = (code != UNSTAGED) & inside
-            n_ok = np.count_nonzero(ok, axis=-1)
-            n_bad = np.count_nonzero(ok & (code == FLIPPED), axis=-1)
+                    self._slot_of[:, :, None])
+                n_ok = ((code != UNSTAGED) * part["weight"]).sum(axis=-1)
+                n_bad = ((code == FLIPPED) * part["weight"]).sum(axis=-1)
             counts.append((part["size"] - n_ok, n_bad))
             sections.append(s)
             served += int(n_ok.sum() - n_bad.sum())

@@ -33,12 +33,14 @@ def owed_reads(step, start, seg, head):
 
 
 def _frontiers(b, n_banks):
-    """Per slot of bookings `b` and per bank, the bank's frontier when the
-    slot books: 1 + the latest cycle booked on it in an earlier slot, or 0.
-    Every booked cycle is granted to its first booking and committed at
-    the end of its slot, so this is the bank model's own `frontier`."""
-    latest = np.full((int(b[SLOT][-1]) + 2, n_banks), -1, dtype=np.int64)
-    np.maximum.at(latest, (b[SLOT] + 1, b[BANK]), b[CYCLE])
+    """Per booking of `b` and per bank, the bank's frontier before the
+    booking: 1 + the latest cycle booked on it so far, or 0; and a last
+    row after every booking.  Every booked cycle is granted to its first
+    booking and committed at the end of its slot, so at a slot's first
+    booking this is the bank model's own `frontier` when the slot books,
+    and the last row is each bank's after the pass."""
+    latest = np.full((b.shape[1] + 1, n_banks), -1, dtype=np.int64)
+    latest[np.arange(1, len(latest)), b[BANK]] = b[CYCLE]
     return np.maximum.accumulate(latest, axis=0) + 1
 
 
@@ -78,59 +80,73 @@ class Pass:
         self.bookings = b = sched.booking_arrays(bl)
         slot, cycle, bank, word = b[SLOT], b[CYCLE], b[BANK], b[WORD]
         frontier = _frontiers(b, len(sched.bank_keys))
+        self.frontier = frontier[-1]   # each bank's after the pass
+        # each slot's first booking, and per booking its slot's
+        heads = np.flatnonzero(np.diff(slot, prepend=-1))
+        own_head = np.repeat(heads, np.diff(heads, append=len(slot)))
         # a slot's verdict depends, per booking in booking order, on its
         # bank, its cycle from the slot's first cycle, whether it is behind
         # its bank's frontier and whether its word is outside the buffer;
         # a slot's key is those rows' bytes
         s0 = sched.blockline_slots(bl).start
         codes = np.stack([bank, cycle - CYCLES_PER_SLOT * (slot + s0),
-                          cycle < frontier[slot, bank],
+                          cycle < frontier[own_head, bank],
                           (word < 0) | (word >= LINE_WORDS)],
-                         axis=1).astype(np.int32)
+                         axis=1, dtype=np.int32)
         row, keys = codes.strides[0], codes.tobytes()
-        purpose_of, word_of = b[PURPOSE].tolist(), word.tolist()
         verdicts = {}    # slot key -> its conflicts: (position, winner's)
-        conflicts = []   # (booking index, first purpose, first word)
+        hits = []        # (slot's first booking, its conflicts)
         # the first slot of each key, in slot order, is booked for real,
         # so a ConfigError comes from the earliest slot that would raise
-        ends = (np.flatnonzero(np.diff(slot)) + 1).tolist()
-        for lo, hi in zip([0, *ends], [*ends, len(word_of)]):
+        heads = heads.tolist()
+        for lo, hi in zip(heads, [*heads[1:], len(slot)]):
             key = keys[row * lo:row * hi]
             lost = verdicts.get(key)
             if lost is None:
                 lost = verdicts[key] = _book_slot(sched, b[:, lo:hi],
-                                                  frontier[slot[lo]])
-            conflicts += [(lo + j, PURPOSES[purpose_of[lo + w]],
-                           word_of[lo + w]) for j, w in lost]
+                                                  frontier[lo])
+            if lost:
+                hits.append((lo, lost))
+        conflicts = []   # (booking index, first purpose, first word)
+        if hits:
+            purpose_of, word_of = b[PURPOSE].tolist(), word.tolist()
+            conflicts = [(lo + j, PURPOSES[purpose_of[lo + w]],
+                          word_of[lo + w])
+                         for lo, lost in hits for j, w in lost]
         self.conflicts = conflicts
         granted = np.ones(b.shape[1], dtype=bool)
         granted[[c[0] for c in conflicts]] = False
         self.granted = g = np.flatnonzero(granted)   # in booking order
         # commit order: per slot the commits on its first cycle, then the
         # required reads armed by its granted writes and later fetches, then
-        # the other commits by cycle, banks in commit order within a cycle
+        # the other commits by cycle, banks in commit order within a cycle.
+        # One sort key per event holds (slot, phase 0, 1 or 2 in that
+        # order, cycle, bank) as digits
         slot, cyc, bank, purpose = (b[f][g].astype(np.int64)
                                     for f in (SLOT, CYCLE, BANK, PURPOSE))
         on_first = cyc % CYCLES_PER_SLOT == 0
         arm_d = purpose == WRITE
         arm_f = (purpose == FETCH_READ) & ~on_first
         idx = np.concatenate([g, g[arm_d], g[arm_f]])
-        n_arm = int(arm_d.sum() + arm_f.sum())
         typ = np.concatenate([_COMMIT_EVENT[purpose],
                               np.full(arm_d.sum(), ARM_DISPLAY),
                               np.full(arm_f.sum(), ARM_FETCH)])
-        phase = np.concatenate([np.where(on_first, 0, 2), np.ones(n_arm, int)])
-        zeros = np.zeros(n_arm, dtype=np.int64)
-        rank = np.empty(len(idx), dtype=np.int64)
-        rank[np.lexsort((np.concatenate([bank, zeros]),
-                         np.concatenate([cyc, zeros]), phase,
-                         np.concatenate([slot, slot[arm_d], slot[arm_f]])))] \
-            = np.arange(len(idx))
+        within = (cyc - cyc.min()) * len(sched.bank_keys) + bank
+        span = int(within.max()) + 1
+        phase = np.where(on_first, 0, 2)
+        commit = np.argsort(np.concatenate(
+            [(slot * 3 + phase) * span + within,
+             (np.concatenate([slot[arm_d], slot[arm_f]]) * 3 + 1) * span]),
+            kind="stable")
         nb = eng.preset.banks_per_buffer
         wk = (b[BANK][idx] // nb) * LINE_WORDS + b[WORD][idx]
-        order = np.lexsort((rank, wk))
+        # by word, then commit order; an event's rank is its place in the
+        # commit order.  A word's key is below 3 x LINE_WORDS (every word
+        # outside the buffer was rejected above), so it fits in 16 bits,
+        # which numpy sorts stably by radix
+        rank = np.argsort(wk[commit].astype(np.int16), kind="stable")
+        order = commit[rank]
         self.ev_b, self.ev_typ, self.ev_wk = idx[order], typ[order], wk[order]
-        rank = rank[order]
 
         # each word's events: the latest write strictly before each event;
         # segments that restart the owed counts after each write

@@ -372,32 +372,37 @@ class Scheduler:
                 demands.append(((count > 0) & (count + e <= want), line,
                                 (w + e) % n))
 
-        if self.preset.fetch_kind == STREAMING:
-            # the offsets each (slot, bank) has taken, as bits
-            taken = np.zeros((len(slots), len(self.bank_keys)), dtype=np.int64)
-            for s, off, line, c, wl, _, _ in bookings:
-                np.bitwise_or.at(taken, (s, self._bank(line, c, wl)),
-                                 1 << off)
+        # a fetch books offset 2, as refill does; streaming moves it below
         for ok, line, w in demands:
-            line = np.broadcast_to(line, bx.shape)[ok]
-            s, c, w = t[ok], col[ok], w[ok]
-            if self.preset.fetch_kind == STREAMING:
-                at = (s, self._bank(line, c, w))
-                off = _FIRST_FREE[~taken[at] & 0xF]
-                taken[at] |= 1 << off
-            else:
-                off = 2
-            bookings.append((s, off, line, c, w, slots.start + s, FETCH_READ))
+            s = t[ok]
+            bookings.append((s, 2, np.broadcast_to(line, bx.shape)[ok],
+                             col[ok], w[ok], slots.start + s, FETCH_READ))
 
-        rows = []
-        for s, off, line, c, wl, block, purpose in bookings:
-            rows.append(np.stack(np.broadcast_arrays(
-                s, CYCLES_PER_SLOT * (slots.start + s) + off,
-                self._bank(line, c, wl), purpose,
-                self.word_address(c, wl)[0], block, c, line,
-                c * self.plan.slice_width + PIXELS_PER_WORD * wl)))
-        out = np.concatenate(rows, axis=1)
-        return out[:, np.argsort(out[SLOT], kind="stable")].astype(np.int32)
+        # each raw field across the kinds, once
+        sizes = [len(k[0]) for k in bookings]
+        s, off, line, c, wl, block, purpose = (
+            np.concatenate([v if np.ndim(v) else np.full(m, v)
+                            for v, m in zip(field, sizes)])
+            for field in zip(*bookings))
+        bank = self._bank(line, c, wl)
+        if self.preset.fetch_kind == STREAMING:
+            # the offsets each (slot, bank) has taken, as bits; each fetch
+            # kind books at most one word per slot
+            n0 = sizes[0] + sizes[1]   # the writes and display reads
+            at = s * len(self.bank_keys) + bank
+            taken = np.zeros((len(slots) * len(self.bank_keys),
+                              CYCLES_PER_SLOT), dtype=bool)
+            taken[at[:n0], off[:n0]] = True
+            taken = taken @ (1 << np.arange(CYCLES_PER_SLOT))
+            ends = np.cumsum(sizes)[1:].tolist()
+            for lo, hi in zip(ends, ends[1:]):
+                off[lo:hi] = _FIRST_FREE[~taken[at[lo:hi]] & 0xF]
+                taken[at[lo:hi]] |= 1 << off[lo:hi]
+        order = np.argsort(s, kind="stable")
+        return np.stack((s, CYCLES_PER_SLOT * (slots.start + s) + off, bank,
+                         purpose, self.word_address(c, wl)[0], block, c, line,
+                         c * self.plan.slice_width + PIXELS_PER_WORD * wl),
+                        dtype=np.int32)[:, order]
 
     def _bank(self, line, slice_col, local_word):
         """The place in `bank_keys` of the bank holding a slice column's

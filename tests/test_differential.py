@@ -237,6 +237,25 @@ def test_fetch_stage_keeps_only_the_demanded_line():
     assert want["pixels_served"] == 3102
 
 
+@pytest.mark.parametrize("word,cycle,block", [
+    pytest.param(120, 201, 2, id="left-edge"),
+    pytest.param(129, 210, 9, id="right-edge")])
+def test_flipped_edge_word_served_like_reference(word, cycle, block):
+    """type2 on 4 columns of 80 px, lower0 word 0 or 9 of column 1 flipped
+    between its write and its fetch.  The fetched parts of the windows of
+    the blocks at the slice edges clip their stage words to the slice, so
+    only the word's pixels inside the slice count: the flip reaches the
+    edge block `block` and the served pixels, misses, mispredictions and
+    samples are the reference's."""
+    cfg = SimConfig(ImageGeometry(320, 32), SliceLayout(4, 1),
+                    preset_by_name("type2"), collect_trace=True,
+                    faults=[FaultSpec("flip_word", buffer="lower0",
+                                      word_index=word, cycle=cycle)])
+    want = assert_same_run(cfg)
+    slots = [t for t, _, _ in want["details"]["prediction_mismatches"]]
+    assert 40 + 10 + block in slots
+
+
 @st.composite
 def refill_budgets(draw):
     """A refill budget of 2-4 fetch words per slot, as a custom arch or as

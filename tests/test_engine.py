@@ -185,6 +185,33 @@ def test_override_to_the_current_value_rejected(name, kind, value):
         Engine(cfg_for(name, faults=[FaultSpec(kind, value=value)]))
 
 
+@pytest.mark.parametrize("name,kind,first,second", [
+    ("baseline", "line_buffers_override", 2, 3),
+    ("baseline", "fetch_budget_override", 2, 1),
+    ("type2", "banks_override", 1, 2),
+    ("baseline", "capacity_override", 5, 106),
+])
+def test_override_kind_given_twice_rejected(name, kind, first, second):
+    """A second override of a kind would replace the first, which then
+    changes nothing: each pair here would run the preset as it is."""
+    with pytest.raises(ConfigError, match=f"^{kind} is given twice"):
+        Engine(cfg_for(name, width=64, height=8, faults=[
+            FaultSpec(kind, value=first), FaultSpec(kind, value=second)]))
+
+
+def test_flip_word_given_twice_rejected():
+    """Two flips of one word at one cycle undo each other, with another
+    flip between them or not; the flip alone fails the run."""
+    flip = FaultSpec("flip_word", buffer="upper", word_index=0, cycle=1)
+    other = replace(flip, word_index=1)
+    assert run_simulation(cfg_for("baseline", width=64, height=8,
+                                  faults=[flip])).violations.total() == 8
+    for faults in ([flip, replace(flip)], [flip, other, replace(flip)]):
+        with pytest.raises(ConfigError,
+                           match="upper word 0 at cycle 1 is given twice"):
+            Engine(cfg_for("baseline", width=64, height=8, faults=faults))
+
+
 def test_unknown_fault_rejected():
     with pytest.raises(ConfigError):
         FaultSpec("meltdown")

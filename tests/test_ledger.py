@@ -1,7 +1,8 @@
 """`ledger.Pass`'s port law against the bank models booked one access at a
 time: on every class template of a seeded draw of configs, the conflicts
-(with each winner's purpose and word) and the granted bookings are the
-ones that booking every slot on `SramBankModel`s gives."""
+(with each winner's purpose and word), the granted bookings and each
+bank's frontier after the pass are the ones that booking every slot on
+`SramBankModel`s gives."""
 
 import json
 import random
@@ -28,8 +29,9 @@ PRESETS = ("baseline", "type1", "type2")
 def per_booking_loop(sched, b):
     """Every booking of `b` on fresh bank models, slot by slot: book the
     slot, then commit its grants in cycle and bank order.  Returns the
-    conflicts as (booking index, first purpose, first word) and the
-    granted booking indices."""
+    conflicts as (booking index, first purpose, first word), the granted
+    booking indices and each bank model's frontier after its last
+    commit."""
     banks = [SramBankModel(buf, bk) for buf, bk in sched.bank_keys]
     records = sched.access_records(b)
     bank_of = b[BANK].tolist()
@@ -48,7 +50,8 @@ def per_booking_loop(sched, b):
         for cyc, k in grants:
             banks[k].commit_cycle(cyc)
     lost = {i for i, _, _ in conflicts}
-    return conflicts, [i for i in range(len(records)) if i not in lost]
+    return (conflicts, [i for i in range(len(records)) if i not in lost],
+            [bank.frontier for bank in banks])
 
 
 def class_blocklines(eng):
@@ -150,9 +153,55 @@ def test_port_law_matches_per_booking_loop(cfg):
     eng = Engine(cfg)
     for bl in class_blocklines(eng):
         tm = Pass(eng, bl)
-        conflicts, granted = per_booking_loop(eng.sched, tm.bookings)
+        conflicts, granted, _ = per_booking_loop(eng.sched, tm.bookings)
         assert tm.conflicts == conflicts
         assert tm.granted.tolist() == granted
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=range(len(CONFIGS)))
+def test_kept_frontier_matches_per_booking_loop(cfg):
+    """The frontier row each template keeps, which a checked pass moves
+    onto the carried frontiers, is each bank model's after its last
+    commit."""
+    eng = Engine(cfg)
+    for bl in class_blocklines(eng):
+        tm = Pass(eng, bl)
+        assert tm.frontier.tolist() == per_booking_loop(eng.sched,
+                                                        tm.bookings)[2]
+
+
+def test_carried_frontier_is_each_banks_latest_booking(monkeypatch):
+    """After every checked pass of blockline bl, the engine's carried
+    frontier of each bank is 1 + the latest cycle booked on it in
+    blocklines 0..bl, or 0: a bank that the pass's template leaves
+    untouched keeps its frontier when the template is moved.  Some drawn
+    narrow frames check such a moved pass."""
+    commit = Engine._commit_slot
+    after = {}   # checked blockline -> (its shift d, the carried frontier)
+
+    def spy(self, tm, d):
+        out = commit(self, tm, d)
+        after[tm.bl0 + d] = (d, self._frontier.tolist())
+        return out
+
+    monkeypatch.setattr(Engine, "_commit_slot", spy)
+    moved_untouched = 0
+    for cfg in CONFIGS:
+        eng = Engine(cfg)
+        after.clear()
+        eng.run()
+        n_banks = len(eng.sched.bank_keys)
+        latest = [-1] * n_banks
+        for bl in range(eng.plan.total_blocklines):
+            b = eng.sched.booking_arrays(bl)
+            for k in range(n_banks):
+                on = b[CYCLE][b[BANK] == k]
+                latest[k] = max([latest[k], *on.tolist()])
+                moved_untouched += bl in after and after[bl][0] > 0 \
+                    and not on.size
+            if bl in after:
+                assert after[bl][1] == [c + 1 for c in latest], (cfg, bl)
+    assert moved_untouched
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -173,7 +222,7 @@ def test_port_law_matches_per_booking_loop_on_moved_bookings(monkeypatch,
             b[CYCLE, i] = first + offset
             monkeypatch.setattr(eng.sched, "booking_arrays", lambda bl: b)
             tm = Pass(eng, 1)
-            conflicts, granted = per_booking_loop(eng.sched, b)
+            conflicts, granted, _ = per_booking_loop(eng.sched, b)
             assert tm.conflicts == conflicts
             assert tm.granted.tolist() == granted
             conflicting += bool(conflicts)

@@ -655,6 +655,14 @@ def _fault_cfg(kind, value, arch="type2"):
     dict(CFG, arch={"residency": {"prev": "bogus"}}),
     # no offset past the widest slice lands in any slice
     dict(CFG, arch="baseline", window_spec={"prev_line_span": [-8, 1000000]}),
+    # a later override of a kind replaces the earlier, and a second flip
+    # of a word at one cycle undoes the first
+    dict(CFG, arch="baseline",
+         faults=[{"kind": "line_buffers_override", "value": v}
+                 for v in (2, 3)]),
+    dict(CFG, arch="baseline",
+         faults=[{"kind": "flip_word", "buffer": "upper", "word_index": 0,
+                  "cycle": 1}] * 2),
 ], ids=["capacity_str", "capacity_negative", "bit_depth_str", "chroma_420",
         "interleave_bogus", "window_span_str", "line_buffers_str",
         "height_missing", "fetch_budget_0", "clock_nan", "flip_unused_word",
@@ -668,7 +676,7 @@ def _fault_cfg(kind, value, arch="type2"):
         "streaming_fetch_words_2", "reconvert_on_fetch_key",
         "refill_fetches_prev", "streaming_fetches_row0", "latency_2",
         "slice_rows_0", "fetch_kind_bogus", "route_bogus",
-        "window_span_too_wide"])
+        "window_span_too_wide", "override_kind_twice", "flip_word_twice"])
 def test_cli_malformed_config_exit_two(tmp_path, capsys, data):
     assert cli_main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2
     err = capsys.readouterr().err
