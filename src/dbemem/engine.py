@@ -3,7 +3,8 @@ windows, and verifies every transaction against the golden oracle.
 
 It checks one blockline per numpy pass: the blockline's bookings are its
 class's template shifted by whole blocklines, so the port law, the commit
-order and each word's order of events are worked out once per class.
+order and each word's order of events are worked out once per class, for
+all the classes of a run in one batch (`ledger.class_templates`).
 A blockline that starts from the state an earlier blockline of its class
 started from, moved by the blocklines between them, ends as that one ended
 and is replayed instead of checked (`Engine.run`); only the values of the
@@ -26,7 +27,7 @@ from .geometry import (BLOCK_W, CYCLES_PER_SLOT, LINE_WORDS, PIXELS_PER_WORD,
                        GeometryPlan, ImageGeometry, Interleave, SliceLayout,
                        build_geometry, decode_position)
 from .ledger import (ARM_DISPLAY, ARM_FETCH, READ_DISPLAY, READ_FETCH,
-                     WRITE_EVENT, Pass, owed_reads)
+                     WRITE_EVENT, class_templates, owed_reads)
 from .membank import (VIOLATION_CLASSES, ConflictViolation, HazardViolation,
                       UnderflowViolation)
 from .oracle import GoldenOracle, ycocg_frame
@@ -347,12 +348,6 @@ class Engine:
         (self._frontier, self._word_line, owed, self._stage) = np.split(
             self._carry, np.cumsum(sizes)[:-1])
         self._word_owed = owed.reshape(2, n_wk)
-        # blockline class -> its first blockline's Pass; the two parities
-        # of a class share one where a shift by one blockline keeps every
-        # line's buffer, as with two line buffers
-        self._templates = {}
-        buf = self.preset.buffer_for_line
-        self._parity_free = all(buf(y) == buf(y + 2) for y in range(4))
         # a traced pass's rows are its template's grants and its drain
         # order's bookings shifted by d blocklines; `violation_rows` counts
         # the latter, and `trace_rows` holds the passes
@@ -464,8 +459,12 @@ class Engine:
         # a pass that a flip can still reach (`_commit_slot`)
         seen = {}
         key = self._moved_back(self._carry, 0)
-        for bl in range(self.plan.total_blocklines):
-            tm, d = self._template(bl)
+        classes, templates = self._templates()
+        for bl, cls in enumerate(classes):
+            tm = templates[cls]
+            if isinstance(tm, ConfigError):
+                raise tm
+            d = bl - tm.bl0
             rec = seen.get((tm.bl0, key))
             if rec:
                 if rec[6].size:
@@ -514,16 +513,22 @@ class Engine:
         out[self._carry_never & (carry < 0)] = _NEVER
         return out.tobytes()
 
-    def _template(self, bl):
-        """The pass of blockline bl's class, and how many blocklines bl
-        lies after it."""
-        key = self.sched._blockline_class(bl)
-        if self._parity_free and isinstance(key, tuple):
-            key = key[1:]
-        tm = self._templates.get(key)
-        if tm is None:
-            tm = self._templates[key] = Pass(self, bl)
-        return tm, bl - tm.bl0
+    def _templates(self):
+        """Each blockline's class, and per class the pass of its first
+        blockline (`ledger.class_templates`), or the ConfigError that
+        building it raised.  The two parities of a class share one where a
+        shift by one blockline keeps every line's buffer, as with two line
+        buffers."""
+        buf = self.preset.buffer_for_line
+        parity_free = all(buf(y) == buf(y + 2) for y in range(4))
+        classes = self.sched.blockline_classes()
+        if parity_free:
+            classes = [k[1:] if isinstance(k, tuple) else k for k in classes]
+        first = {}
+        for bl, k in enumerate(classes):
+            first.setdefault(k, bl)
+        return classes, dict(zip(first, class_templates(self,
+                                                        list(first.values()))))
 
     def _commit_slot(self, tm, d):
         """Commit the granted bookings of template `tm`'s pass d blocklines

@@ -7,7 +7,6 @@ What a granted access does to a word (its value, the line it holds, the
 reads it still owes, hazards and underflows) is the engines' word ledger.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -35,8 +34,8 @@ class AccessRecord(NamedTuple):
     px: int                  # x of the word's first pixel on that line
 
 
-@dataclass(frozen=True)
-class ConflictViolation:
+class ConflictViolation(NamedTuple):
+    """A booking of a (bank, cycle) another booking already holds."""
     cycle: int
     buffer: str
     bank_id: int
@@ -47,8 +46,7 @@ class ConflictViolation:
     block_id: int
 
 
-@dataclass(frozen=True)
-class HazardViolation:
+class HazardViolation(NamedTuple):
     """A word was overwritten while reads of the old data were still pending."""
     cycle: int
     buffer: str
@@ -59,8 +57,7 @@ class HazardViolation:
     block_id: int
 
 
-@dataclass(frozen=True)
-class UnderflowViolation:
+class UnderflowViolation(NamedTuple):
     """A read targeted a word that was never written."""
     cycle: int
     buffer: str

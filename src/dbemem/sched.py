@@ -233,8 +233,8 @@ class Scheduler:
         # the place in buffer_names of the buffer holding line y, by y mod 4
         # (buffer-for-line repeats with period 4, ping-pong included)
         self._buf_of = np.array([preset.buffer_names().index(
-            preset.buffer_for_line(y)) for y in range(4)])
-        self._bases = np.array(plan.partition_bases)
+            preset.buffer_for_line(y)) for y in range(4)], dtype=np.int32)
+        self._bases = np.array(plan.partition_bases, dtype=np.int32)
         self._view = (None, None, None)   # see `slot_plan`
 
     # -- addressing ----------------------------------------------------------
@@ -269,21 +269,30 @@ class Scheduler:
         last = bl == self.plan.total_blocklines - 1
         return range(bl * spb, self.total_slots if last else (bl + 1) * spb)
 
-    def _blockline_class(self, bl: int):
-        """What a blockline's schedule depends on besides a whole-blockline
-        shift: its parity (the line -> buffer map has period 4 lines), whether
-        it opens a slice (no previous-line fetches), and whether the next
-        blockline's warm-up fetches ride on its tail.  A blockline whose
-        display reads are clipped at the start of the frame (it reads fewer
-        than one word per two cycles) and the last blockline, whose pass
-        carries the display tail, are classes of their own."""
+    def blockline_classes(self) -> list:
+        """Each blockline's class: what its schedule depends on besides a
+        whole-blockline shift.  That is its parity (the line -> buffer map
+        has period 4 lines), whether it opens a slice (no previous-line
+        fetches), and whether the next blockline's warm-up fetches ride on
+        its tail.  The blocklines at the start of the frame whose display
+        reads are clipped (they read fewer than one word per two cycles)
+        and the last blockline, whose pass carries the display tail, are
+        classes of their own."""
+        n = self.plan.total_blocklines
+        classes = [(bl % 2, self.plan.is_first_blockline_of_slice(bl),
+                    self._warms_next(bl)) for bl in range(n)]
         cycles = CYCLES_PER_SLOT * self.slots_per_blockline
-        c0 = cycles * bl
-        if bl == self.plan.total_blocklines - 1 or \
-                len(self.display_words_in(c0, c0 + cycles)) < cycles // 2:
-            return bl
-        return (bl % 2, self.plan.is_first_blockline_of_slice(bl),
-                self._warms_next(bl))
+        for bl in range(n):
+            if len(self.display_words_in(cycles * bl, cycles * (bl + 1))) \
+                    >= cycles // 2:
+                break
+            classes[bl] = bl
+        classes[-1] = n - 1
+        return classes
+
+    def _blockline_class(self, bl: int):
+        """Blockline bl's class (`blockline_classes`)."""
+        return self.blockline_classes()[bl]
 
     def _warms_next(self, bl: int) -> bool:
         """Whether blockline bl's tail fetches the next blockline's first
@@ -292,12 +301,14 @@ class Scheduler:
         return bool(self.warmup_count and nxt < self.plan.total_blocklines
                     and not self.plan.is_first_blockline_of_slice(nxt))
 
-    def booking_arrays(self, bl: int) -> np.ndarray:
-        """Every booking of blockline bl's slots (`blockline_slots`) in
-        booking order (per slot: writes, display reads, fetches), as an
-        int32 array with one row per field of `BOOKING_FIELDS`:
+    def booking_arrays(self, bls) -> np.ndarray:
+        """Every booking of the slots (`blockline_slots`) of blockline
+        `bls`, or of each blockline of an ascending sequence `bls`, in
+        booking order (blockline by blockline, and per slot: writes,
+        display reads, fetches), as an int32 array with one row per field
+        of `BOOKING_FIELDS`:
 
-          slot     slot index from the blockline's first slot
+          slot     slot index from the first blockline's first slot
           cycle    the access cycle
           bank     the bank's place in commit order within a cycle, its
                    index in `bank_keys`
@@ -324,85 +335,107 @@ class Scheduler:
         free; a word decoded in the slot is written at offset 0 of that
         bank, so its fetch comes after its write.
         """
-        slots = self.blockline_slots(bl)
+        bls = np.atleast_1d(bls)
+        passes = [self.blockline_slots(bl) for bl in bls.tolist()]
+        s0 = passes[0].start
         spb, n = self.slots_per_blockline, self.n_words
         bookings = []   # per kind: (slot, offset, line, col, local word,
                         # block, purpose), each an array or a scalar
 
-        # the decode slots' blocks; each slot writes both rows of its block
-        t = np.arange(spb)
+        # the decode slots of the blocklines, one after another: each one's
+        # slot, blockline, column and block x; each slot writes both rows of
+        # its block
+        r, t = np.divmod(np.arange(len(bls) * spb), spb)
+        bl = bls[r]
+        grid = (bl - bls[0]) * spb + t
         _, col, bx = decode_position(self.plan, t)
-        tw = np.repeat(t, 2)
-        bookings.append((tw, 0, 2 * bl + np.tile([0, 1], spb),
-                         np.repeat(col, 2), np.repeat(bx, 2), slots.start + tw,
-                         WRITE))
+        tw = np.repeat(grid, 2)
+        bookings.append((tw, 0, (2 * bl[:, None] + [0, 1]).ravel(),
+                         np.repeat(col, 2), np.repeat(bx, 2), s0 + tw, WRITE))
 
-        r = self.display_words_in(CYCLES_PER_SLOT * slots.start,
-                                  CYCLES_PER_SLOT * slots.stop)
-        k = np.arange(r.start, r.stop)
-        cyc = self.display_read_cycle(k) - CYCLES_PER_SLOT * slots.start
+        k = np.concatenate([np.arange(w.start, w.stop) for w in (
+            self.display_words_in(CYCLES_PER_SLOT * p.start,
+                                  CYCLES_PER_SLOT * p.stop) for p in passes)])
+        cyc = self.display_read_cycle(k) - CYCLES_PER_SLOT * s0
         y, i = np.divmod(k, self.words_per_image_line)
         bookings.append((cyc // CYCLES_PER_SLOT, cyc % CYCLES_PER_SLOT, y,
                          i // n, i % n, -1, DISPLAY))
 
-        # fetch demands, one kind at a time: (valid, line, local word)
+        # fetch demands, one kind at a time: (valid, line, local word), per
+        # decode slot
         def entering(section):
             # one new word of the section's fetched span slides into the
             # next block's window per slot
             w = bx + 1 + self._fetched_span[section][1] // PIXELS_PER_WORD
             return (bx + 1 < n) & (w >= 0) & (w < n), w
 
+        def each(test):
+            # test of each decode slot's blockline
+            return np.array(list(map(test, bls.tolist())), dtype=bool)[r]
+
         demands = []
-        if not self.plan.is_first_blockline_of_slice(bl):
+        inner = ~each(self.plan.is_first_blockline_of_slice)
+        if inner.any():
             ok, w = entering("prev")
-            demands.append((ok, 2 * bl - 1, w))
+            demands.append((ok & inner, 2 * bl - 1, w))
         if self.preset.reconvert_on_fetch and "row1" in self._fetched_span:
             ok, w = entering("row1")
             demands.append((ok & (w <= bx), 2 * bl + 1, w))
-        if self._warms_next(bl):
+        warms = each(self._warms_next)
+        if warms.any():
             j = bx - (n - self.warmup_count)
-            demands.append((j >= 0, 2 * bl + 1, j))
+            demands.append(((j >= 0) & warms, 2 * bl + 1, j))
         want = self.preset.fetch_words_per_slot
         if want > 1 and demands:
             ok, line, w = zip(*demands)
             count = np.sum(ok, axis=0)
             first = np.argmax(ok, axis=0)
-            line, w = np.array(line)[first], np.choose(first, w)
+            line, w = np.choose(first, line), np.choose(first, w)
             for e in range(1, want):
                 demands.append(((count > 0) & (count + e <= want), line,
                                 (w + e) % n))
 
         # a fetch books offset 2, as refill does; streaming moves it below
         for ok, line, w in demands:
-            s = t[ok]
-            bookings.append((s, 2, np.broadcast_to(line, bx.shape)[ok],
-                             col[ok], w[ok], slots.start + s, FETCH_READ))
+            s = grid[ok]
+            bookings.append((s, 2, line[ok], col[ok], w[ok], s0 + s,
+                             FETCH_READ))
 
         # each raw field across the kinds, once
         sizes = [len(k[0]) for k in bookings]
-        s, off, line, c, wl, block, purpose = (
-            np.concatenate([v if np.ndim(v) else np.full(m, v)
-                            for v, m in zip(field, sizes)])
-            for field in zip(*bookings))
+        raw = np.empty((7, sum(sizes)), dtype=np.int32)
+        for kind, hi in zip(bookings, np.cumsum(sizes).tolist()):
+            for row, v in zip(raw, kind):
+                row[hi - len(kind[0]):hi] = v
+        s, off, line, c, wl, block, purpose = raw
         bank = self._bank(line, c, wl)
         if self.preset.fetch_kind == STREAMING:
             # the offsets each (slot, bank) has taken, as bits; each fetch
-            # kind books at most one word per slot
+            # kind books at most one word per slot.  A slot's row is its
+            # place among the slots of the blocklines
+            starts = np.array([p.start for p in passes]) - s0
+            skip = starts - np.cumsum([0, *map(len, passes[:-1])])
             n0 = sizes[0] + sizes[1]   # the writes and display reads
-            at = s * len(self.bank_keys) + bank
-            taken = np.zeros((len(slots) * len(self.bank_keys),
+            at = (s - skip[np.searchsorted(starts, s, side="right") - 1]) \
+                * len(self.bank_keys) + bank
+            taken = np.zeros((sum(map(len, passes)) * len(self.bank_keys),
                               CYCLES_PER_SLOT), dtype=bool)
             taken[at[:n0], off[:n0]] = True
-            taken = taken @ (1 << np.arange(CYCLES_PER_SLOT))
+            taken = np.packbits(taken, axis=1, bitorder="little")[:, 0]
             ends = np.cumsum(sizes)[1:].tolist()
             for lo, hi in zip(ends, ends[1:]):
-                off[lo:hi] = _FIRST_FREE[~taken[at[lo:hi]] & 0xF]
-                taken[at[lo:hi]] |= 1 << off[lo:hi]
+                a = at[lo:hi]
+                off[lo:hi] = _FIRST_FREE[~taken[a] & 0xF]
+                taken[a] = taken[a] | 1 << off[lo:hi]
+        # each field in booking order, taken straight into its row
         order = np.argsort(s, kind="stable")
-        return np.stack((s, CYCLES_PER_SLOT * (slots.start + s) + off, bank,
-                         purpose, self.word_address(c, wl)[0], block, c, line,
-                         c * self.plan.slice_width + PIXELS_PER_WORD * wl),
-                        dtype=np.int32)[:, order]
+        out = np.empty((len(BOOKING_FIELDS), len(s)), dtype=np.int32)
+        for row, v in zip(out, (
+                s, CYCLES_PER_SLOT * (s0 + s) + off, bank, purpose,
+                self.word_address(c, wl)[0], block, c, line,
+                c * self.plan.slice_width + PIXELS_PER_WORD * wl)):
+            np.take(v, order, out=row, mode="clip")
+        return out
 
     def _bank(self, line, slice_col, local_word):
         """The place in `bank_keys` of the bank holding a slice column's

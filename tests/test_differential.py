@@ -639,3 +639,48 @@ def test_booking_outside_the_buffer_rejected(monkeypatch, name, slot):
     cfg = SimConfig(ImageGeometry(320, 32), SliceLayout(1, 1),
                     preset_by_name(name))
     assert assert_same_rejection(cfg) == "word 480 outside 0..479"
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_later_template_rejection_waits_for_its_class(monkeypatch, name):
+    """The engine builds every class template before its first pass, but
+    a template's ConfigError is raised when the run reaches the template's
+    class.  The write that opens the last blockline (slot 600) leaves the
+    buffer, which its template rejects; moving the write that opens
+    blockline 1 (slot 40) two slots back puts it behind the frontier
+    blockline 0 leaves, which blockline 1's template does not see and its
+    cross-pass check rejects first.  Both engines give the same message
+    each time."""
+    cfg = SimConfig(ImageGeometry(320, 32), SliceLayout(1, 1),
+                    preset_by_name(name))
+    edit_first_write(monkeypatch, 600, WORD, lambda w: 480)
+    assert assert_same_rejection(cfg) == "word 480 outside 0..479"
+    edit_first_write(monkeypatch, 40, CYCLE,
+                     lambda c: c - 2 * CYCLES_PER_SLOT)
+    assert assert_same_rejection(cfg).startswith(
+        f"access at cycle {CYCLES_PER_SLOT * 38} behind frontier ")
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_engine_matches_reference_at_full_width(name):
+    """The north-star width, 3840 pixels on 4 columns, over a band of 16
+    blocklines: 120-word slices, whose templates hold 2,000 to 3,300
+    bookings each, traced."""
+    assert_same_run(SimConfig(ImageGeometry(3840, 32), SliceLayout(4, 1),
+                              preset_by_name(name), collect_trace=True))
+
+
+def test_recon_peak_is_the_most_any_pass_reaches():
+    """A column's recon peak is the largest of all its passes, not its
+    last pass's.  With one bank per lower buffer and the previous line
+    resident, column 1's display reads win the cycles of the warm-up
+    fetches each blockline makes for column 0 of the next one, so from
+    blockline 2 on column 0 admits fewer previous-line pixels and its
+    last pass peaks at 24: its peak, 32, is blockline 1's."""
+    preset = replace(preset_by_name("type2"), banks_per_buffer=1,
+                     residency={"prev": RESIDENT, "row0": RESIDENT,
+                                "row1": FETCH})
+    want = assert_same_run(SimConfig(ImageGeometry(64, 8), SliceLayout(2, 1),
+                                     preset))
+    assert want["peak_recon_per_column"] == [32, 32]
+    assert want["counts"]["conflicts"] == 4

@@ -587,6 +587,21 @@ def _fault_cfg(kind, value, arch="type2"):
     return dict(CFG, arch=arch, faults=[{"kind": kind, "value": value}])
 
 
+# an integer below an open-ended range, and the message naming the bound
+OPEN_RANGE = {
+    "flip_cycle_negative": (
+        dict(CFG, faults=[{"kind": "flip_word", "buffer": "lower0",
+                           "word_index": 0, "cycle": -1}]),
+        "flip_word cycle must be >= 0, got -1"),
+    "capacity_override_negative": (
+        _fault_cfg("capacity_override", -3),
+        "capacity_override value must be >= 0, got -3"),
+    "capacity_pixels_negative": (
+        dict(CFG, arch=dict(TYPE2_FIELDS, capacity_pixels=-1)),
+        "capacity_pixels must be >= 0, got -1"),
+}
+
+
 @pytest.mark.parametrize("data", [
     _fault_cfg("capacity_override", "x"),
     _fault_cfg("capacity_override", -5),
@@ -663,6 +678,7 @@ def _fault_cfg(kind, value, arch="type2"):
     dict(CFG, arch="baseline",
          faults=[{"kind": "flip_word", "buffer": "upper", "word_index": 0,
                   "cycle": 1}] * 2),
+    *(data for data, _ in OPEN_RANGE.values()),
 ], ids=["capacity_str", "capacity_negative", "bit_depth_str", "chroma_420",
         "interleave_bogus", "window_span_str", "line_buffers_str",
         "height_missing", "fetch_budget_0", "clock_nan", "flip_unused_word",
@@ -676,11 +692,20 @@ def _fault_cfg(kind, value, arch="type2"):
         "streaming_fetch_words_2", "reconvert_on_fetch_key",
         "refill_fetches_prev", "streaming_fetches_row0", "latency_2",
         "slice_rows_0", "fetch_kind_bogus", "route_bogus",
-        "window_span_too_wide", "override_kind_twice", "flip_word_twice"])
+        "window_span_too_wide", "override_kind_twice", "flip_word_twice",
+        *OPEN_RANGE])
 def test_cli_malformed_config_exit_two(tmp_path, capsys, data):
     assert cli_main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(OPEN_RANGE))
+def test_cli_open_range_message_names_the_bound(tmp_path, capsys, name):
+    """An integer below an open-ended range says which bound it breaks."""
+    data, message = OPEN_RANGE[name]
+    assert cli_main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("mhz", [1e308, 0, -5.5])
