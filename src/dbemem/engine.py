@@ -373,7 +373,7 @@ class Engine:
         enters the window."""
         self._recon = ReconBufferState(self.spec, self.preset, self.capacity)
         self._peaks = [0] * self.plan.slices.columns
-        self._admitted = {}   # entering bits -> (admitted x, peak)
+        self._admitted = {}   # entering pixels' bits -> (admitted x, peak)
         keep = self._recon.keep
         self._resident = [s for s in SECTIONS if keep[s]]
         self._row_lag = 2 if self.preset.forwarding else 1
@@ -386,11 +386,6 @@ class Engine:
         rel = x - BLOCK_W * enter
         self._enter_ok = (rel >= lo) & (rel <= hi) & (enter < n)
         self._enter_slot_bx = np.minimum(enter, n - 1)
-        ex = (BLOCK_W * np.arange(n)[:, None] + hi - BLOCK_W + 1
-              + np.arange(BLOCK_W))
-        self._enter_x = np.clip(ex, 0, sw - 1)
-        self._enter_in = (ex >= 0) & (ex < sw)
-        self._full_x = np.arange(max(lo, 0), min(hi, sw - 1) + 1)
 
     def _setup_window(self):
         """Per window part, the block x positions its pixels cover: which
@@ -500,11 +495,29 @@ class Engine:
                 self.trace_rows.rows += len(tm.granted)
                 self.violation_rows.rows += sum(order[0]) if order else 0
 
-        for watch in self._watches:
-            watch.reject_unseen()
+        self._reject_silent_flips()
         # a replayed pass admits what its recorded one did, so the recon
         # peaks are already reached
         return self._result(pixels_served, self._peaks, replayed)
+
+    def _reject_silent_flips(self):
+        """After the run, reject each flip that changed nothing: one that no
+        read sees (`_FlipWatch.reject_unseen`), then one at c1 whose word is
+        flipped again at c2 with no write or value read of it in c1 <= t <
+        c2, so a read sees both or neither.  The watches hold every such t:
+        each pass up to the word's next write from c2 on is checked."""
+        for watch in self._watches:
+            watch.reject_unseen()
+        words = {}   # ledger word -> its flips' watches, in cycle order
+        for watch in self._watches:
+            words.setdefault(watch.wk, []).append(watch)
+        for first, then in (p for w in words.values() for p in zip(w, w[1:])):
+            f, c2 = first.fault, then.fault.cycle
+            if not any(f.cycle <= t < c2 for t in first.writes + first.reads):
+                raise ConfigError(
+                    f"flip_word {f.buffer} word {f.word_index} at cycle "
+                    f"{f.cycle} is undone by its flip at cycle {c2}: no "
+                    f"write or read of the word falls between them")
 
     def _moved_back(self, carry, bl):
         """The carried state `carry` moved back bl blocklines, as bytes; a
@@ -733,16 +746,17 @@ class Engine:
         decoded `_row_lag` blocks back.  A section admits each pixel x at
         most once per blockline, so the admitted x say which window pixels
         are resident at every block.  They and the blockline's peak follow
-        from the column's entering bits alone, so each distinct set of bits
-        is admitted once per run.  Returns, per section, each column's code
-        per pixel x: UNSTAGED unless admitted, else for the previous line
-        the stage code its word had on entering, and CLEAN for a row: a row
-        pixel is a decoded block's, which the model takes as golden."""
+        from the column's entering pixels alone, packed as bits, so each
+        distinct set of them is admitted once per run.  Returns, per
+        section, each column's code per pixel x: UNSTAGED unless admitted,
+        else for the previous line the stage code its word had on entering,
+        and CLEAN for a row: a row pixel is a decoded block's, which the
+        model takes as golden."""
         n, sw = self.plan.words_per_line, self.plan.slice_width
         cols = self.plan.slices.columns
         lo, hi = self.spec.prev_line_span
         src = dict.fromkeys(self._resident, CLEAN)
-        enter = None
+        keys = [None] * cols
         if self._resident[:1] == ["prev"] and \
                 not self.plan.is_first_blockline_of_slice(bl):
             x = np.arange(sw)
@@ -750,15 +764,10 @@ class Engine:
                 self.stage_key(np.arange(cols)[:, None], 0,
                                x // PIXELS_PER_WORD),
                 self._slot_of[:, self._enter_slot_bx])
-            cand = self._enter_ok & (src["prev"] != UNSTAGED)
-            # per block, the 8 previous-line pixels entering from hi - 7;
-            # at block 0 the whole span from lo
-            bits = cand[:, self._enter_x] & self._enter_in
-            enter = (bits.astype(np.int64) << np.arange(BLOCK_W)).sum(-1) \
-                .tolist()
-            for c in range(cols):
-                enter[c][0] = sum(1 << (p - lo) for p in
-                                  self._full_x[cand[c, self._full_x]].tolist())
+            # each column's entering pixels, bit x for pixel x
+            keys = [k.tobytes() for k in np.packbits(
+                self._enter_ok & (src["prev"] != UNSTAGED), axis=1,
+                bitorder="little")]
         rows = [s for s in self._resident if s != "prev"]
         lag = self._row_lag
         row_rel = -lag * BLOCK_W
@@ -766,19 +775,22 @@ class Engine:
         recon = self._recon
         valid, span_lo = recon.valid, recon.lo
         nbytes = -(-sw // 8)
-        for c in range(cols):
-            key = None if enter is None else tuple(enter[c])
+        for c, key in enumerate(keys):
             if key not in self._admitted:
                 recon.peak_occupancy = 0
                 adm = dict.fromkeys(self._resident, 0)
+                enter = None if key is None else int.from_bytes(key, "little")
                 for bx in range(n):
                     if bx:
                         recon.slide()
                     else:
                         recon.clear()
-                    if key is not None:
-                        recon.admit_run("prev", hi - BLOCK_W + 1 if bx else lo,
-                                        key[bx])
+                    if enter is not None:
+                        # block 0 admits from lo, block bx the 8 pixels from
+                        # 8 bx + hi - 7; the keep mask clips the bits past hi
+                        rel = hi - BLOCK_W + 1 if bx else lo
+                        recon.admit_run("prev", rel,
+                                        _at_x(enter, -BLOCK_W * bx - rel))
                     if bx >= lag:
                         for s in rows:
                             recon.admit_run(s, row_rel, BLOCK_BITS)

@@ -2,9 +2,9 @@
 
 A `Pass` is the bookings of a blockline's slots with what stays fixed
 when the blockline is replayed whole blocklines later: the port law, the
-commit order and each word's order of events.  `class_templates` builds
-the passes of a run's blockline classes in one batch.  `owed_reads` counts
-the reads a word still owes along its events.
+commit order and each word's order of events, built only by
+`class_templates`, for a run's blockline classes in one batch.
+`owed_reads` counts the reads a word still owes along its events.
 """
 
 import numpy as np
@@ -83,15 +83,7 @@ class Pass:
     later: the port law, the commit order and each word's order of
     events.  `bookings` holds the pass's `Scheduler.booking_arrays`, its
     slots counted from its first; every other index is into them or into
-    the pass's events."""
-
-    def __init__(self, eng, bl):
-        """Blockline bl's pass, built as a batch of one
-        (`class_templates`)."""
-        tm, = class_templates(eng, [bl])
-        if isinstance(tm, ConfigError):
-            raise tm
-        vars(self).update(vars(tm))
+    the pass's events.  Built by `class_templates`."""
 
 
 def class_templates(eng, bls):
@@ -226,7 +218,7 @@ def _passes(eng, bls, b, p, cut, s0, after, hits):
         fetch_slot=parts((b[SLOT, fb] - s0[fp])[o], f_at))
     out = []
     for q, bl in enumerate(bls):
-        tm = object.__new__(Pass)
+        tm = Pass()
         vars(tm).update({k: v[q] for k, v in fields.items()}, bl0=bl,
                         sched=eng.sched, frontier=after[q],
                         conflicts=conflicts[q])

@@ -142,8 +142,7 @@ class ReferenceEngine(Engine):
                                             x0:x0 + BLOCK_W]))
             self._drain_bank_violations()
 
-        for watch in self._watches:
-            watch.reject_unseen()
+        self._reject_silent_flips()
         return self._result(pixels_served,
                             [c.recon.peak_occupancy for c in self.cols])
 

@@ -290,10 +290,6 @@ class Scheduler:
         classes[-1] = n - 1
         return classes
 
-    def _blockline_class(self, bl: int):
-        """Blockline bl's class (`blockline_classes`)."""
-        return self.blockline_classes()[bl]
-
     def _warms_next(self, bl: int) -> bool:
         """Whether blockline bl's tail fetches the next blockline's first
         previous-line words."""

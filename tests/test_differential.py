@@ -314,6 +314,38 @@ def test_unseen_flip_rejected_by_both_engines(name):
         "next write: cycle 156)")
 
 
+def upper0_flips(*cycles):
+    """Baseline 64x8 on one column with upper word 0 flipped at `cycles`.
+    The word is written at cycles 0, 32, 64 and 96 and its value read at
+    31, 63, 95 and 127."""
+    return SimConfig(ImageGeometry(64, 8), SliceLayout(1, 1), preset_baseline(),
+                     faults=[FaultSpec("flip_word", buffer="upper",
+                                       word_index=0, cycle=c) for c in cycles])
+
+
+@pytest.mark.parametrize("second", range(2, 32))
+def test_cancelling_flip_pair_rejected_by_both_engines(second):
+    """A flip at cycle 1 and a second one before the word's read at 31
+    undo each other: the read sees both, and both engines reject the
+    pair by the second flip's cycle."""
+    assert assert_same_rejection(upper0_flips(1, second)) == (
+        f"flip_word upper word 0 at cycle 1 is undone by its flip at cycle "
+        f"{second}: no write or read of the word falls between them")
+
+
+def test_flip_pair_with_a_use_between_runs_or_rejects_as_unseen():
+    """Flips at 1, 31 and 40 are rejected for the 1/31 pair.  The read at
+    31 and the write at 32 lie between 31 and 40, so flips at 31 and 40
+    alone fail the run: each is seen by one read, 8 pixels each.  A flip
+    at 32 lands before that write and is seen by no read."""
+    assert "at cycle 1 is undone by its flip at cycle 31" in \
+        assert_same_rejection(upper0_flips(1, 31, 40))
+    want = assert_same_run(upper0_flips(31, 40))
+    assert want["counts"]["output_mismatches"] == 16
+    assert "at cycle 32 is seen by no read" in \
+        assert_same_rejection(upper0_flips(1, 32))
+
+
 @pytest.mark.parametrize("name,cols", [
     pytest.param(name, cols, id=name if cols == 1 else f"{name}-cols{cols}")
     for cols in (1, 2) for name in PRESETS])

@@ -1,8 +1,8 @@
-"""`ledger.Pass`'s port law against the bank models booked one access at a
-time: on every class template of a seeded draw of configs, the conflicts
-(with each winner's purpose and word), the granted bookings and each
-bank's frontier after the pass are the ones that booking every slot on
-`SramBankModel`s gives."""
+"""`ledger.class_templates`'s port law against the bank models booked one
+access at a time: on every template of the engine's own batch over a
+seeded draw of configs, the conflicts (with each winner's purpose and
+word), the granted bookings and each bank's frontier after the pass are
+the ones that booking every slot on `SramBankModel`s gives."""
 
 import json
 import random
@@ -13,7 +13,7 @@ from dbemem.engine import Engine, FaultSpec, SimConfig
 from dbemem.errors import ConfigError
 from dbemem.geometry import (CYCLES_PER_SLOT, ImageGeometry, Interleave,
                              SliceLayout)
-from dbemem.ledger import Pass
+from dbemem.ledger import class_templates
 from dbemem.membank import SramBankModel
 from dbemem.predwindow import FETCH, RESIDENT, SECTIONS
 from dbemem.sched import (BANK, CYCLE, FETCH_READ, HALF_LINE, LINE, ONE_LINE,
@@ -57,8 +57,8 @@ def per_booking_loop(sched, b):
 def class_blocklines(eng):
     """The first blockline of each blockline class."""
     first = {}
-    for bl in range(eng.plan.total_blocklines):
-        first.setdefault(eng.sched._blockline_class(bl), bl)
+    for bl, k in enumerate(eng.sched.blockline_classes()):
+        first.setdefault(k, bl)
     return list(first.values())
 
 
@@ -133,7 +133,7 @@ def test_draw_covers_every_kind():
                 if c.preset.name == "custom"}
     assert {2, 3, 4} <= budgets
     eng = Engine(CONFIGS[-1])
-    assert any(Pass(eng, bl).conflicts for bl in class_blocklines(eng))
+    assert any(tm.conflicts for tm in eng._templates()[1].values())
 
 
 def test_fetches_demand_the_lines_around_their_blockline():
@@ -151,8 +151,7 @@ def test_fetches_demand_the_lines_around_their_blockline():
 @pytest.mark.parametrize("cfg", CONFIGS, ids=range(len(CONFIGS)))
 def test_port_law_matches_per_booking_loop(cfg):
     eng = Engine(cfg)
-    for bl in class_blocklines(eng):
-        tm = Pass(eng, bl)
+    for tm in eng._templates()[1].values():
         conflicts, granted, _ = per_booking_loop(eng.sched, tm.bookings)
         assert tm.conflicts == conflicts
         assert tm.granted.tolist() == granted
@@ -164,8 +163,7 @@ def test_kept_frontier_matches_per_booking_loop(cfg):
     onto the carried frontiers, is each bank model's after its last
     commit."""
     eng = Engine(cfg)
-    for bl in class_blocklines(eng):
-        tm = Pass(eng, bl)
+    for tm in eng._templates()[1].values():
         assert tm.frontier.tolist() == per_booking_loop(eng.sched,
                                                         tm.bookings)[2]
 
@@ -220,8 +218,8 @@ def test_port_law_matches_per_booking_loop_on_moved_bookings(monkeypatch,
         for offset in range(CYCLES_PER_SLOT):
             b = planned.copy()
             b[CYCLE, i] = first + offset
-            monkeypatch.setattr(eng.sched, "booking_arrays", lambda bl: b)
-            tm = Pass(eng, 1)
+            monkeypatch.setattr(eng.sched, "booking_arrays", lambda bls: b)
+            tm, = class_templates(eng, [1])
             conflicts, granted, _ = per_booking_loop(eng.sched, b)
             assert tm.conflicts == conflicts
             assert tm.granted.tolist() == granted
@@ -247,7 +245,7 @@ def test_each_slot_pattern_is_booked_once(monkeypatch, name):
     eng = Engine(cfg)
     for bl in class_blocklines(eng):
         booked.clear()
-        slots = Pass(eng, bl).bookings[SLOT]
+        slots = class_templates(eng, [bl])[0].bookings[SLOT]
         patterns = {}
         for rec in booked:
             s = rec.cycle // CYCLES_PER_SLOT

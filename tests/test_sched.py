@@ -11,7 +11,7 @@ from dbemem.errors import ConfigError
 from dbemem.geometry import (CYCLES_PER_SLOT, LINE_WORDS, PIXELS_PER_WORD,
                              ImageGeometry, Interleave, SliceLayout,
                              build_geometry)
-from dbemem.ledger import Pass
+from dbemem.ledger import class_templates
 from dbemem.membank import Purpose
 from dbemem.predwindow import WindowSpec
 from dbemem.sched import (COL, PX, REFILL, WORD, Scheduler, preset_baseline,
@@ -249,9 +249,8 @@ def test_blockline_replay_matches_slot_plan(name, interleave, read_latency,
                           read_latency=read_latency)
         templates = {}
         odd = []   # per steady blockline after its other parity's first
-        for bl in range(plan.total_blocklines):
+        for bl, key in enumerate(sched.blockline_classes()):
             direct = sched.booking_arrays(bl)
-            key = sched._blockline_class(bl)
             bl0, template = templates.setdefault(key, (bl, direct))
             assert np.array_equal(
                 sched.shift_bookings(template, bl - bl0), direct)
@@ -395,10 +394,10 @@ def _schedule_digest(name, budget, banks, spec):
                         interleave=interleave,
                         sram_read_latency=read_latency, faults=faults))
                     classes = {}
-                    for bl in range(eng.plan.total_blocklines):
-                        classes.setdefault(eng.sched._blockline_class(bl), bl)
+                    for bl, key in enumerate(eng.sched.blockline_classes()):
+                        classes.setdefault(key, bl)
                     for key, bl in classes.items():
-                        b = Pass(eng, bl).bookings
+                        b = class_templates(eng, [bl])[0].bookings
                         lines.append(f"{cols} {interleave.value} "
                                      f"{read_latency} {rows} {key!r} "
                                      f"{b.shape} {b.dtype} "

@@ -574,6 +574,17 @@ def test_cli_malformed_flip_word_exit_two(tmp_path, capsys, fault):
     assert "flip_word" in capsys.readouterr().err
 
 
+def test_cli_cancelling_flip_pair_exit_two(tmp_path, capsys):
+    """Two flips of one word with no write or read between them change
+    nothing: the run exits 2 naming both cycles."""
+    data = {"image": {"width": 64, "height": 8}, "arch": "baseline",
+            "faults": [{"kind": "flip_word", "buffer": "upper",
+                        "word_index": 0, "cycle": c} for c in (1, 5)]}
+    assert cli_main(["simulate", "--config", write_cfg(tmp_path, data)]) == 2
+    assert "at cycle 1 is undone by its flip at cycle 5" in \
+        capsys.readouterr().err
+
+
 def test_cli_display_slip_exit_two(tmp_path, capsys):
     """A registered read lead longer than the display latency would read
     display word 0 before cycle 0: a config error, not a crash."""

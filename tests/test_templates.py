@@ -1,14 +1,14 @@
 """`ledger.class_templates` builds every class template of a run in one
-batch.  Each template built inside the run's batch equals the template of
-the same blockline built alone, as a batch of one, field by field: on
-every class of the drawn configs of test_ledger.py and on a stride of the
-legal widths of test_engine.py."""
+batch.  Each template built inside the run's batch equals the one that a
+batch of its blockline alone gives, field by field: on every class of
+the drawn configs of test_ledger.py and on a stride of the legal widths
+of test_engine.py."""
 
 import numpy as np
 import pytest
 
 from dbemem.engine import Engine
-from dbemem.ledger import Pass
+from dbemem.ledger import class_templates
 
 from test_engine import PEAKS, cfg_for, legal_widths
 from test_ledger import CONFIGS
@@ -24,7 +24,7 @@ def assert_batch_is_each_alone(cfg):
     eng = Engine(cfg)
     _, templates = eng._templates()
     for tm in templates.values():
-        alone = vars(Pass(eng, tm.bl0))
+        alone = vars(class_templates(eng, [tm.bl0])[0])
         assert vars(tm).keys() == alone.keys()
         for name, want in alone.items():
             got = vars(tm)[name]
